@@ -1,10 +1,27 @@
 //! The `Dynamicity` submodel (Figure 7): voluntary join and leave
 //! events and platoon changes.
 
-use ahs_san::{Delay, Marking, SanBuilder, SanError};
+use ahs_san::{Delay, Marking, RateGroupId, SanBuilder, SanError};
 
 use crate::model::{array_append, array_remove, Refs};
 use crate::params::Params;
+
+/// The shared-rate groups of the join and leave activities.
+pub(crate) struct RateGroups {
+    join: RateGroupId,
+    leave: RateGroupId,
+}
+
+/// Declares the global join and leave rates as shared-rate groups: each
+/// enabled member fires at the global rate divided by the number of
+/// enabled members, so the total entry (exit) rate is the paper's
+/// global parameter.
+pub(crate) fn add_rate_groups(b: &mut SanBuilder, params: &Params) -> Result<RateGroups, SanError> {
+    Ok(RateGroups {
+        join: b.shared_rate_group("join", params.join_rate)?,
+        leave: b.shared_rate_group("leave", params.leave_rate)?,
+    })
+}
 
 /// Adds the join, leave, and change activities for vehicle `v`.
 ///
@@ -27,17 +44,17 @@ pub(crate) fn add_activities(
     b: &mut SanBuilder,
     v: usize,
     refs: &Refs,
+    groups: &RateGroups,
     params: &Params,
 ) -> Result<(), SanError> {
-    add_join(b, v, refs, params)?;
-    add_leave(b, v, refs, params)?;
+    add_join(b, v, refs, groups.join)?;
+    add_leave(b, v, refs, groups.leave)?;
     add_change(b, v, refs, params)?;
     Ok(())
 }
 
-fn add_join(b: &mut SanBuilder, v: usize, refs: &Refs, params: &Params) -> Result<(), SanError> {
+fn add_join(b: &mut SanBuilder, v: usize, refs: &Refs, group: RateGroupId) -> Result<(), SanError> {
     let vp = refs.vehicles[v];
-    let cap = refs.capacity;
     let num_platoons = refs.num_platoons();
 
     let gate_refs = refs.clone();
@@ -45,15 +62,8 @@ fn add_join(b: &mut SanBuilder, v: usize, refs: &Refs, params: &Params) -> Resul
         .chain(refs.platoon_indicators())
         .collect();
     let space_gate = b.predicate_gate_touching("join_space", space_touches, move |m: &Marking| {
-        !m.is_marked(gate_refs.ko_total)
-            && (1..=num_platoons as u64).any(|k| gate_refs.platoon_size(m, k) < cap)
+        !m.is_marked(gate_refs.ko_total) && gate_refs.open_platoons(m) != 0
     });
-
-    // Global join rate shared among the waiting vehicles.
-    let rate_refs = refs.clone();
-    let join_rate = params.join_rate;
-    let delay =
-        Delay::exponential_fn(move |m: &Marking| join_rate / rate_refs.out_count(m).max(1) as f64);
 
     // One case per platoon, uniform over platoons with space. Gates
     // must exist before the activity chain borrows the builder.
@@ -70,8 +80,11 @@ fn add_join(b: &mut SanBuilder, v: usize, refs: &Refs, params: &Params) -> Resul
             },
         ));
     }
+    // Enabled iff `OUT` is marked and `join_space` holds, and
+    // `join_space` is the same for every vehicle, so the group's
+    // enabled members are exactly the waiting vehicles.
     let mut ab = b
-        .timed_activity("join", delay)?
+        .timed_activity("join", Delay::shared(group))?
         .input_place(vp.out)
         .input_gate(space_gate);
     for (idx, og) in gates.into_iter().enumerate() {
@@ -79,11 +92,9 @@ fn add_join(b: &mut SanBuilder, v: usize, refs: &Refs, params: &Params) -> Resul
         let prob_refs = refs.clone();
         ab = ab
             .case_fn(move |m: &Marking| {
-                let open: Vec<u64> = (1..=prob_refs.num_platoons() as u64)
-                    .filter(|&j| prob_refs.platoon_size(m, j) < cap)
-                    .collect();
-                if open.contains(&k) {
-                    1.0 / open.len() as f64
+                let open = prob_refs.open_platoons(m);
+                if open >> k & 1 == 1 {
+                    1.0 / f64::from(open.count_ones())
                 } else {
                     0.0
                 }
@@ -94,7 +105,12 @@ fn add_join(b: &mut SanBuilder, v: usize, refs: &Refs, params: &Params) -> Resul
     Ok(())
 }
 
-fn add_leave(b: &mut SanBuilder, v: usize, refs: &Refs, params: &Params) -> Result<(), SanError> {
+fn add_leave(
+    b: &mut SanBuilder,
+    v: usize,
+    refs: &Refs,
+    group: RateGroupId,
+) -> Result<(), SanError> {
     let vp = refs.vehicles[v];
 
     // Operating (no active maneuver) in platoon 1, system not frozen.
@@ -110,13 +126,6 @@ fn add_leave(b: &mut SanBuilder, v: usize, refs: &Refs, params: &Params) -> Resu
             && gate_refs.active_slot(m, v).is_none()
     });
 
-    // Global leave rate shared among platoon-1 operating vehicles.
-    let rate_refs = refs.clone();
-    let leave_rate = params.leave_rate;
-    let delay = Delay::exponential_fn(move |m: &Marking| {
-        leave_rate / rate_refs.operating_in(m, 1).max(1) as f64
-    });
-
     let og_refs = refs.clone();
     let og = b.output_gate_touching(
         "leave_out",
@@ -129,37 +138,25 @@ fn add_leave(b: &mut SanBuilder, v: usize, refs: &Refs, params: &Params) -> Resu
         },
     );
 
-    b.timed_activity("leave", delay)?
+    // The group's enabled members are the platoon-1 operating vehicles.
+    b.timed_activity("leave", Delay::shared(group))?
         .input_gate(gate)
         .output_gate(og)
         .build()?;
     Ok(())
 }
 
-/// The adjacent platoons of platoon `which` (1-based), in a highway
-/// with `num_platoons` lanes.
-fn adjacent(which: u64, num_platoons: usize) -> Vec<u64> {
-    let mut out = Vec::with_capacity(2);
-    if which > 1 {
-        out.push(which - 1);
-    }
-    if (which as usize) < num_platoons {
-        out.push(which + 1);
-    }
-    out
-}
-
-/// Open adjacent platoons of vehicle `v` in marking `m`.
-fn open_adjacent(refs: &Refs, m: &Marking, v: usize) -> Vec<u64> {
-    let vp = &refs.vehicles[v];
-    let which = m.tokens(vp.platoon);
+/// The open platoons adjacent to platoon `which` (1-based), as a bit
+/// set in the layout of [`Refs::open_platoons`]; empty for `which = 0`
+/// (not on the highway).
+fn open_adjacent(refs: &Refs, m: &Marking, which: u64) -> u64 {
     if which == 0 {
-        return Vec::new();
+        return 0;
     }
-    adjacent(which, refs.num_platoons())
-        .into_iter()
-        .filter(|&k| refs.platoon_size(m, k) < refs.capacity)
-        .collect()
+    // Bit 0 is no platoon, and bits past the last platoon are never
+    // open.
+    let adjacent = (1 << (which - 1) | 1 << (which + 1)) & !1;
+    refs.open_platoons(m) & adjacent
 }
 
 fn add_change(b: &mut SanBuilder, v: usize, refs: &Refs, params: &Params) -> Result<(), SanError> {
@@ -176,7 +173,7 @@ fn add_change(b: &mut SanBuilder, v: usize, refs: &Refs, params: &Params) -> Res
         !m.is_marked(gate_refs.ko_total)
             && m.is_marked(vp.present)
             && gate_refs.active_slot(m, v).is_none()
-            && !open_adjacent(&gate_refs, m, v).is_empty()
+            && open_adjacent(&gate_refs, m, m.tokens(vp.platoon)) != 0
     });
 
     // One case per direction (down = toward the exit lane, up = away),
@@ -221,9 +218,9 @@ fn add_change(b: &mut SanBuilder, v: usize, refs: &Refs, params: &Params) -> Res
             if which == 0 {
                 return if d == 0 { 1.0 } else { 0.0 };
             }
-            let open = open_adjacent(&prob_refs, m, v);
-            let down_open = open.contains(&(which.saturating_sub(1)));
-            let up_open = open.contains(&(which + 1));
+            let open = open_adjacent(&prob_refs, m, which);
+            let down_open = open >> (which - 1) & 1 == 1;
+            let up_open = open >> (which + 1) & 1 == 1;
             match (down_open, up_open) {
                 (true, true) => 0.5,
                 (true, false) => {

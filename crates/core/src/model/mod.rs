@@ -29,7 +29,7 @@ use ahs_san::{ActivityId, Marking, PlaceId, SanBuilder, SanModel};
 
 use crate::error::AhsError;
 use crate::failure::MANEUVERS;
-use crate::params::Params;
+use crate::params::{Params, MAX_PLATOONS};
 use crate::severity::SeverityCount;
 
 /// Place handles of one vehicle replica.
@@ -128,24 +128,19 @@ impl Refs {
             .count()
     }
 
-    /// Vehicles operating (present, not recovering) in platoon `which`.
-    pub fn operating_in(&self, m: &Marking, which: u64) -> usize {
-        (0..self.vehicles.len())
-            .filter(|&v| {
-                let vp = &self.vehicles[v];
-                m.is_marked(vp.present)
-                    && m.tokens(vp.platoon) == which
-                    && self.active_slot(m, v).is_none()
-            })
-            .count()
-    }
-
-    /// Vehicles waiting off the highway (`OUT` marked).
-    pub fn out_count(&self, m: &Marking) -> usize {
-        self.vehicles
-            .iter()
-            .filter(|vp| m.is_marked(vp.out))
-            .count()
+    /// The platoons with a free slot, as a bit set: bit `k` is set iff
+    /// platoon `k` (1-based) holds fewer than `capacity` vehicles. One
+    /// pass over the platoon indicators, no allocation.
+    pub fn open_platoons(&self, m: &Marking) -> u64 {
+        let mut sizes = [0usize; MAX_PLATOONS + 1];
+        for vp in self.vehicles.iter() {
+            if let Some(size) = sizes.get_mut(m.tokens(vp.platoon) as usize) {
+                *size += 1;
+            }
+        }
+        (1..=self.num_platoons())
+            .filter(|&k| sizes[k] < self.capacity)
+            .fold(0, |open, k| open | 1 << k)
     }
 
     /// Number of platoons.
@@ -268,11 +263,12 @@ impl AhsModel {
         let mut failure_activities = Vec::new();
         let mut maneuver_activities = Vec::new();
         let total = params.total_vehicles();
+        let groups = dynamicity::add_rate_groups(&mut b, params)?;
         b.replicate("vehicle", total, |b, v| {
             let (fails, mans) = one_vehicle::add_activities(b, v, &refs, params)?;
             failure_activities.extend(fails);
             maneuver_activities.extend(mans);
-            dynamicity::add_activities(b, v, &refs, params)?;
+            dynamicity::add_activities(b, v, &refs, &groups, params)?;
             Ok(())
         })?;
 

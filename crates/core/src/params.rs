@@ -8,6 +8,9 @@ use crate::error::AhsError;
 use crate::failure::{maneuver_slot, FailureMode};
 use crate::strategy::Strategy;
 
+/// Most platoons (lanes) the model supports.
+pub(crate) const MAX_PLATOONS: usize = 8;
+
 /// Execution rates of the six maneuvers, per hour (paper §4.1: between
 /// 15/hr and 30/hr, i.e. durations of 2–4 minutes).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -185,10 +188,13 @@ impl Params {
                 reason: format!("platoon capacity {} is beyond the supported 64", self.n),
             });
         }
-        if !(2..=8).contains(&self.platoons) {
+        if !(2..=MAX_PLATOONS).contains(&self.platoons) {
             return Err(AhsError::InvalidParameter {
                 name: "platoons",
-                reason: format!("the model supports 2 to 8 platoons, got {}", self.platoons),
+                reason: format!(
+                    "the model supports 2 to {MAX_PLATOONS} platoons, got {}",
+                    self.platoons
+                ),
             });
         }
         self.maneuver_rates.validate()?;

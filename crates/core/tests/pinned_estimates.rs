@@ -1,0 +1,84 @@
+//! Pins the exact bits of both paper-point estimates.
+//!
+//! The Figure 10 point (n = 8, λ = 1e-5) and its CC twin, evaluated
+//! with dynamic (`Auto`) failure biasing, seed 2009, one worker thread
+//! and a fixed budget of 300 replications. Every `S(t)` value and
+//! confidence half-width is compared through `f64::to_bits` against
+//! values recorded before the SSA kernel was last optimised, so a
+//! kernel change that alters what is sampled — a different summation
+//! order, an extra random draw, a rate computed by another formula —
+//! fails here instead of silently moving the paper's numbers.
+//!
+//! If a change re-samples on purpose, re-record the constants below and
+//! say why in the change log.
+
+use ahs_core::{BiasMode, Params, Strategy, UnsafetyEvaluator};
+use ahs_stats::TimeGrid;
+
+/// `(S(t).to_bits(), half_width.to_bits())` at t = 2, 4, 6, 8, 10 h.
+const DD_BITS: [(u64, u64); 5] = [
+    (0x3e7a_0602_740d_3fad, 0x3e71_7c84_4a4c_9db3),
+    (0x3e85_8f35_b559_679f, 0x3e76_f84e_5c3b_3188),
+    (0x3e89_fc49_2e9b_430a, 0x3e79_d396_84b4_35a7),
+    (0x3e92_fdf8_167a_42e8, 0x3e87_3bc9_3598_036c),
+    (0x3e94_d058_e6a8_7bcc, 0x3e88_3cf7_eed0_0a42),
+];
+
+const CC_BITS: [(u64, u64); 5] = [
+    (0x3e7a_0602_740d_3ff5, 0x3e71_7c84_4a4c_9db2),
+    (0x3e85_8f35_b559_67c4, 0x3e76_f84e_5c3b_3185),
+    (0x3e89_fc49_2e9b_433a, 0x3e79_d396_84b4_35a5),
+    (0x3e92_fdf8_167a_42fe, 0x3e87_3bc9_3598_036c),
+    (0x3e94_d058_e6a8_7bdf, 0x3e88_3cf7_eed0_0a40),
+];
+
+fn estimate_bits(strategy: Strategy) -> Vec<(u64, u64)> {
+    let params = Params::builder()
+        .n(8)
+        .lambda(1e-5)
+        .strategy(strategy)
+        .build()
+        .unwrap();
+    let curve = UnsafetyEvaluator::new(params)
+        .with_seed(2009)
+        .with_threads(1)
+        .with_replications(300)
+        .with_bias(BiasMode::Auto)
+        .evaluate(&TimeGrid::new(vec![2.0, 4.0, 6.0, 8.0, 10.0]))
+        .unwrap();
+    assert_eq!(curve.replications(), 300);
+    curve
+        .points()
+        .iter()
+        .map(|p| (p.y.to_bits(), p.half_width.to_bits()))
+        .collect()
+}
+
+fn assert_pinned(strategy: Strategy, pinned: &[(u64, u64)]) {
+    let got = estimate_bits(strategy);
+    for (i, (g, p)) in got.iter().zip(pinned).enumerate() {
+        assert_eq!(
+            g,
+            p,
+            "{strategy:?} point {i}: S(t) {} ± {} (bits {:#x}, {:#x}) moved from \
+             the pinned {} ± {} — the kernel re-samples",
+            f64::from_bits(g.0),
+            f64::from_bits(g.1),
+            g.0,
+            g.1,
+            f64::from_bits(p.0),
+            f64::from_bits(p.1),
+        );
+    }
+    assert_eq!(got.len(), pinned.len());
+}
+
+#[test]
+fn dd_paper_point_estimates_are_pinned() {
+    assert_pinned(Strategy::Dd, &DD_BITS);
+}
+
+#[test]
+fn cc_paper_point_estimates_are_pinned() {
+    assert_pinned(Strategy::Cc, &CC_BITS);
+}

@@ -83,13 +83,19 @@ impl MarkovModel for SanMarkovModel<'_> {
 
     fn transitions(&self, state: &Marking) -> Vec<(Marking, f64)> {
         let mut out = Vec::new();
+        // Enabled-member count per shared-rate group, counted once per
+        // state however many members are enabled.
+        let mut group_enabled = vec![None; self.model.rate_groups().len()];
         for &a in self.model.timed_activities() {
             if !self.model.is_enabled(a, state) {
                 continue;
             }
             let rate = self
                 .model
-                .exponential_rate(a, state)
+                .exponential_rate_with(a, state, |g| {
+                    *group_enabled[g.index()]
+                        .get_or_insert_with(|| self.model.group_enabled_count(g, state))
+                })
                 .expect("constructor verified exponential delays");
             if rate <= 0.0 {
                 continue;

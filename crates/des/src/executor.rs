@@ -4,7 +4,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use ahs_obs::Metrics;
-use ahs_san::{ActivityId, EnablementCache, Marking, SanModel, Timing};
+use ahs_san::{ActivityId, EnablementCache, Marking, SanModel};
 use rand::Rng;
 
 use crate::error::SimError;
@@ -149,20 +149,6 @@ impl<'m> EventDrivenSimulator<'m> {
         }
     }
 
-    pub(crate) fn sample_delay<R: Rng + ?Sized>(
-        &self,
-        a: ActivityId,
-        marking: &Marking,
-        rng: &mut R,
-    ) -> f64 {
-        match self.model.activity(a).timing() {
-            Timing::Timed(d) => d.sample(marking, rng),
-            Timing::Instantaneous { .. } => {
-                unreachable!("instantaneous activities complete via stabilization")
-            }
-        }
-    }
-
     /// Brings the event queue in line with the marking at time `now` by
     /// scanning every timed slot. Queue slots are positions in
     /// `model.timed_activities()`. Used for the initial schedule and in
@@ -179,7 +165,10 @@ impl<'m> EventDrivenSimulator<'m> {
             let enabled = cache.is_enabled(a);
             let scheduled = queue.is_scheduled(slot);
             if enabled && !scheduled {
-                queue.schedule(now + self.sample_delay(a, marking, rng), slot);
+                queue.schedule(
+                    now + self.model.sample_delay_cached(a, marking, rng, cache),
+                    slot,
+                );
             } else if !enabled && scheduled {
                 queue.cancel(slot);
             }
@@ -217,9 +206,10 @@ impl<'m> EventDrivenSimulator<'m> {
             let enabled = scratch.cache.is_enabled(a);
             let scheduled = scratch.queue.is_scheduled(slot);
             if enabled && !scheduled {
-                scratch
-                    .queue
-                    .schedule(now + self.sample_delay(a, marking, rng), slot);
+                let delay = self
+                    .model
+                    .sample_delay_cached(a, marking, rng, &scratch.cache);
+                scratch.queue.schedule(now + delay, slot);
             } else if !enabled && scheduled {
                 scratch.queue.cancel(slot);
             }

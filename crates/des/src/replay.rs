@@ -145,7 +145,7 @@ impl EventDrivenSimulator<'_> {
             }
 
             if matches!(act.timing(), Timing::Timed(_)) {
-                t += self.sample_delay(step.activity, &marking, &mut rng);
+                t += model.sample_delay_cached(step.activity, &marking, &mut rng, &scratch.cache);
                 timed += 1;
             } else {
                 instantaneous += 1;

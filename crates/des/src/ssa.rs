@@ -5,7 +5,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use ahs_obs::Metrics;
-use ahs_san::{ActivityId, Delay, EnablementCache, Marking, RateFn, SanModel, Timing};
+use ahs_san::{ActivityId, Delay, EnablementCache, Marking, RateFn, RateGroupId, SanModel, Timing};
 use rand::Rng;
 
 use crate::bias::BiasScheme;
@@ -54,9 +54,8 @@ pub struct MarkovSimulator<'m> {
     // The model's timed activity list, cached to iterate without an
     // indirection; all per-slot tables below are index-aligned with it.
     timed: Vec<ActivityId>,
-    // Constant exponential rate per timed slot, or `None` for
-    // marking-dependent rates (re-evaluated each sweep).
-    const_rates: Vec<Option<f64>>,
+    // How each timed slot's exponential rate is found in the sweep.
+    slot_rates: Vec<SlotRate>,
     // Bias multiplier per timed slot, or `None` when unbiased.
     bias_mult: Vec<Option<f64>>,
     // Run-to-run scratch (enablement cache + rate table), parked here
@@ -70,10 +69,24 @@ pub struct MarkovSimulator<'m> {
     watchdog: Option<Watchdog>,
 }
 
+/// Where a timed slot's exponential rate comes from.
+#[derive(Debug, Clone, Copy)]
+enum SlotRate {
+    /// A constant rate.
+    Const(f64),
+    /// A shared group rate, resolved once per step from the cache's
+    /// enabled-member count.
+    Shared(RateGroupId),
+    /// A marking-dependent closure, evaluated on every sweep.
+    Closure,
+}
+
 /// Per-run mutable state of the SSA hot loop, reused across runs.
 struct SsaScratch {
     cache: EnablementCache,
     rates: Vec<(ActivityId, f64, f64)>,
+    /// Per-member rate of each shared-rate group in the current step.
+    group_rates: Vec<f64>,
 }
 
 impl<'m> MarkovSimulator<'m> {
@@ -98,12 +111,13 @@ impl<'m> MarkovSimulator<'m> {
                 }
             }
         }
-        let const_rates = model
+        let slot_rates = model
             .timed_activities()
             .iter()
             .map(|&a| match model.activity(a).timing() {
-                Timing::Timed(Delay::Exponential(RateFn::Const(r))) => Some(*r),
-                _ => None,
+                Timing::Timed(Delay::Exponential(RateFn::Const(r))) => SlotRate::Const(*r),
+                Timing::Timed(Delay::Exponential(RateFn::Shared(g))) => SlotRate::Shared(*g),
+                _ => SlotRate::Closure,
             })
             .collect();
         Ok(MarkovSimulator {
@@ -111,7 +125,7 @@ impl<'m> MarkovSimulator<'m> {
             bias: None,
             max_events: DEFAULT_MAX_EVENTS,
             timed: model.timed_activities().to_vec(),
-            const_rates,
+            slot_rates,
             bias_mult: vec![None; model.timed_activities().len()],
             scratch: Cell::new(None),
             full_rescan: false,
@@ -199,6 +213,7 @@ impl<'m> MarkovSimulator<'m> {
         Box::new(SsaScratch {
             cache,
             rates: Vec::with_capacity(self.timed.len()),
+            group_rates: vec![0.0; self.model.rate_groups().len()],
         })
     }
 
@@ -325,8 +340,7 @@ impl<'m> MarkovSimulator<'m> {
         }
 
         loop {
-            let (total_true, total_biased) =
-                self.enabled_rates(&marking, &scratch.cache, &mut scratch.rates)?;
+            let (total_true, total_biased) = self.enabled_rates(&marking, scratch)?;
             if total_biased <= 0.0 {
                 // Deadlock: nothing can ever happen again.
                 let w = log_lr.exp();
@@ -459,8 +473,7 @@ impl<'m> MarkovSimulator<'m> {
         let watchdog = self.watchdog.map(|w| w.start());
 
         while next < grid.len() {
-            let (total_true, total_biased) =
-                self.enabled_rates(&marking, &scratch.cache, &mut scratch.rates)?;
+            let (total_true, total_biased) = self.enabled_rates(&marking, scratch)?;
             let t_next_event = if total_biased > 0.0 {
                 t + sample_exp(total_biased, rng)
             } else {
@@ -573,7 +586,7 @@ impl<'m> MarkovSimulator<'m> {
                 self.flush_run(events, instantaneous, cascaded, 1.0);
                 return Ok(t);
             }
-            let (_, total) = self.enabled_rates(&marking, &scratch.cache, &mut scratch.rates)?;
+            let (_, total) = self.enabled_rates(&marking, scratch)?;
             if total <= 0.0 {
                 observer.on_end(horizon, &marking);
                 self.flush_run(events, instantaneous, cascaded, 1.0);
@@ -616,43 +629,55 @@ impl<'m> MarkovSimulator<'m> {
     }
 
     /// Collects `(activity, true rate, biased rate)` for all enabled
-    /// timed activities into `rates` (cleared first) and returns the
-    /// two totals.
+    /// timed activities into `scratch.rates` (cleared first) and
+    /// returns the two totals.
     ///
-    /// Enabledness comes from the cache (kept current by the firing
-    /// path), so only enabled activities pay for rate evaluation; the
-    /// totals are still accumulated by sweeping the timed list in slot
-    /// order every step, never updated incrementally, so floating-point
-    /// summation order — and therefore every sampled variate — is
-    /// bitwise identical to the pre-cache executor.
+    /// Enabledness comes from the cache's enabled-slot bitset (kept
+    /// current by the firing path), so only enabled slots are visited,
+    /// and a shared group rate is resolved once per step from the
+    /// cache's member count — no closure runs for the paper models. The
+    /// totals are still accumulated afresh every step in ascending slot
+    /// order, never updated incrementally, so floating-point summation
+    /// order — and therefore every sampled variate — is bitwise
+    /// identical to a sweep over every timed slot.
     fn enabled_rates(
         &self,
         marking: &Marking,
-        cache: &EnablementCache,
-        rates: &mut Vec<(ActivityId, f64, f64)>,
+        scratch: &mut SsaScratch,
     ) -> Result<(f64, f64), SimError> {
+        let SsaScratch {
+            cache,
+            rates,
+            group_rates,
+        } = scratch;
         rates.clear();
+        for (g, rate) in self.model.rate_group_ids().zip(group_rates.iter_mut()) {
+            *rate = self.model.rate_group(g).member_rate(cache.group_enabled(g));
+        }
         let mut total_true = 0.0;
         let mut total_biased = 0.0;
         let state_factor = self.bias.as_ref().map_or(1.0, |b| b.state_factor(marking));
-        for (slot, &a) in self.timed.iter().enumerate() {
-            if !cache.is_enabled(a) {
-                continue;
+        for (w, &word) in cache.enabled_timed_words().iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let slot = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let r = match self.slot_rates[slot] {
+                    SlotRate::Const(r) => r,
+                    SlotRate::Shared(g) => group_rates[g.index()],
+                    SlotRate::Closure => self.rate_of(self.timed[slot], marking)?,
+                };
+                if r == 0.0 {
+                    continue;
+                }
+                let rb = match self.bias_mult[slot] {
+                    Some(mult) => r * mult * state_factor,
+                    None => r,
+                };
+                total_true += r;
+                total_biased += rb;
+                rates.push((self.timed[slot], r, rb));
             }
-            let r = match self.const_rates[slot] {
-                Some(r) => r,
-                None => self.rate_of(a, marking)?,
-            };
-            if r == 0.0 {
-                continue;
-            }
-            let rb = match self.bias_mult[slot] {
-                Some(mult) => r * mult * state_factor,
-                None => r,
-            };
-            total_true += r;
-            total_biased += rb;
-            rates.push((a, r, rb));
         }
         Ok((total_true, total_biased))
     }

@@ -222,3 +222,103 @@ fn study_estimates_match_global_forced_rescan_bitwise() {
         assert_eq!(incremental, forced);
     }
 }
+
+/// Three repairable components whose failures share one group rate
+/// (`shared = true`: a [`Delay::shared`] group; `false`: the same rate
+/// written as a marking-dependent closure that counts the working
+/// components), with an instantaneous "all down" latch.
+fn shared_rate_model(shared: bool) -> (SanModel, PlaceId) {
+    const FAIL_RATE: f64 = 1.5;
+    let mut b = SanBuilder::new("shared-rate-fixture");
+    let group = b.shared_rate_group("fail", FAIL_RATE).unwrap();
+    let ups: Vec<_> = (0..3)
+        .map(|i| b.place_with_tokens(&format!("up{i}"), 1).unwrap())
+        .collect();
+    let dns: Vec<_> = (0..3)
+        .map(|i| b.place(&format!("dn{i}")).unwrap())
+        .collect();
+    let ko = b.place("ko").unwrap();
+    for i in 0..3 {
+        let delay = if shared {
+            Delay::shared(group)
+        } else {
+            let ups = ups.clone();
+            Delay::exponential_fn(move |m| {
+                let working = ups.iter().filter(|&&p| m.is_marked(p)).count();
+                FAIL_RATE / working.max(1) as f64
+            })
+        };
+        b.timed_activity(&format!("fail{i}"), delay)
+            .unwrap()
+            .input_place(ups[i])
+            .output_place(dns[i])
+            .build()
+            .unwrap();
+        b.timed_activity(&format!("repair{i}"), Delay::exponential(2.0))
+            .unwrap()
+            .input_place(dns[i])
+            .output_place(ups[i])
+            .build()
+            .unwrap();
+    }
+    let watched: Vec<_> = dns.iter().copied().chain([ko]).collect();
+    let all_down = b.predicate_gate_touching("all_down", watched, move |m| {
+        dns.iter().all(|&p| m.is_marked(p)) && !m.is_marked(ko)
+    });
+    b.instant_activity("latch", 10, 1.0)
+        .unwrap()
+        .input_gate(all_down)
+        .output_place(ko)
+        .build()
+        .unwrap();
+    let m = b.build().unwrap();
+    assert!(m.dependency_graph().is_sound());
+    assert_eq!(
+        m.rate_groups()[0].members().len(),
+        if shared { 3 } else { 0 }
+    );
+    (m, ko)
+}
+
+/// A shared-rate group and its closure twin give bitwise-equal `Study`
+/// estimates on every backend, incremental and forced full-rescan.
+#[test]
+fn shared_rate_group_matches_closure_twin_bitwise() {
+    let run = |shared: bool, backend: &dyn Fn(&SanModel) -> Backend| {
+        let (m, ko) = shared_rate_model(shared);
+        let backend = backend(&m);
+        let grid = TimeGrid::new(vec![2.0, HORIZON]);
+        Study::new(m)
+            .with_seed(0x54A2ED)
+            .with_fixed_replications(2_000)
+            .with_chunk(400)
+            .with_threads(2)
+            .first_passage(move |mk| mk.is_marked(ko), &grid, backend)
+            .unwrap()
+            .curve
+            .points(0.95)
+            .iter()
+            .map(|p| (p.y.to_bits(), p.half_width.to_bits()))
+            .collect::<Vec<_>>()
+    };
+    let backends: [&dyn Fn(&SanModel) -> Backend; 3] =
+        [&|_| Backend::Markov, &|_| Backend::EventDriven, &|m| {
+            let fails = (0..3).map(|i| m.find_activity(&format!("fail{i}")).unwrap());
+            Backend::BiasedMarkov(BiasScheme::new().with_multipliers(fails, 3.0))
+        }];
+    for backend in backends {
+        let grouped = run(true, backend);
+        let closure = run(false, backend);
+        set_force_full_rescan(true);
+        let grouped_forced = run(true, backend);
+        let closure_forced = run(false, backend);
+        set_force_full_rescan(false);
+        assert!(
+            grouped.iter().any(|&(y, _)| y != 0),
+            "event never observed; comparison is vacuous"
+        );
+        assert_eq!(grouped, closure);
+        assert_eq!(grouped, grouped_forced);
+        assert_eq!(grouped, closure_forced);
+    }
+}

@@ -10,6 +10,12 @@
 //! generator rejects it), a rate of exactly 0 while enabled is a
 //! warning (the CTMC backend treats it as disabled, the discrete-event
 //! backend panics — disable with a gate instead).
+//!
+//! Shared-rate groups need no sampling: an enabled member's rate is the
+//! group rate over a member count of at least one, so it is positive
+//! whenever the group rate is. The pass re-checks each group's rate and
+//! warns about a group no activity joined (a declaration with no
+//! effect, usually a member built with the wrong delay).
 
 use ahs_san::{Delay, RateFn, SanModel, Timing};
 
@@ -22,6 +28,28 @@ pub const NAME: &str = "delay-sanity";
 
 pub(crate) fn run(model: &SanModel, reach: &ReachSet, cfg: &LintConfig) -> Vec<Diagnostic> {
     let mut out = Vec::new();
+    for group in model.rate_groups() {
+        let subject = group.name().to_owned();
+        if !group.rate().is_finite() || group.rate() <= 0.0 {
+            out.push(Diagnostic::new(
+                NAME,
+                Severity::Error,
+                subject,
+                format!(
+                    "shared-rate group rate must be positive and finite, got {}",
+                    group.rate()
+                ),
+            ));
+        } else if group.members().is_empty() {
+            out.push(Diagnostic::new(
+                NAME,
+                Severity::Warning,
+                subject,
+                "no activity joins this shared-rate group; give its members \
+                 `Delay::shared` or drop the group",
+            ));
+        }
+    }
     for act in model.activities() {
         let Timing::Timed(delay) = act.timing() else {
             continue;
@@ -168,6 +196,31 @@ mod tests {
             .iter()
             .any(|d| d.severity == Severity::Warning && d.message.contains("rate is 0")));
         assert!(diags.iter().all(|d| d.severity != Severity::Error));
+    }
+
+    #[test]
+    fn shared_rate_groups_are_checked_without_sampling() {
+        let mut b = SanBuilder::new("groups");
+        let used = b.shared_rate_group("used", 2.0).unwrap();
+        b.shared_rate_group("unused", 1.0).unwrap();
+        let p = b.place_with_tokens("p", 1).unwrap();
+        let q = b.place("q").unwrap();
+        b.timed_activity("t", Delay::shared(used))
+            .unwrap()
+            .input_place(p)
+            .output_place(q)
+            .build()
+            .unwrap();
+        b.timed_activity("back", Delay::exponential(1.0))
+            .unwrap()
+            .input_place(q)
+            .output_place(p)
+            .build()
+            .unwrap();
+        let diags = lint(&b.build().unwrap());
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].severity, Severity::Warning);
+        assert_eq!(diags[0].subject, "unused", "{diags:?}");
     }
 
     #[test]

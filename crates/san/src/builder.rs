@@ -4,7 +4,7 @@
 use std::collections::HashMap;
 
 use crate::activity::{Activity, ActivityId, Case, CaseProb, Timing};
-use crate::delay::Delay;
+use crate::delay::{Delay, RateFn, RateGroup, RateGroupId};
 use crate::error::SanError;
 use crate::gate::{InputGate, InputGateId, OutputGate, OutputGateId};
 use crate::marking::Marking;
@@ -54,6 +54,7 @@ pub struct SanBuilder {
     output_gates: Vec<OutputGate>,
     activities: Vec<Activity>,
     activity_names: HashMap<String, ActivityId>,
+    rate_groups: Vec<RateGroup>,
     strict: bool,
 }
 
@@ -69,6 +70,7 @@ impl SanBuilder {
             output_gates: Vec::new(),
             activities: Vec::new(),
             activity_names: HashMap::new(),
+            rate_groups: Vec::new(),
             strict: false,
         }
     }
@@ -402,12 +404,45 @@ impl SanBuilder {
         id
     }
 
+    /// Declares a shared-rate group: exponential rate `rate` shared
+    /// equally among whichever of its members are enabled (see
+    /// [`RateGroup`]). Activities join it by taking
+    /// [`Delay::shared`]`(group)` as their delay. Like a shared place,
+    /// the name is global (not scoped), so replicas can join one group.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SanError::InvalidRateGroup`] if `rate` is not positive
+    /// and finite or the name is already taken.
+    pub fn shared_rate_group(&mut self, name: &str, rate: f64) -> Result<RateGroupId, SanError> {
+        let invalid = |reason: String| SanError::InvalidRateGroup {
+            group: name.to_owned(),
+            reason,
+        };
+        if !rate.is_finite() || rate <= 0.0 {
+            return Err(invalid(format!(
+                "shared rate must be positive and finite, got {rate}"
+            )));
+        }
+        if self.rate_groups.iter().any(|g| g.name == name) {
+            return Err(invalid("a group with this name already exists".to_owned()));
+        }
+        self.rate_groups.push(RateGroup {
+            name: name.to_owned(),
+            rate,
+            members: Vec::new(),
+        });
+        Ok(RateGroupId(self.rate_groups.len() - 1))
+    }
+
     /// Starts a timed activity with the given delay distribution.
     ///
     /// # Errors
     ///
-    /// Returns [`SanError::DuplicateActivity`] on a name clash or
-    /// [`SanError::InvalidDelay`] on bad distribution parameters.
+    /// Returns [`SanError::DuplicateActivity`] on a name clash,
+    /// [`SanError::InvalidDelay`] on bad distribution parameters, or
+    /// [`SanError::InvalidRateGroup`] if a [`Delay::shared`] names a
+    /// group this builder never declared.
     pub fn timed_activity(
         &mut self,
         name: &str,
@@ -422,6 +457,14 @@ impl SanBuilder {
                 activity: q,
                 reason,
             });
+        }
+        if let Delay::Exponential(RateFn::Shared(g)) = delay {
+            if g.0 >= self.rate_groups.len() {
+                return Err(SanError::InvalidRateGroup {
+                    group: format!("#{}", g.0),
+                    reason: format!("activity `{q}` joins a group this builder never declared"),
+                });
+            }
         }
         Ok(ActivityBuilder::new(self, q, Timing::Timed(delay)))
     }
@@ -510,6 +553,7 @@ impl SanBuilder {
             self.input_gates,
             self.output_gates,
             self.activities,
+            self.rate_groups,
             initial,
         );
         if strict {
@@ -895,6 +939,51 @@ mod tests {
         b.place("p").unwrap();
         let err = b.timed_activity("a", Delay::exponential(-1.0)).unwrap_err();
         assert!(matches!(err, SanError::InvalidDelay { .. }));
+    }
+
+    #[test]
+    fn shared_rate_group_validated() {
+        let mut b = SanBuilder::new("m");
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(matches!(
+                b.shared_rate_group("g", bad),
+                Err(SanError::InvalidRateGroup { .. })
+            ));
+        }
+        b.shared_rate_group("g", 2.0).unwrap();
+        let err = b.shared_rate_group("g", 3.0).unwrap_err();
+        assert!(err.to_string().contains("already exists"), "{err}");
+        // A handle this builder never issued cannot be joined.
+        let mut other = SanBuilder::new("other");
+        other.shared_rate_group("a", 1.0).unwrap();
+        let foreign = other.shared_rate_group("b", 1.0).unwrap();
+        let err = b.timed_activity("t", Delay::shared(foreign)).unwrap_err();
+        assert!(matches!(err, SanError::InvalidRateGroup { .. }), "{err}");
+    }
+
+    #[test]
+    fn shared_rate_group_collects_its_members() {
+        let mut b = SanBuilder::new("m");
+        let g = b.shared_rate_group("g", 6.0).unwrap();
+        b.replicate("v", 3, |b, _| {
+            let p = b.place_with_tokens("p", 1)?;
+            b.timed_activity("t", Delay::shared(g))?
+                .input_place(p)
+                .build()?;
+            Ok(())
+        })
+        .unwrap();
+        let model = b.build().unwrap();
+        let group = model.rate_group(g);
+        assert_eq!(group.name(), "g");
+        assert_eq!(group.rate(), 6.0);
+        let names: Vec<_> = group
+            .members()
+            .iter()
+            .map(|&a| model.activity(a).name())
+            .collect();
+        assert_eq!(names, ["v[0].t", "v[1].t", "v[2].t"]);
+        assert!(model.is_markovian());
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use rand::Rng;
 
+use crate::activity::ActivityId;
 use crate::marking::Marking;
 
 /// A firing rate that may depend on the current marking.
@@ -13,14 +14,21 @@ pub enum RateFn {
     Const(f64),
     /// A rate computed from the marking on every (re)enabling.
     MarkingDependent(Box<dyn Fn(&Marking) -> f64 + Send + Sync>),
+    /// The rate of a [`RateGroup`], shared equally among the group's
+    /// currently enabled members. Its value depends on which other
+    /// activities are enabled, so only the model can resolve it (see
+    /// [`SanModel::exponential_rate`](crate::SanModel::exponential_rate)).
+    Shared(RateGroupId),
 }
 
 impl RateFn {
-    /// Evaluates the rate in the given marking.
-    pub fn eval(&self, marking: &Marking) -> f64 {
+    /// Evaluates the rate in the given marking, or `None` for a
+    /// [`Shared`](RateFn::Shared) rate, which needs the model.
+    pub fn eval(&self, marking: &Marking) -> Option<f64> {
         match self {
-            RateFn::Const(r) => *r,
-            RateFn::MarkingDependent(f) => f(marking),
+            RateFn::Const(r) => Some(*r),
+            RateFn::MarkingDependent(f) => Some(f(marking)),
+            RateFn::Shared(_) => None,
         }
     }
 
@@ -35,7 +43,60 @@ impl std::fmt::Debug for RateFn {
         match self {
             RateFn::Const(r) => write!(f, "RateFn::Const({r})"),
             RateFn::MarkingDependent(_) => write!(f, "RateFn::MarkingDependent(..)"),
+            RateFn::Shared(g) => write!(f, "RateFn::Shared({})", g.0),
         }
+    }
+}
+
+/// Opaque handle to a [`RateGroup`] within a
+/// [`SanModel`](crate::SanModel).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct RateGroupId(pub(crate) usize);
+
+impl RateGroupId {
+    /// Index of this group in the model's group table.
+    pub fn index(self) -> usize {
+        self.0
+    }
+}
+
+/// An exponential rate shared equally among the currently enabled
+/// members of a group: with `k` members enabled, each fires at
+/// `rate / k`, so the group as a whole fires at `rate` whenever any
+/// member is enabled. This is the paper's "global join/leave rate
+/// shared among the waiting/operating vehicles".
+///
+/// Declared with [`SanBuilder::shared_rate_group`](crate::SanBuilder::shared_rate_group);
+/// an activity joins the group by taking [`Delay::shared`] as its
+/// delay, so every member is a timed exponential activity by
+/// construction.
+#[derive(Debug, Clone)]
+pub struct RateGroup {
+    pub(crate) name: String,
+    pub(crate) rate: f64,
+    pub(crate) members: Vec<ActivityId>,
+}
+
+impl RateGroup {
+    /// Group name.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// The group's total rate.
+    pub fn rate(&self) -> f64 {
+        self.rate
+    }
+
+    /// The member activities, in declaration order.
+    pub fn members(&self) -> &[ActivityId] {
+        &self.members
+    }
+
+    /// The rate of each enabled member when `enabled` members are
+    /// enabled — the one formula every backend uses.
+    pub fn member_rate(&self, enabled: usize) -> f64 {
+        self.rate / enabled.max(1) as f64
     }
 }
 
@@ -89,6 +150,12 @@ impl Delay {
         Delay::Exponential(RateFn::MarkingDependent(Box::new(rate)))
     }
 
+    /// Exponential delay whose rate is shared among the enabled members
+    /// of group `group` (see [`RateGroup`]).
+    pub fn shared(group: RateGroupId) -> Self {
+        Delay::Exponential(RateFn::Shared(group))
+    }
+
     /// Whether this delay is exponential (the Markov/SSA backend only
     /// accepts exponential models).
     pub fn is_exponential(&self) -> bool {
@@ -126,7 +193,7 @@ impl Delay {
                     ));
                 }
             }
-            Delay::Exponential(RateFn::MarkingDependent(_)) => {}
+            Delay::Exponential(RateFn::MarkingDependent(_) | RateFn::Shared(_)) => {}
             Delay::Deterministic(d) => {
                 if !d.is_finite() || *d < 0.0 {
                     return Err(format!("deterministic delay must be non-negative, got {d}"));
@@ -165,17 +232,17 @@ impl Delay {
     /// # Panics
     ///
     /// Panics if a marking-dependent exponential rate evaluates to a
-    /// non-positive or non-finite value.
+    /// non-positive or non-finite value, or if the rate is
+    /// [`Shared`](RateFn::Shared): a group rate depends on the other
+    /// members, so sample it through
+    /// [`SanModel::sample_delay_cached`](crate::SanModel::sample_delay_cached).
     pub fn sample<R: Rng + ?Sized>(&self, marking: &Marking, rng: &mut R) -> f64 {
         match self {
-            Delay::Exponential(rate) => {
-                let r = rate.eval(marking);
-                assert!(
-                    r.is_finite() && r > 0.0,
-                    "marking-dependent exponential rate must be positive, got {r}"
-                );
-                sample_exponential(r, rng)
-            }
+            Delay::Exponential(rate) => sample_exponential(
+                rate.eval(marking)
+                    .expect("a shared-rate delay is sampled through SanModel::sample_delay_cached"),
+                rng,
+            ),
             Delay::Deterministic(d) => *d,
             Delay::Uniform { low, high } => {
                 if low == high {
@@ -193,9 +260,18 @@ impl Delay {
     }
 
     /// Mean of the distribution in the given marking.
+    ///
+    /// # Panics
+    ///
+    /// Panics for a [`Shared`](RateFn::Shared) rate, which only the
+    /// model can resolve.
     pub fn mean(&self, marking: &Marking) -> f64 {
         match self {
-            Delay::Exponential(rate) => 1.0 / rate.eval(marking),
+            Delay::Exponential(rate) => {
+                1.0 / rate
+                    .eval(marking)
+                    .expect("a shared rate is resolved through SanModel::exponential_rate")
+            }
             Delay::Deterministic(d) => *d,
             Delay::Uniform { low, high } => (low + high) / 2.0,
             Delay::Erlang { k, rate } => f64::from(*k) / rate,
@@ -205,7 +281,15 @@ impl Delay {
 }
 
 /// Inverse-CDF exponential sample.
-fn sample_exponential<R: Rng + ?Sized>(rate: f64, rng: &mut R) -> f64 {
+///
+/// # Panics
+///
+/// Panics if `rate` is not positive and finite.
+pub(crate) fn sample_exponential<R: Rng + ?Sized>(rate: f64, rng: &mut R) -> f64 {
+    assert!(
+        rate.is_finite() && rate > 0.0,
+        "exponential rate must be positive and finite, got {rate}"
+    );
     let u: f64 = rng.random_range(f64::MIN_POSITIVE..1.0);
     -u.ln() / rate
 }
@@ -254,7 +338,8 @@ mod tests {
     #[test]
     fn const_rate_eval() {
         let r = RateFn::Const(2.5);
-        assert_eq!(r.eval(&empty_marking()), 2.5);
+        assert_eq!(r.eval(&empty_marking()), Some(2.5));
+        assert_eq!(RateFn::Shared(RateGroupId(0)).eval(&empty_marking()), None);
         assert!(r.is_const());
     }
 

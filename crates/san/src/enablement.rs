@@ -4,6 +4,11 @@
 //! kept current across firings via the model's static
 //! [`DependencyGraph`](crate::DependencyGraph): after activity `a`
 //! fires, only the activities in `affected_by(a)` are re-evaluated.
+//! Alongside the flags it keeps a bitset of the enabled *timed* slots
+//! (positions in [`SanModel::timed_activities`]), so the SSA rate sweep
+//! visits only enabled slots, in ascending order, and the enabled
+//! member count of a shared-rate group is a popcount of the bitset
+//! under the group's slot mask.
 //! The executors in `ahs-des` own one cache per simulator and thread it
 //! through every run; all scratch buffers (instantaneous candidates,
 //! weights, case probabilities, the fired-cascade log) live inside the
@@ -30,6 +35,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use rand::Rng;
 
 use crate::activity::{ActivityId, Timing};
+use crate::delay::{sample_exponential, Delay, RateGroupId};
 use crate::error::SanError;
 use crate::marking::Marking;
 use crate::model::{SanModel, MAX_INSTANT_FIRINGS};
@@ -62,6 +68,11 @@ pub struct EnablementCache {
     enabled: Vec<bool>,
     /// Timed-queue slot per activity (`u32::MAX` for instantaneous).
     timed_slot: Vec<u32>,
+    /// One bit per timed slot, set iff that slot's activity is enabled.
+    timed_bits: Vec<u64>,
+    /// Per shared-rate group, the bitset of its members' timed slots
+    /// (`timed_bits.len()` words each, groups back to back).
+    group_masks: Vec<u64>,
     /// Timed slots whose enabledness flipped since the last
     /// [`clear_changed_timed`](EnablementCache::clear_changed_timed).
     changed_timed: Vec<u32>,
@@ -87,9 +98,19 @@ impl EnablementCache {
         for (slot, &a) in model.timed_activities().iter().enumerate() {
             timed_slot[a.index()] = slot as u32;
         }
+        let words = model.timed_activities().len().div_ceil(64);
+        let mut group_masks = vec![0; words * model.rate_groups().len()];
+        for (g, group) in model.rate_groups().iter().enumerate() {
+            for &a in group.members() {
+                let slot = timed_slot[a.index()] as usize;
+                group_masks[g * words + slot / 64] |= 1 << (slot % 64);
+            }
+        }
         EnablementCache {
             enabled: vec![false; n],
             timed_slot,
+            timed_bits: vec![0; words],
+            group_masks,
             changed_timed: Vec::new(),
             changed_timed_flags: vec![false; model.timed_activities().len()],
             fired: Vec::new(),
@@ -105,6 +126,25 @@ impl EnablementCache {
     pub fn is_enabled(&self, a: ActivityId) -> bool {
         debug_assert!(self.primed, "cache queried before prime_cache");
         self.enabled[a.index()]
+    }
+
+    /// The enabled-timed-slot bitset: bit `s % 64` of word `s / 64` is
+    /// set iff timed slot `s` is enabled (valid once primed).
+    pub fn enabled_timed_words(&self) -> &[u64] {
+        &self.timed_bits
+    }
+
+    /// Number of enabled members of shared-rate group `g` (valid once
+    /// primed): a popcount of the enabled-slot bitset under the group's
+    /// mask.
+    pub fn group_enabled(&self, g: RateGroupId) -> usize {
+        let words = self.timed_bits.len();
+        let mask = &self.group_masks[g.index() * words..(g.index() + 1) * words];
+        self.timed_bits
+            .iter()
+            .zip(mask)
+            .map(|(bits, mask)| (bits & mask).count_ones() as usize)
+            .sum()
     }
 
     /// Whether the cache is operating in full-rescan fallback mode.
@@ -175,6 +215,12 @@ impl SanModel {
         for (i, flag) in cache.enabled.iter_mut().enumerate() {
             *flag = self.is_enabled(ActivityId(i), marking);
         }
+        cache.timed_bits.fill(0);
+        for (slot, &a) in self.timed_activities().iter().enumerate() {
+            if cache.enabled[a.index()] {
+                cache.timed_bits[slot / 64] |= 1 << (slot % 64);
+            }
+        }
         cache.clear_changed_timed();
         cache.fired.clear();
         cache.primed = true;
@@ -220,7 +266,9 @@ impl SanModel {
             cache.enabled[i] = now;
             let slot = cache.timed_slot[i];
             if slot != u32::MAX {
-                cache.note_timed_changed(slot as usize);
+                let slot = slot as usize;
+                cache.timed_bits[slot / 64] ^= 1 << (slot % 64);
+                cache.note_timed_changed(slot);
             }
         }
     }
@@ -235,6 +283,24 @@ impl SanModel {
                 "incremental enablement diverged from full rescan for `{}` after `{}` fired: \
                  a gate `touches` declaration is unsound (run ahs-lint)",
                 self.activity(ActivityId(i)).name(),
+                self.activity(fired).name(),
+            );
+        }
+        for (slot, &a) in self.timed_activities().iter().enumerate() {
+            assert_eq!(
+                cache.timed_bits[slot / 64] >> (slot % 64) & 1 == 1,
+                cache.enabled[a.index()],
+                "enabled-slot bitset disagrees with the flag of `{}` after `{}` fired",
+                self.activity(a).name(),
+                self.activity(fired).name(),
+            );
+        }
+        for g in self.rate_group_ids() {
+            assert_eq!(
+                cache.group_enabled(g),
+                self.group_enabled_count(g, marking),
+                "enabled-member count of rate group `{}` diverged after `{}` fired",
+                self.rate_group(g).name(),
                 self.activity(fired).name(),
             );
         }
@@ -259,6 +325,37 @@ impl SanModel {
         let picked = self.select_case_with(a, marking, rng, &mut probs);
         cache.probs = probs;
         picked
+    }
+
+    /// Samples a delay for timed activity `a` in `marking`, drawing from
+    /// `rng` exactly like [`Delay::sample`](crate::Delay::sample). An
+    /// exponential rate is resolved through
+    /// [`exponential_rate_with`](SanModel::exponential_rate_with), with
+    /// a shared group's enabled-member count read from the cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` is instantaneous or its exponential rate is not
+    /// positive and finite.
+    pub fn sample_delay_cached<R: Rng + ?Sized>(
+        &self,
+        a: ActivityId,
+        marking: &Marking,
+        rng: &mut R,
+        cache: &EnablementCache,
+    ) -> f64 {
+        match self.activity(a).timing() {
+            Timing::Timed(Delay::Exponential(_)) => {
+                let rate = self
+                    .exponential_rate_with(a, marking, |g| cache.group_enabled(g))
+                    .expect("exponential delays have a rate");
+                sample_exponential(rate, rng)
+            }
+            Timing::Timed(d) => d.sample(marking, rng),
+            Timing::Instantaneous { .. } => {
+                panic!("instantaneous activities have no delay to sample")
+            }
+        }
     }
 
     /// Fires enabled instantaneous activities until the marking is
@@ -481,6 +578,47 @@ mod tests {
                 inc.is_enabled(ActivityId(i)),
                 full.is_enabled(ActivityId(i))
             );
+        }
+    }
+
+    #[test]
+    fn bitset_and_group_counts_follow_firings() {
+        // Four timed slots, the middle two in one shared-rate group.
+        let mut b = SanBuilder::new("bits");
+        let g = b.shared_rate_group("g", 1.0).unwrap();
+        let ps: Vec<_> = (0..4)
+            .map(|i| b.place_with_tokens(&format!("p{i}"), 1).unwrap())
+            .collect();
+        let sink = b.place("sink").unwrap();
+        for (i, &p) in ps.iter().enumerate() {
+            let delay = if i == 1 || i == 2 {
+                Delay::shared(g)
+            } else {
+                Delay::exponential(1.0)
+            };
+            b.timed_activity(&format!("t{i}"), delay)
+                .unwrap()
+                .input_place(p)
+                .output_place(sink)
+                .build()
+                .unwrap();
+        }
+        let m = b.build().unwrap();
+        for forced in [false, true] {
+            let mut cache = m.new_cache();
+            if forced {
+                cache.force_full_rescan();
+            }
+            let mut marking = m.initial_marking().clone();
+            m.prime_cache(&mut cache, &marking);
+            assert_eq!(cache.enabled_timed_words(), &[0b1111]);
+            assert_eq!(cache.group_enabled(g), 2);
+            m.fire_cached(m.find_activity("t1").unwrap(), 0, &mut marking, &mut cache);
+            assert_eq!(cache.enabled_timed_words(), &[0b1101]);
+            assert_eq!(cache.group_enabled(g), 1);
+            m.fire_cached(m.find_activity("t0").unwrap(), 0, &mut marking, &mut cache);
+            assert_eq!(cache.enabled_timed_words(), &[0b1100]);
+            assert_eq!(cache.group_enabled(g), m.group_enabled_count(g, &marking));
         }
     }
 

@@ -22,6 +22,14 @@ pub enum SanError {
         /// What was wrong.
         reason: String,
     },
+    /// A shared-rate group was declared with an invalid rate or a
+    /// clashing name, or joined through a handle that does not exist.
+    InvalidRateGroup {
+        /// Group name (or `#index` for an unknown handle).
+        group: String,
+        /// What was wrong.
+        reason: String,
+    },
     /// An activity was declared without any case.
     NoCases {
         /// Activity name.
@@ -71,6 +79,9 @@ impl std::fmt::Display for SanError {
             }
             SanError::InvalidDelay { activity, reason } => {
                 write!(f, "invalid delay on activity `{activity}`: {reason}")
+            }
+            SanError::InvalidRateGroup { group, reason } => {
+                write!(f, "invalid shared-rate group `{group}`: {reason}")
             }
             SanError::NoCases { activity } => {
                 write!(f, "activity `{activity}` has no cases")

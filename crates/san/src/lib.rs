@@ -9,7 +9,8 @@
 //!   fixed-length integer arrays (Möbius extended places), see
 //!   [`PlaceDecl`], [`Marking`];
 //! * **Activities** — timed activities with exponential (possibly
-//!   marking-dependent), deterministic, uniform, Erlang, and Weibull
+//!   marking-dependent, or shared among a [`RateGroup`]),
+//!   deterministic, uniform, Erlang, and Weibull
 //!   delays, and instantaneous activities with priorities and weights;
 //!   both support *case* distributions on completion ([`Activity`],
 //!   [`Delay`], [`Case`]);
@@ -69,7 +70,7 @@ pub mod trace;
 pub use activity::{Activity, ActivityId, Case, CaseProb, Timing};
 pub use analysis::{ConservationViolation, StructuralReport};
 pub use builder::{ActivityBuilder, SanBuilder};
-pub use delay::{Delay, RateFn};
+pub use delay::{Delay, RateFn, RateGroup, RateGroupId};
 pub use depgraph::DependencyGraph;
 pub use enablement::{force_full_rescan_enabled, set_force_full_rescan, EnablementCache};
 pub use error::SanError;

@@ -5,6 +5,7 @@ use std::collections::HashMap;
 use rand::Rng;
 
 use crate::activity::{Activity, ActivityId, Timing};
+use crate::delay::{Delay, RateFn, RateGroup, RateGroupId};
 use crate::depgraph::DependencyGraph;
 use crate::error::SanError;
 use crate::gate::{InputGate, InputGateId, OutputGate, OutputGateId};
@@ -45,6 +46,7 @@ pub struct SanModel {
     initial: Marking,
     timed: Vec<ActivityId>,
     instantaneous: Vec<ActivityId>,
+    rate_groups: Vec<RateGroup>,
     depgraph: DependencyGraph,
     place_lookup: HashMap<String, usize>,
     activity_lookup: HashMap<String, usize>,
@@ -57,15 +59,20 @@ impl SanModel {
         input_gates: Vec<InputGate>,
         output_gates: Vec<OutputGate>,
         activities: Vec<Activity>,
+        mut rate_groups: Vec<RateGroup>,
         initial: Marking,
     ) -> Self {
         let mut timed = Vec::new();
         let mut instantaneous = Vec::new();
         for (i, a) in activities.iter().enumerate() {
-            if a.is_instantaneous() {
-                instantaneous.push(ActivityId(i));
-            } else {
-                timed.push(ActivityId(i));
+            match &a.timing {
+                Timing::Instantaneous { .. } => instantaneous.push(ActivityId(i)),
+                Timing::Timed(d) => {
+                    if let Delay::Exponential(RateFn::Shared(g)) = d {
+                        rate_groups[g.0].members.push(ActivityId(i));
+                    }
+                    timed.push(ActivityId(i));
+                }
             }
         }
         let depgraph =
@@ -89,6 +96,7 @@ impl SanModel {
             initial,
             timed,
             instantaneous,
+            rate_groups,
             depgraph,
             place_lookup,
             activity_lookup,
@@ -188,6 +196,36 @@ impl SanModel {
         &self.instantaneous
     }
 
+    /// The shared-rate groups, indexable by [`RateGroupId`].
+    pub fn rate_groups(&self) -> &[RateGroup] {
+        &self.rate_groups
+    }
+
+    /// Handles of every shared-rate group, in declaration order.
+    pub fn rate_group_ids(&self) -> impl Iterator<Item = RateGroupId> + '_ {
+        (0..self.rate_groups.len()).map(RateGroupId)
+    }
+
+    /// The shared-rate group behind a handle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the handle came from another model and is out of range.
+    pub fn rate_group(&self, g: RateGroupId) -> &RateGroup {
+        &self.rate_groups[g.0]
+    }
+
+    /// Number of members of group `g` enabled in `marking`, counted
+    /// from scratch (an [`EnablementCache`](crate::EnablementCache)
+    /// answers the same question from its bitset).
+    pub fn group_enabled_count(&self, g: RateGroupId, marking: &Marking) -> usize {
+        self.rate_groups[g.0]
+            .members
+            .iter()
+            .filter(|&&a| self.is_enabled(a, marking))
+            .count()
+    }
+
     /// The initial marking.
     pub fn initial_marking(&self) -> &Marking {
         &self.initial
@@ -256,10 +294,29 @@ impl SanModel {
     }
 
     /// Exponential firing rate of a timed activity in a marking, or
-    /// `None` if the activity's delay is not exponential.
+    /// `None` if the activity's delay is not exponential. A shared
+    /// group rate is split over the members enabled in `marking`.
     pub fn exponential_rate(&self, a: ActivityId, marking: &Marking) -> Option<f64> {
+        self.exponential_rate_with(a, marking, |g| self.group_enabled_count(g, marking))
+    }
+
+    /// [`exponential_rate`](SanModel::exponential_rate) with the
+    /// enabled-member count of a shared-rate group supplied by the
+    /// caller — the one place every backend resolves a rate, whether it
+    /// counts group members from the marking or from an
+    /// [`EnablementCache`](crate::EnablementCache).
+    pub fn exponential_rate_with(
+        &self,
+        a: ActivityId,
+        marking: &Marking,
+        group_enabled: impl FnOnce(RateGroupId) -> usize,
+    ) -> Option<f64> {
         match &self.activities[a.0].timing {
-            Timing::Timed(crate::Delay::Exponential(rate)) => Some(rate.eval(marking)),
+            Timing::Timed(Delay::Exponential(rate)) => Some(match rate {
+                RateFn::Const(r) => *r,
+                RateFn::MarkingDependent(f) => f(marking),
+                RateFn::Shared(g) => self.rate_groups[g.0].member_rate(group_enabled(*g)),
+            }),
             _ => None,
         }
     }
@@ -788,6 +845,40 @@ mod tests {
         let marking = m.initial_marking();
         assert_eq!(m.exponential_rate(a, marking), Some(2.0));
         assert_eq!(m.exponential_rate(i, marking), None);
+    }
+
+    #[test]
+    fn shared_rate_splits_among_enabled_members() {
+        let mut b = SanBuilder::new("shared");
+        let g = b.shared_rate_group("g", 6.0).unwrap();
+        let ps: Vec<_> = (0..3)
+            .map(|i| b.place_with_tokens(&format!("p{i}"), 1).unwrap())
+            .collect();
+        for (i, &p) in ps.iter().enumerate() {
+            b.timed_activity(&format!("t{i}"), Delay::shared(g))
+                .unwrap()
+                .input_place(p)
+                .build()
+                .unwrap();
+        }
+        let m = b.build().unwrap();
+        let t0 = m.find_activity("t0").unwrap();
+        let mut marking = m.initial_marking().clone();
+        assert_eq!(m.group_enabled_count(g, &marking), 3);
+        assert_eq!(m.exponential_rate(t0, &marking), Some(2.0));
+        marking.set_tokens(ps[1], 0);
+        assert_eq!(m.exponential_rate(t0, &marking), Some(3.0));
+        marking.set_tokens(ps[2], 0);
+        assert_eq!(m.exponential_rate(t0, &marking), Some(6.0));
+        // The caller may supply the count (an enablement cache does).
+        assert_eq!(m.exponential_rate_with(t0, &marking, |_| 4), Some(1.5));
+        let mut rng = SmallRng::seed_from_u64(1);
+        let mut twin = SmallRng::seed_from_u64(1);
+        let mut cache = m.new_cache();
+        m.prime_cache(&mut cache, &marking);
+        let d = m.sample_delay_cached(t0, &marking, &mut rng, &cache);
+        let expect = Delay::exponential(6.0).sample(&marking, &mut twin);
+        assert_eq!(d.to_bits(), expect.to_bits());
     }
 
     #[test]

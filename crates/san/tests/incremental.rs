@@ -51,6 +51,14 @@ fn random_sound_model(seed: u64) -> SanModel {
         move |r: &mut Lcg| places[r.below(n_places as u64) as usize]
     };
 
+    // Some timed activities share one group rate. Membership comes from
+    // its own stream so the rest of the structure does not depend on it.
+    let mut membership = Lcg(seed ^ 0x9e3779b97f4a7c15);
+    let group = (membership.below(2) == 0).then(|| {
+        b.shared_rate_group("shared", 1.0 + membership.below(4) as f64)
+            .expect("a positive rate and a fresh name form a valid group")
+    });
+
     let n_timed = 2 + r.below(4) as usize;
     for i in 0..n_timed {
         // An honest enabling gate on some activities: watches one
@@ -67,8 +75,12 @@ fn random_sound_model(seed: u64) -> SanModel {
             )
         });
         let input = pick(&mut r);
+        let delay = match group {
+            Some(g) if membership.below(2) == 0 => Delay::shared(g),
+            _ => Delay::exponential(1.0),
+        };
         let mut ab = b
-            .timed_activity(&format!("t{i}"), Delay::exponential(1.0))
+            .timed_activity(&format!("t{i}"), delay)
             .expect("fresh names cannot clash");
         ab = ab.input_place(input);
         if let Some(gate) = gate {
@@ -230,6 +242,24 @@ fn assert_equivalent(
             act.name()
         );
     }
+    for cache in [cache_inc, cache_full] {
+        let words = cache.enabled_timed_words();
+        for (slot, &a) in model.timed_activities().iter().enumerate() {
+            assert_eq!(
+                words[slot / 64] >> (slot % 64) & 1 == 1,
+                model.is_enabled(a, m_inc),
+                "enabled-slot bit of `{}` wrong (seed {seed})",
+                model.activity(a).name()
+            );
+        }
+        for g in model.rate_group_ids() {
+            assert_eq!(
+                cache.group_enabled(g),
+                model.group_enabled_count(g, m_inc),
+                "group count wrong (seed {seed})"
+            );
+        }
+    }
 }
 
 /// Deterministic bulk run: at least ten thousand random firings across
@@ -237,12 +267,21 @@ fn assert_equivalent(
 #[test]
 fn ten_thousand_random_firings_agree() {
     let mut total = 0;
+    let mut grouped = 0;
     for seed in 0..300 {
         total += run_lockstep(seed, 100);
+        let model = random_sound_model(seed);
+        if model.rate_groups().iter().any(|g| g.members().len() >= 2) {
+            grouped += 1;
+        }
     }
     assert!(
         total >= 10_000,
         "expected at least 10k firings, got {total}"
+    );
+    assert!(
+        grouped >= 50,
+        "expected many models with a multi-member rate group, got {grouped}"
     );
 }
 
