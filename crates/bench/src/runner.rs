@@ -6,10 +6,9 @@ use std::time::Instant;
 use ahs_core::{AhsError, Params, UnsafetyCurve, UnsafetyEvaluator};
 use ahs_obs::{EstimatePoint, Json, Metrics, ProgressSink, RunManifest, StoppingSpec};
 use ahs_stats::{StoppingRule, TimeGrid};
-use serde::{Deserialize, Serialize};
 
 /// One point of a reproduced series.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SeriesPoint {
     /// Abscissa: trip duration (hours) or platoon capacity `n`,
     /// depending on the figure.
@@ -23,7 +22,7 @@ pub struct SeriesPoint {
 }
 
 /// One labelled series of a figure (e.g. `n=8`, `λ=1e-5`, `DD`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Series {
     /// Legend label.
     pub label: String,
@@ -32,7 +31,7 @@ pub struct Series {
 }
 
 /// A reproduced figure or table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FigureResult {
     /// Identifier, e.g. `fig10`.
     pub id: String,

@@ -8,7 +8,6 @@ use ahs_des::{model_fingerprint, Backend, BiasScheme, Study, StudyCheckpoint, Wa
 use ahs_obs::{fnv1a_64, EstimatePoint, Json, Metrics, ProgressSink, RunManifest, StoppingSpec};
 use ahs_san::SanModel;
 use ahs_stats::{StoppingRule, TimeGrid};
-use serde::{Deserialize, Serialize};
 
 use crate::error::AhsError;
 use crate::model::{AhsModel, ModelHandles};
@@ -93,7 +92,7 @@ pub fn study_checkpoint_path(dir: &Path, seed: u64, params: &Params) -> PathBuf 
 }
 
 /// One evaluated point of an unsafety curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UnsafetyPoint {
     /// Trip duration, hours.
     pub x: f64,
@@ -106,7 +105,7 @@ pub struct UnsafetyPoint {
 }
 
 /// An evaluated `S(t)` curve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UnsafetyCurve {
     points: Vec<UnsafetyPoint>,
     replications: u64,
@@ -203,7 +202,7 @@ impl UnsafetyCurve {
 }
 
 /// How the evaluator biases failure rates for rare-event estimation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BiasMode {
     /// Two-level *dynamic* failure biasing (the default).
     ///

@@ -1,10 +1,9 @@
 //! Table 1: failure modes, severities, and their recovery maneuvers.
 
 use ahs_platoon::RecoveryManeuver;
-use serde::{Deserialize, Serialize};
 
 /// The six failure modes of Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FailureMode {
     /// FM1 — e.g. no brakes (severity A3, recovered by Aided Stop).
     Fm1,
@@ -27,7 +26,7 @@ pub enum FailureMode {
 
 /// Severity levels of Table 1, ordered by decreasing criticality:
 /// A3 > A2 > A1 > B1 = B2 > C.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Severity {
     /// Most critical class-A level (no brakes).
     A3,
@@ -45,7 +44,7 @@ pub enum Severity {
 
 /// The three severity classes used by the catastrophic-situation rules
 /// of Table 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SeverityClass {
     /// Failures that require stopping the vehicle on the highway.
     A,

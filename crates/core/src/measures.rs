@@ -9,14 +9,13 @@
 
 use ahs_des::{Backend, RewardSpec, RewardStudy};
 use ahs_stats::RunningStats;
-use serde::{Deserialize, Serialize};
 
 use crate::error::AhsError;
 use crate::model::AhsModel;
 use crate::params::Params;
 
 /// Expected-value measures of one AHS configuration over a trip.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TripMeasures {
     /// Trip duration, hours.
     pub horizon_hours: f64,

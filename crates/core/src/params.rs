@@ -2,7 +2,6 @@
 
 use ahs_obs::Json;
 use ahs_platoon::RecoveryManeuver;
-use serde::{Deserialize, Serialize};
 
 use crate::error::AhsError;
 use crate::failure::{maneuver_slot, FailureMode};
@@ -13,7 +12,7 @@ pub(crate) const MAX_PLATOONS: usize = 8;
 
 /// Execution rates of the six maneuvers, per hour (paper §4.1: between
 /// 15/hr and 30/hr, i.e. durations of 2–4 minutes).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ManeuverRates {
     rates: [f64; 6],
 }
@@ -93,7 +92,7 @@ impl Default for ManeuverRates {
 /// assert!((params.total_failure_rate() - 14e-4).abs() < 1e-12);
 /// # Ok::<(), ahs_core::AhsError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Params {
     /// Base failure rate λ, per hour.
     pub lambda: f64,
@@ -219,8 +218,9 @@ impl Params {
     }
 
     /// Serializes every parameter as a JSON object, keyed by field
-    /// name, for run manifests (the vendored `serde` is a no-op, so
-    /// provenance records are emitted through `ahs-obs`'s JSON tree).
+    /// name, for run manifests (the workspace has no serialization
+    /// crate, so provenance records are emitted through `ahs-obs`'s
+    /// JSON tree).
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
             ("lambda", self.lambda.into()),

@@ -1,10 +1,8 @@
 //! Table 2: catastrophic situations.
 
-use serde::{Deserialize, Serialize};
-
 /// Counts of concurrently active failure severities among adjacent
 /// vehicles (one unit per distinct vehicle in recovery).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct SeverityCount {
     /// Vehicles currently recovering from a class-A failure.
     pub a: u64,
@@ -27,7 +25,7 @@ impl SeverityCount {
 }
 
 /// The three catastrophic situations of Table 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CatastrophicSituation {
     /// ST1 — at least two class-A failures.
     St1,

@@ -2,10 +2,9 @@
 //! involvement.
 
 use ahs_platoon::RecoveryManeuver;
-use serde::{Deserialize, Serialize};
 
 /// Whether a coordination layer is centralized or decentralized.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CoordinationModel {
     /// Decisions made through a central point (the platoon leader for
     /// intra-platoon coordination, the road-side Service Access Point
@@ -18,7 +17,7 @@ pub enum CoordinationModel {
 
 /// The four strategies of Table 3 (inter-platoon model × intra-platoon
 /// model).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Strategy {
     /// Decentralized inter- and intra-platoon.
     Dd,

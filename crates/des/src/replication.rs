@@ -21,13 +21,12 @@ use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use ahs_obs::{Json, Metrics, ProgressSink, StoppingSpec};
 use ahs_san::{Marking, SanModel};
 use ahs_stats::{Curve, StoppingRule, TimeGrid};
-use parking_lot::Mutex;
 
 use crate::bias::BiasScheme;
 use crate::checkpoint::{model_fingerprint, QuarantinedRep, StudyCheckpoint};
@@ -36,6 +35,18 @@ use crate::executor::EventDrivenSimulator;
 use crate::rng::replication_rng;
 use crate::ssa::MarkovSimulator;
 use crate::watchdog::Watchdog;
+
+/// Locks a shared accumulator, ignoring poison: a worker that panics
+/// re-raises from the thread scope anyway, so the others only need the
+/// data to stay reachable.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Takes a shared accumulator back once every worker has joined.
+fn into_inner<T>(m: Mutex<T>) -> T {
+    m.into_inner().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Which executor a study uses.
 #[derive(Debug, Clone)]
@@ -512,7 +523,7 @@ impl Study {
         let ran_chunks = AtomicBool::new(false);
 
         let fail = |e: SimError| {
-            let mut f = failure.lock();
+            let mut f = lock(&failure);
             if f.is_none() {
                 *f = Some(e);
             }
@@ -693,7 +704,7 @@ impl Study {
                                 );
                             }
                             let total = {
-                                let mut q = quarantined.lock();
+                                let mut q = lock(&quarantined);
                                 q.push(QuarantinedRep {
                                     replication: rep,
                                     message: message.clone(),
@@ -713,7 +724,7 @@ impl Study {
                 }
                 let completed = (end - start) - chunk_quarantined;
                 worker_reps += completed;
-                let mut g = global.lock();
+                let mut g = lock(&global);
                 g.merge(&local);
                 let merged_total = g.samples();
                 let last = grid.len() - 1;
@@ -722,7 +733,7 @@ impl Study {
                 // Advance the contiguous prefix and decide whether this
                 // merge crossed a checkpoint boundary.
                 let flush = {
-                    let mut ord = ordered.lock();
+                    let mut ord = lock(&ordered);
                     ord.pending.insert(start, (end, local));
                     loop {
                         let front = ord.pending.keys().next().copied();
@@ -747,8 +758,7 @@ impl Study {
                     }
                 };
                 if let (Some((watermark, snapshot)), Some(plan)) = (flush, &self.checkpoint) {
-                    let quarantined_below: Vec<QuarantinedRep> = quarantined
-                        .lock()
+                    let quarantined_below: Vec<QuarantinedRep> = lock(&quarantined)
                         .iter()
                         .filter(|r| r.replication < watermark)
                         .cloned()
@@ -796,15 +806,17 @@ impl Study {
         if self.threads <= 1 {
             run_worker();
         } else {
-            crossbeam::thread::scope(|s| {
+            // A panicking worker re-raises here once every worker has
+            // joined (replication bodies run under `catch_unwind`, so
+            // only harness bugs get this far).
+            std::thread::scope(|s| {
                 for _ in 0..self.threads {
-                    s.spawn(|_| run_worker());
+                    s.spawn(run_worker);
                 }
-            })
-            .expect("simulation worker panicked");
+            });
         }
 
-        if let Some(e) = failure.into_inner() {
+        if let Some(e) = into_inner(failure) {
             return Err(e);
         }
         let OrderedState {
@@ -812,12 +824,12 @@ impl Study {
             prefix_end,
             pending,
             ..
-        } = ordered.into_inner();
+        } = into_inner(ordered);
         // Every grabbed chunk completes before its worker exits, so the
         // chunk set is contiguous whenever no failure occurred.
         debug_assert!(pending.is_empty(), "non-contiguous chunks left pending");
-        debug_assert_eq!(curve.samples(), global.into_inner().samples());
-        let quarantined = quarantined.into_inner();
+        debug_assert_eq!(curve.samples(), into_inner(global).samples());
+        let quarantined = into_inner(quarantined);
         let interrupted = interrupted.load(Ordering::SeqCst);
         let replications = curve.samples();
         let last = grid.len() - 1;

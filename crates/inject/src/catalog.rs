@@ -122,19 +122,19 @@ pub const CATALOG: &[FailpointDesc] = &[
         name: "serve::worker::exec",
         layer: "ahs-serve-worker",
         actions: &["return(kind)", "panic(msg)", "delay(ms)"],
-        site: "re-exec of an isolated worker process for one job attempt",
+        site: "starting the worker for one job attempt (a re-exec under process isolation)",
     },
     FailpointDesc {
         name: "serve::worker::heartbeat",
         layer: "ahs-serve-worker",
         actions: &["return(kind)", "delay(ms)"],
-        site: "one heartbeat write inside an isolated worker process",
+        site: "one heartbeat write of a running job attempt",
     },
     FailpointDesc {
         name: "serve::worker::reap",
         layer: "ahs-serve-worker",
         actions: &["return(kind)", "delay(ms)"],
-        site: "reaping an exited worker and reading its outcome document",
+        site: "reaping an ended attempt and reading its outcome document",
     },
 ];
 

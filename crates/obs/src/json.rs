@@ -1,7 +1,7 @@
 //! A minimal JSON value tree, writer, and parser.
 //!
-//! The build environment vendors a no-op `serde`, so every tool in this
-//! workspace emits machine-readable output by hand (see
+//! The workspace depends on no serialization crate, so every tool in
+//! it emits machine-readable output by hand (see
 //! `ahs-lint::diag` for the same idiom). This module centralizes the
 //! escaping and rendering rules so manifests, metrics snapshots, and
 //! progress events all produce valid RFC 8259 documents — and, since

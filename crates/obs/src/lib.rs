@@ -31,8 +31,8 @@
 //! chaos tier can fail any of these steps deterministically.
 //!
 //! The crate is intentionally dependency-free: JSON is emitted through
-//! the small [`Json`] value tree (the build environment vendors a
-//! no-op `serde`, so all machine-readable output in this workspace is
+//! the small [`Json`] value tree (the workspace depends on no
+//! serialization crate, so all machine-readable output in it is
 //! hand-rolled).
 //!
 //! # Example

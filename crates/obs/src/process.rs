@@ -1,8 +1,8 @@
 //! Process containment primitives: resource limits and signalling for
 //! isolated worker processes.
 //!
-//! `ahs serve --isolation process` re-execs each job into a child
-//! process; the child calls [`limit_memory_bytes`] /
+//! `ahs serve` re-execs each job attempt into a child process; the
+//! child's entry point calls [`limit_memory_bytes`] /
 //! [`limit_cpu_seconds`] on itself at startup so a runaway allocation
 //! or CPU spin dies *inside its own address space*, and the supervisor
 //! uses [`send_sigterm`] to request a graceful drain (`std`'s
@@ -14,12 +14,12 @@
 //! this module behind the crate's `deny(unsafe_code)`. On non-Unix
 //! targets every function returns [`std::io::ErrorKind::Unsupported`]
 //! and [`rlimit_supported`] is `false`, which is the signal for callers
-//! to fall back to thread isolation.
+//! to run attempts in-process instead.
 #![allow(unsafe_code)]
 
 /// Whether this platform can apply `setrlimit`-based budgets (and
-/// deliver SIGTERM). False on non-Unix targets, where process
-/// isolation falls back to thread mode.
+/// deliver SIGTERM). False on non-Unix targets, where `ahs serve` runs
+/// job attempts in-process.
 #[must_use]
 pub fn rlimit_supported() -> bool {
     cfg!(unix)

@@ -1,7 +1,5 @@
 //! Longitudinal gap controller.
 
-use serde::{Deserialize, Serialize};
-
 use crate::vehicle::Vehicle;
 
 /// A proportional-derivative longitudinal controller tracking a target
@@ -11,7 +9,7 @@ use crate::vehicle::Vehicle;
 ///
 /// Command: `a = kp·(gap - target) + kv·(v_ahead - v)`, clamped to
 /// `[max_brake, max_accel]`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GapController {
     /// Gap error gain, 1/s².
     pub kp: f64,

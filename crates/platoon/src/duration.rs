@@ -3,13 +3,12 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::maneuver::{ManeuverOutcomeKind, ManeuverSimulator, RecoveryManeuver};
 use crate::spacing::SpacingPolicy;
 
 /// Summary statistics of a maneuver duration estimate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DurationStats {
     /// Mean end-to-end duration, seconds.
     pub mean_seconds: f64,

@@ -1,8 +1,6 @@
 //! The paper's recovery maneuvers, decomposed into atomic maneuvers and
 //! simulated kinematically.
 
-use serde::{Deserialize, Serialize};
-
 use crate::control::GapController;
 use crate::error::PlatoonError;
 use crate::spacing::SpacingPolicy;
@@ -10,7 +8,7 @@ use crate::vehicle::{Lane, Vehicle, VehicleId};
 
 /// Atomic maneuvers of the PATH architecture (the building blocks of
 /// Table 1's recovery maneuvers, per Lygeros et al.).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AtomicManeuver {
     /// Split the platoon ahead of the faulty vehicle (open a gap).
     Split,
@@ -31,7 +29,7 @@ pub enum AtomicManeuver {
 }
 
 /// The six recovery maneuvers of Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RecoveryManeuver {
     /// GS — the faulty vehicle uses its brakes smoothly to stop
     /// (severity A1).
@@ -124,7 +122,7 @@ impl std::fmt::Display for RecoveryManeuver {
 }
 
 /// How a kinematic maneuver simulation ended.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ManeuverOutcomeKind {
     /// The faulty vehicle stopped or exited and the platoon re-formed.
     Completed {

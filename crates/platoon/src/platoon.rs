@@ -1,13 +1,11 @@
 //! Platoon rosters: leader/follower structure and membership events.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::PlatoonError;
 use crate::spacing::SpacingPolicy;
 use crate::vehicle::{Lane, Vehicle, VehicleId};
 
 /// Role of a vehicle within its platoon.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PlatoonRole {
     /// First vehicle; coordinates intra-platoon maneuvers and speaks
     /// for the platoon in inter-platoon coordination.
@@ -25,7 +23,7 @@ pub enum PlatoonRole {
 /// position (§3.2.3: "each time a vehicle joins a platoon, it occupies
 /// the last position"), and when the leader leaves the next vehicle is
 /// promoted.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Platoon {
     lane: Lane,
     members: Vec<VehicleId>,

@@ -1,10 +1,8 @@
 //! Intra- and inter-platoon spacing policies.
 
-use serde::{Deserialize, Serialize};
-
 /// Target gaps of the PATH platooning architecture (paper §2: intra
 /// 1–3 m, inter-platoon 30–60 m).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpacingPolicy {
     /// Bumper-to-bumper gap between platoon members, metres.
     pub intra_gap: f64,

@@ -1,9 +1,7 @@
 //! Vehicle state and identity.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a vehicle within a highway scene.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VehicleId(pub u32);
 
 impl std::fmt::Display for VehicleId {
@@ -14,14 +12,14 @@ impl std::fmt::Display for VehicleId {
 
 /// A highway lane (0 = rightmost / exit lane, matching the paper's
 /// Figure 3 where lane 1 is the exit side).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Lane(pub u8);
 
 /// Longitudinal kinematic state of one vehicle.
 ///
 /// Positions are metres along the highway (increasing in the direction
 /// of travel), speeds m/s, accelerations m/s².
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Vehicle {
     /// Identity.
     pub id: VehicleId,

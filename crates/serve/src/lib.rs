@@ -23,13 +23,16 @@
 //!   boundaries with flushed checkpoints; the process exits 75 while
 //!   any accepted job is unfinished, and a restart over the same
 //!   state directory resumes every one of them bitwise.
-//! * **Process isolation** — with [`Isolation::Process`] each job
-//!   attempt runs in a re-execed worker process (`ahs serve-worker`)
-//!   under self-applied `setrlimit` budgets, heartbeat-supervised, so
-//!   a SIGKILL, SIGSEGV, or allocation abort kills one attempt — never
-//!   another job, never the server — and restarts from the latest good
-//!   checkpoint generation, bitwise. [`Isolation::Thread`] remains the
-//!   in-process fallback for platforms without rlimits.
+//! * **One attempt protocol** — every job attempt reads its spec from
+//!   `job.json` and answers with a heartbeat, an `outcome.json` and an
+//!   exit code (0 / 75 / 1), mapped into one restart policy. With
+//!   [`Isolation::Process`] (what `ahs serve` picks wherever rlimits
+//!   exist) the attempt runs in a re-execed worker process
+//!   (`ahs serve-worker`) under self-applied `setrlimit` budgets,
+//!   heartbeat-supervised, so a SIGKILL, SIGSEGV, or allocation abort
+//!   kills one attempt — never another job, never the server — and
+//!   restarts from the latest good checkpoint generation, bitwise.
+//!   [`Isolation::Thread`] runs the same protocol in-process.
 //! * **Chaos-hardened** — the `serve::*` failpoints (accept,
 //!   job-enqueue, worker-spawn/exec/heartbeat/reap, response-write,
 //!   cache-insert) each degrade to a typed error, a counted

@@ -52,8 +52,8 @@ pub struct ServeConfig {
     /// Concurrent connection handlers; connections beyond this are
     /// shed with a 503 instead of spawning unbounded threads.
     pub max_connections: usize,
-    /// Where job attempts run (in-process threads, or re-execed worker
-    /// processes with resource budgets).
+    /// Which runner carries each job attempt: in-process (the
+    /// default), or re-execed worker processes with resource budgets.
     pub isolation: Isolation,
 }
 

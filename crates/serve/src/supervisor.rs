@@ -1,27 +1,26 @@
 //! Per-job supervision: checkpoint-namespaced attempts, restart from
-//! the latest good generation, typed failure classification — at the
-//! caller's choice of containment boundary.
+//! the latest good generation, typed failure classification.
 //!
-//! Two [`Isolation`] modes share one restart loop:
+//! Every attempt speaks the one protocol of [`crate::worker`]: spec
+//! in from `job.json`; heartbeat, `outcome.json` and `manifest.json`
+//! out; exit 0 / 75 / 1. [`Isolation`] only picks the runner:
 //!
-//! * **Thread** (the in-process fallback): each attempt is one
-//!   `UnsafetyEvaluator` run under `catch_unwind`. A panic or a
-//!   recoverable typed error consumes a restart; anything
-//!   `catch_unwind` cannot see (abort, OOM, stack overflow) takes the
-//!   whole server with it.
-//! * **Process**: each attempt re-execs the current binary as a hidden
-//!   `ahs serve-worker`, which applies `setrlimit` budgets to itself,
-//!   writes a heartbeat file, evaluates the job from its namespaced
-//!   state directory, and reports through an `outcome.json` plus its
-//!   exit status. The supervisor maps clean exit / exit 75 / exit 1 /
-//!   signals / a stale heartbeat into the same typed restart policy
-//!   ([`classify_worker_exit`]) — so *any* death, including SIGKILL and
-//!   rlimit-induced aborts, restarts from the latest good checkpoint
-//!   generation and stays bitwise-resumable.
+//! * **Process**: the attempt re-execs the current binary as a hidden
+//!   `ahs serve-worker`, which applies `setrlimit` budgets to itself
+//!   before running the protocol. The supervisor watches its exit
+//!   status and heartbeat, so *any* death — SIGKILL, SIGSEGV,
+//!   rlimit-induced aborts, a wedge — costs one restart.
+//! * **Thread** (in-process, for platforms without rlimits): the
+//!   supervisor thread runs the same protocol under `catch_unwind`,
+//!   a panic standing in for exit 101. An abort, OOM or stack
+//!   overflow still takes the whole server with it.
 //!
-//! Unrecoverable causes (bad parameters, checkpoint validation
-//! failure, IO that outlived its retries) fail the job with a typed
-//! message instead of burning restarts.
+//! Either way the exit and the outcome document go through one
+//! mapping ([`classify_worker_exit`]) into one restart policy, and a
+//! restarted attempt resumes bitwise from the latest good checkpoint
+//! generation. Unrecoverable causes (bad parameters, checkpoint
+//! validation failure, IO that outlived its retries) fail the job with
+//! a typed message instead of burning restarts.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -30,24 +29,27 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ahs_core::{AhsError, BiasMode, UnsafetyCurve, UnsafetyEvaluator};
-use ahs_des::{generation_path, SimError, Watchdog};
-use ahs_obs::{heartbeat_read, send_sigterm, ProgressSink};
+use ahs_core::{AhsError, UnsafetyCurve};
+use ahs_des::{SimError, Watchdog};
+use ahs_obs::{heartbeat_read, send_sigterm};
 
 use crate::cache::ModelCache;
-use crate::job::{Job, JobSpec, Phase};
-use crate::worker::WorkerOutcome;
+use crate::job::{Job, Phase};
+use crate::worker::{run_worker, WorkerOptions, WorkerOutcome};
 
 /// How often the process supervisor polls a child for exit, heartbeat
 /// advance, and the drain flag.
 const REAP_POLL: Duration = Duration::from_millis(25);
 
+/// Default heartbeat cadence of an attempt.
+const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(200);
+
 /// Where each job attempt runs.
 #[derive(Debug, Clone)]
 pub enum Isolation {
-    /// In the server's address space, under `catch_unwind`. Cheap, but
-    /// an abort kills every tenant at once; kept as the fallback for
-    /// platforms without rlimit support.
+    /// On the supervisor's own thread, under `catch_unwind`. An abort
+    /// kills every tenant at once; kept for platforms without rlimit
+    /// support and for in-process tests.
     Thread,
     /// In a child process re-execed from `worker_exe`, with optional
     /// `setrlimit` budgets — the containment boundary that survives
@@ -83,7 +85,7 @@ impl ProcessIsolation {
             worker_exe: worker_exe.into(),
             mem_limit_mb: None,
             cpu_limit_secs: None,
-            heartbeat_interval: Duration::from_millis(200),
+            heartbeat_interval: HEARTBEAT_INTERVAL,
             heartbeat_stale_after: Duration::from_secs(30),
             term_grace: Duration::from_secs(30),
         }
@@ -101,30 +103,15 @@ pub(crate) struct SupervisorConfig {
     pub checkpoint_generations: u32,
     /// Server-policy watchdog applied to every job.
     pub watchdog: Option<Watchdog>,
-    /// Containment boundary for job attempts.
+    /// The runner that carries each attempt.
     pub isolation: Isolation,
 }
 
-/// How one attempt ended, short of an error.
-enum Attempt {
-    /// The study ran to completion; the sink rode along so the
-    /// manifest can report this attempt's telemetry drops.
-    Finished(UnsafetyCurve, f64, Arc<ProgressSink>),
-    /// The server's shutdown flag drained the study at a chunk
-    /// boundary; the final checkpoint is flushed.
-    Drained(UnsafetyCurve),
-}
-
-/// The unified verdict on one attempt, across both isolation modes.
+/// The verdict on one attempt, whichever runner ran it.
 enum AttemptEnd {
-    /// Final estimates are in hand. `manifest_written` is true when an
-    /// isolated worker already wrote `manifest.json` itself.
-    Finished {
-        curve: UnsafetyCurve,
-        wall_seconds: f64,
-        progress: Option<Arc<ProgressSink>>,
-        manifest_written: bool,
-    },
+    /// Final estimates are in hand (and the attempt wrote the
+    /// manifest).
+    Finished(UnsafetyCurve),
     /// Drained at a chunk boundary with a flushed checkpoint.
     Drained { replications: u64 },
     /// A typed, non-restartable failure.
@@ -133,10 +120,10 @@ enum AttemptEnd {
     Crashed { reason: String },
 }
 
-/// How an isolated worker process ended, as observed by the parent.
+/// How an attempt ended, as observed by the supervisor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum WorkerExit {
-    /// Exited on its own with this code.
+    /// Exited on its own with this code (101 for a panic).
     Code(i32),
     /// Killed by this signal (9 = SIGKILL, 11 = SIGSEGV, 6 = SIGABRT).
     Signal(i32),
@@ -176,7 +163,7 @@ pub(crate) fn classify_worker_exit(exit: WorkerExit) -> ExitClass {
 
 fn describe_exit(exit: WorkerExit) -> String {
     match exit {
-        WorkerExit::Code(code) => format!("worker process exited with code {code}"),
+        WorkerExit::Code(code) => format!("worker exited with code {code}"),
         WorkerExit::Signal(signal) => format!("worker process killed by signal {signal}"),
         WorkerExit::HeartbeatStale => {
             "worker heartbeat went stale; process killed by the supervisor".to_owned()
@@ -197,16 +184,6 @@ pub(crate) fn restartable(error: &AhsError) -> bool {
     )
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
-    }
-}
-
 /// Runs `job` to a terminal phase (`Finished`, `Failed`, or
 /// `Interrupted` when `stop` drains it), restarting crashed attempts
 /// within the budget. Returns the number of restarts consumed.
@@ -219,25 +196,9 @@ pub(crate) fn run_supervised(
     job.set_phase(Phase::Running);
     let mut consumed = 0u32;
     loop {
-        let end = match &config.isolation {
-            Isolation::Thread => thread_attempt(job, cache, config, stop),
-            Isolation::Process(isolation) => process_attempt(job, cache, config, isolation, stop),
-        };
-        let crash_reason = match end {
-            AttemptEnd::Finished {
-                curve,
-                wall_seconds,
-                progress,
-                manifest_written,
-            } => {
-                finish(
-                    job,
-                    config,
-                    &curve,
-                    wall_seconds,
-                    progress,
-                    manifest_written,
-                );
+        let crash_reason = match attempt(job, cache, config, stop) {
+            AttemptEnd::Finished(curve) => {
+                job.set_phase(Phase::Finished(curve));
                 return consumed;
             }
             AttemptEnd::Drained { replications } => {
@@ -266,171 +227,18 @@ pub(crate) fn run_supervised(
     }
 }
 
-fn finish(
-    job: &Arc<Job>,
-    config: &SupervisorConfig,
-    curve: &UnsafetyCurve,
-    wall_seconds: f64,
-    progress: Option<Arc<ProgressSink>>,
-    manifest_written: bool,
-) {
-    if !manifest_written {
-        let mut eval = evaluator_for(job, config, false);
-        if let Some(progress) = progress {
-            eval = eval.with_progress(progress);
-        }
-        let manifest = eval.manifest("ahs serve", curve, wall_seconds);
-        let path = job.dir.join("manifest.json");
-        if let Err(e) = manifest.write(&path) {
-            eprintln!("warning: could not write {}: {e}", path.display());
-        }
-    }
-    job.set_phase(Phase::Finished(curve.clone()));
-}
-
-/// The evaluator for one attempt over `spec` — exactly the
-/// configuration `ahs evaluate` would build for the same spec, with
-/// the checkpoint namespaced into the job directory. Shared between
-/// thread-mode attempts and the isolated worker so the two modes can
-/// never drift apart bitwise.
-pub(crate) fn evaluator_for_spec(
-    spec: &JobSpec,
-    checkpoint: &Path,
-    checkpoint_every: u64,
-    checkpoint_generations: u32,
-    watchdog: Option<Watchdog>,
-    resume: bool,
-) -> UnsafetyEvaluator {
-    let mut eval = UnsafetyEvaluator::new(spec.params.clone())
-        .with_seed(spec.seed)
-        .with_threads(spec.threads)
-        .with_replications(spec.replications)
-        .with_checkpoint(checkpoint, checkpoint_every)
-        .with_checkpoint_generations(checkpoint_generations)
-        .with_quarantine_budget(spec.quarantine_budget);
-    if spec.plain {
-        eval = eval.with_bias(BiasMode::None);
-    }
-    if let Some(watchdog) = watchdog {
-        eval = eval.with_watchdog(watchdog);
-    }
-    if resume {
-        eval = eval.with_resume(checkpoint);
-    }
-    eval
-}
-
-fn evaluator_for(job: &Job, config: &SupervisorConfig, resume: bool) -> UnsafetyEvaluator {
-    evaluator_for_spec(
-        &job.spec,
-        &job.checkpoint_path(),
-        config.checkpoint_every,
-        config.checkpoint_generations,
-        config.watchdog,
-        resume,
-    )
-}
-
-/// Whether any retained checkpoint generation exists at `base` — the
-/// signal that an attempt should resume rather than start fresh.
-pub(crate) fn checkpoint_exists(base: &Path, generations: u32) -> bool {
-    (0..generations).any(|g| generation_path(base, g).exists())
-}
-
-fn thread_attempt(
+/// One attempt, in either runner: failpoints, cache, a clean slate,
+/// the run itself, then the outcome document classified by exit.
+fn attempt(
     job: &Arc<Job>,
     cache: &ModelCache,
     config: &SupervisorConfig,
     stop: &Arc<AtomicBool>,
 ) -> AttemptEnd {
-    match catch_unwind(AssertUnwindSafe(|| run_attempt(job, cache, config, stop))) {
-        Ok(Ok(Attempt::Finished(curve, wall_seconds, progress))) => AttemptEnd::Finished {
-            curve,
-            wall_seconds,
-            progress: Some(progress),
-            manifest_written: false,
-        },
-        Ok(Ok(Attempt::Drained(curve))) => AttemptEnd::Drained {
-            replications: curve.replications(),
-        },
-        Ok(Err(error)) if !restartable(&error) => AttemptEnd::Failed {
-            message: error.to_string(),
-        },
-        Ok(Err(error)) => AttemptEnd::Crashed {
-            reason: error.to_string(),
-        },
-        Err(payload) => AttemptEnd::Crashed {
-            reason: format!("worker panicked: {}", panic_message(payload.as_ref())),
-        },
-    }
-}
-
-fn run_attempt(
-    job: &Arc<Job>,
-    cache: &ModelCache,
-    config: &SupervisorConfig,
-    stop: &Arc<AtomicBool>,
-) -> Result<Attempt, AhsError> {
-    // The worker-spawn failpoint models a worker dying before (panic)
-    // or while (error) picking the job up; a delay models slow starts.
-    match ahs_inject::eval("serve::worker::spawn") {
-        Some(ahs_inject::Fault::Panic(msg)) => panic!("injected worker-spawn crash: {msg}"),
-        Some(fault @ ahs_inject::Fault::Error(_)) => {
-            return Err(AhsError::Sim(SimError::Internal {
-                context: fault.to_io_error("serve::worker::spawn").map_or_else(
-                    || "injected worker-spawn fault".to_owned(),
-                    |e| e.to_string(),
-                ),
-            }));
-        }
-        Some(ahs_inject::Fault::Delay(ms)) => {
-            std::thread::sleep(std::time::Duration::from_millis(ms));
-        }
-        _ => {}
-    }
-
-    let compiled = cache.get_or_build(&job.spec.params)?;
-    let progress = Arc::new(
-        ProgressSink::file(&job.dir.join("telemetry.jsonl")).map_err(|e| {
-            AhsError::Sim(SimError::Internal {
-                context: format!("opening telemetry sink: {e}"),
-            })
-        })?,
-    );
-
-    let resume = checkpoint_exists(&job.checkpoint_path(), config.checkpoint_generations);
-    let eval = evaluator_for(job, config, resume)
-        .with_interrupt(stop.clone())
-        .with_progress(progress.clone());
-
-    let start = Instant::now();
-    let result = eval.evaluate_compiled(&job.spec.grid(), &compiled);
-    job.telemetry_dropped
-        .fetch_add(progress.dropped(), Ordering::Relaxed);
-    let curve = result?;
-    if curve.interrupted() {
-        return Ok(Attempt::Drained(curve));
-    }
-    Ok(Attempt::Finished(
-        curve,
-        start.elapsed().as_secs_f64(),
-        progress,
-    ))
-}
-
-/// One attempt behind the process boundary: re-exec the worker, watch
-/// exit + heartbeat, classify the death.
-fn process_attempt(
-    job: &Arc<Job>,
-    cache: &ModelCache,
-    config: &SupervisorConfig,
-    isolation: &ProcessIsolation,
-    stop: &Arc<AtomicBool>,
-) -> AttemptEnd {
-    // Same spawn-failpoint semantics as thread mode: panic-shaped
-    // faults are restartable crashes, error-shaped ones typed
-    // failures. (Never an actual panic here — in process mode there is
-    // no catch_unwind above this frame.)
+    // The spawn failpoint models a worker dying before (panic) or while
+    // (error) picking the job up: panic-shaped faults are restartable
+    // crashes, error-shaped ones typed failures. A delay models slow
+    // starts.
     match ahs_inject::eval("serve::worker::spawn") {
         Some(ahs_inject::Fault::Panic(msg)) => {
             return AttemptEnd::Crashed {
@@ -450,9 +258,9 @@ fn process_attempt(
         }
         _ => {}
     }
-    // The exec failpoint models the re-exec itself failing (missing
+    // The exec failpoint models starting the worker failing (missing
     // binary, fork failure): a restartable crash, like a real spawn
-    // error below.
+    // error in the process runner.
     match ahs_inject::eval("serve::worker::exec") {
         Some(ahs_inject::Fault::Error(_) | ahs_inject::Fault::Panic(_)) => {
             return AttemptEnd::Crashed {
@@ -465,8 +273,8 @@ fn process_attempt(
         _ => {}
     }
 
-    // Cache handoff: the parent keeps the shared compiled-model cache
-    // warm (and its counters meaningful); the child re-derives the
+    // Cache handoff: the server keeps the shared compiled-model cache
+    // warm (and its counters meaningful); the attempt re-derives the
     // model from the same spec and proves equivalence against this
     // structural fingerprint before evaluating anything.
     let compiled = match cache.get_or_build(&job.spec.params) {
@@ -484,51 +292,27 @@ fn process_attempt(
     };
 
     let outcome_path = job.dir.join("outcome.json");
-    let heartbeat_path = job.dir.join("heartbeat");
     std::fs::remove_file(&outcome_path).ok();
-    std::fs::remove_file(&heartbeat_path).ok();
+    std::fs::remove_file(job.dir.join("heartbeat")).ok();
 
-    let mut command = Command::new(&isolation.worker_exe);
-    command
-        .arg("serve-worker")
-        .arg("--job-dir")
-        .arg(&job.dir)
-        .arg("--checkpoint-every")
-        .arg(config.checkpoint_every.to_string())
-        .arg("--checkpoint-generations")
-        .arg(config.checkpoint_generations.to_string())
-        .arg("--heartbeat-ms")
-        .arg(isolation.heartbeat_interval.as_millis().to_string())
-        .arg("--expect-fingerprint")
-        .arg(format!("{:016x}", compiled.fingerprint()))
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .stderr(Stdio::inherit());
-    if let Some(mb) = isolation.mem_limit_mb {
-        command.arg("--mem-limit").arg(mb.to_string());
-    }
-    if let Some(secs) = isolation.cpu_limit_secs {
-        command.arg("--cpu-limit").arg(secs.to_string());
-    }
-    if let Some(watchdog) = config.watchdog {
-        if let Some(events) = watchdog.max_events() {
-            command.arg("--watchdog-events").arg(events.to_string());
-        }
-        if let Some(seconds) = watchdog.max_wall_seconds() {
-            command.arg("--watchdog-seconds").arg(seconds.to_string());
-        }
-    }
-    let mut child = match command.spawn() {
-        Ok(child) => child,
-        Err(e) => {
-            return AttemptEnd::Crashed {
-                reason: format!("spawning worker process: {e}"),
-            };
-        }
+    let options = WorkerOptions {
+        job_dir: job.dir.clone(),
+        checkpoint_every: config.checkpoint_every,
+        checkpoint_generations: config.checkpoint_generations,
+        heartbeat_interval: match &config.isolation {
+            Isolation::Process(isolation) => isolation.heartbeat_interval,
+            Isolation::Thread => HEARTBEAT_INTERVAL,
+        },
+        watchdog: config.watchdog,
+        expect_fingerprint: Some(compiled.fingerprint()),
     };
-    job.set_worker_pid(Some(child.id()));
-    let (exit, termed) = supervise_child(&mut child, &heartbeat_path, isolation, stop);
-    job.set_worker_pid(None);
+    let (exit, termed) = match &config.isolation {
+        Isolation::Thread => run_in_process(&options, stop),
+        Isolation::Process(isolation) => match run_process(job, &options, isolation, stop) {
+            Ok(ended) => ended,
+            Err(reason) => return AttemptEnd::Crashed { reason },
+        },
+    };
 
     // The reap failpoint models losing the worker's outcome document
     // (truncated write, unreadable disk) after a clean-looking exit:
@@ -553,12 +337,7 @@ fn process_attempt(
                 Some(curve) => {
                     job.telemetry_dropped
                         .fetch_add(outcome.telemetry_dropped, Ordering::Relaxed);
-                    AttemptEnd::Finished {
-                        curve,
-                        wall_seconds: outcome.wall_seconds,
-                        progress: None,
-                        manifest_written: true,
-                    }
+                    AttemptEnd::Finished(curve)
                 }
                 None => AttemptEnd::Crashed {
                     reason: "worker finished without readable estimates".to_owned(),
@@ -613,6 +392,69 @@ fn process_attempt(
             }
         }
     }
+}
+
+/// The in-process runner: the attempt runs on this supervisor thread.
+/// A panic reads as exit 101, exactly as a panicking worker process
+/// exits; an abort still takes the whole server down.
+fn run_in_process(options: &WorkerOptions, stop: &Arc<AtomicBool>) -> (WorkerExit, bool) {
+    let code = catch_unwind(AssertUnwindSafe(|| run_worker(options, stop))).map_or(101, i32::from);
+    (WorkerExit::Code(code), stop.load(Ordering::Relaxed))
+}
+
+/// The process runner: re-exec the worker with `options` on its argv,
+/// then watch exit + heartbeat. `Err` when the child never started.
+fn run_process(
+    job: &Job,
+    options: &WorkerOptions,
+    isolation: &ProcessIsolation,
+    stop: &Arc<AtomicBool>,
+) -> Result<(WorkerExit, bool), String> {
+    let mut command = Command::new(&isolation.worker_exe);
+    command
+        .arg("serve-worker")
+        .arg("--job-dir")
+        .arg(&options.job_dir)
+        .arg("--checkpoint-every")
+        .arg(options.checkpoint_every.to_string())
+        .arg("--checkpoint-generations")
+        .arg(options.checkpoint_generations.to_string())
+        .arg("--heartbeat-ms")
+        .arg(options.heartbeat_interval.as_millis().to_string())
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::inherit());
+    if let Some(fingerprint) = options.expect_fingerprint {
+        command
+            .arg("--expect-fingerprint")
+            .arg(format!("{fingerprint:016x}"));
+    }
+    if let Some(mb) = isolation.mem_limit_mb {
+        command.arg("--mem-limit").arg(mb.to_string());
+    }
+    if let Some(secs) = isolation.cpu_limit_secs {
+        command.arg("--cpu-limit").arg(secs.to_string());
+    }
+    if let Some(watchdog) = options.watchdog {
+        if let Some(events) = watchdog.max_events() {
+            command.arg("--watchdog-events").arg(events.to_string());
+        }
+        if let Some(seconds) = watchdog.max_wall_seconds() {
+            command.arg("--watchdog-seconds").arg(seconds.to_string());
+        }
+    }
+    let mut child = command
+        .spawn()
+        .map_err(|e| format!("spawning worker process: {e}"))?;
+    job.set_worker_pid(Some(child.id()));
+    let ended = supervise_child(
+        &mut child,
+        &options.job_dir.join("heartbeat"),
+        isolation,
+        stop,
+    );
+    job.set_worker_pid(None);
+    Ok(ended)
 }
 
 /// Waits the child out: forwards the drain flag as SIGTERM (SIGKILL

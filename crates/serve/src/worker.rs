@@ -1,41 +1,43 @@
-//! The isolated worker half of process isolation: what runs inside the
-//! hidden `ahs serve-worker` mode.
+//! The one job-attempt protocol: what runs inside the hidden
+//! `ahs serve-worker` process, and — under the in-process runner — on
+//! a supervisor thread.
 //!
-//! The supervisor re-execs the current binary with a job directory; the
-//! worker applies `setrlimit` budgets *to itself* (so a runaway
-//! allocation or CPU spin dies inside this process, never in the
-//! server), heartbeats a file for the supervisor's staleness watch,
-//! evaluates the job exactly as a thread-mode attempt would — same
-//! [`evaluator_for_spec`] configuration, same checkpoint namespace, so
-//! resumes stay bitwise — and reports through two channels:
+//! An attempt reads the job's spec from `job.json` in its namespaced
+//! state directory, heartbeats a file for the supervisor's staleness
+//! watch, evaluates the job with exactly the configuration
+//! `ahs evaluate` would build for the same spec (same checkpoint
+//! namespace, so resumes stay bitwise), writes `manifest.json` when it
+//! finishes, and reports through two channels:
 //!
-//! * **exit status**: 0 finished, 75 (`EX_TEMPFAIL`) drained on
-//!   SIGTERM, 1 typed failure; anything else is a crash.
-//! * **`outcome.json`**: the estimates / error detail the exit status
+//! * **exit code**: 0 finished, 75 (`EX_TEMPFAIL`) drained on the stop
+//!   flag, 1 typed failure; anything else is a crash.
+//! * **`outcome.json`**: the estimates / error detail the exit code
 //!   alone cannot carry, written atomically so the supervisor either
 //!   reads a complete document or (correctly) treats the attempt as
 //!   crashed.
 //!
-//! The cache handoff is by *proof*, not by transfer: the parent passes
-//! the structural fingerprint of its cached compiled model, and the
-//! worker refuses to run if its own compilation disagrees — a changed
-//! binary or corrupted spec can never silently evaluate the wrong
-//! model against the parent's checkpoint lineage.
+//! The cache handoff is by *proof*, not by transfer: the supervisor
+//! passes the structural fingerprint of its cached compiled model, and
+//! the attempt refuses to run if its own compilation disagrees — a
+//! changed binary or corrupted spec can never silently evaluate the
+//! wrong model against the job's checkpoint lineage.
+//!
+//! Resource budgets are not part of the protocol: the `serve-worker`
+//! entry point applies `setrlimit` to its own process before calling
+//! [`run_worker`], so an in-process attempt can never cap the server.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use ahs_core::{AhsError, CompiledModel, UnsafetyCurve};
-use ahs_des::Watchdog;
-use ahs_obs::{
-    atomic_write, heartbeat_write, interrupt_flag, limit_cpu_seconds, limit_memory_bytes,
-    rlimit_supported, Json, ProgressSink,
-};
+use ahs_core::{AhsError, BiasMode, CompiledModel, UnsafetyCurve, UnsafetyEvaluator};
+use ahs_des::{generation_path, Watchdog};
+use ahs_obs::{atomic_write, heartbeat_write, Json, ProgressSink};
 
 use crate::job::{AdmissionPolicy, JobSpec};
-use crate::supervisor::{checkpoint_exists, evaluator_for_spec, restartable};
+use crate::supervisor::restartable;
 
 /// Schema tag of `outcome.json`.
 pub const WORKER_OUTCOME_SCHEMA: &str = "ahs-serve-worker-outcome/v1";
@@ -44,8 +46,8 @@ pub const WORKER_OUTCOME_SCHEMA: &str = "ahs-serve-worker-outcome/v1";
 /// CLI's interrupted-run convention.
 pub const WORKER_EXIT_DRAINED: u8 = 75;
 
-/// Everything the `serve-worker` mode needs, parsed from its argv by
-/// the binary.
+/// Everything one attempt needs besides its stop flag; the
+/// `serve-worker` mode parses it from argv.
 #[derive(Debug, Clone)]
 pub struct WorkerOptions {
     /// The job's state directory (holds `job.json`, checkpoints,
@@ -57,52 +59,24 @@ pub struct WorkerOptions {
     pub checkpoint_generations: u32,
     /// Heartbeat cadence.
     pub heartbeat_interval: Duration,
-    /// `RLIMIT_AS` budget in MiB, applied before evaluation.
-    pub mem_limit_mb: Option<u64>,
-    /// `RLIMIT_CPU` budget in seconds, applied before evaluation.
-    pub cpu_limit_secs: Option<u64>,
     /// Server-policy watchdog forwarded by the supervisor.
     pub watchdog: Option<Watchdog>,
-    /// The parent's compiled-model fingerprint; evaluation refuses to
-    /// start if this worker's own compilation disagrees.
+    /// The supervisor's compiled-model fingerprint; evaluation refuses
+    /// to start if this attempt's own compilation disagrees.
     pub expect_fingerprint: Option<u64>,
 }
 
-/// Runs one isolated job attempt to completion and returns the process
-/// exit code (0 finished, 75 drained, 1 typed failure).
-pub fn run_worker(options: &WorkerOptions) -> u8 {
-    // Self-applied resource budgets, first thing: everything after
-    // this line — including spec parsing and model compilation — runs
-    // inside the cage. Failure to apply a limit is a warning, not a
-    // fatal error: the platform fallback is supervised-but-unbounded.
-    if let Some(mb) = options.mem_limit_mb {
-        if let Err(e) = limit_memory_bytes(mb.saturating_mul(1024 * 1024)) {
-            eprintln!("serve-worker: warning: could not apply --mem-limit: {e}");
-        }
-    }
-    if let Some(secs) = options.cpu_limit_secs {
-        if let Err(e) = limit_cpu_seconds(secs) {
-            eprintln!("serve-worker: warning: could not apply --cpu-limit: {e}");
-        }
-    }
-    if (options.mem_limit_mb.is_some() || options.cpu_limit_secs.is_some()) && !rlimit_supported() {
-        eprintln!("serve-worker: warning: rlimits are not supported on this platform");
-    }
-
-    // SIGTERM from the supervisor flips this flag; the evaluator
-    // drains at the next chunk boundary with a flushed checkpoint.
-    let stop = interrupt_flag();
-
-    let done = Arc::new(AtomicBool::new(false));
-    let beat_thread = spawn_heartbeat(
+/// Runs one job attempt to completion and returns its exit code (0
+/// finished, 75 drained, 1 typed failure). Raising `stop` drains the
+/// study at its next chunk boundary with a flushed checkpoint.
+pub fn run_worker(options: &WorkerOptions, stop: &Arc<AtomicBool>) -> u8 {
+    let _heartbeat = Heartbeat::start(
         options.job_dir.join("heartbeat"),
         options.heartbeat_interval,
-        done.clone(),
     );
-
     let start = Instant::now();
     let outcome_path = options.job_dir.join("outcome.json");
-    let code = match evaluate(options, &stop) {
+    match evaluate(options, stop) {
         Ok(Evaluated::Finished {
             curve,
             wall_seconds,
@@ -133,12 +107,7 @@ pub fn run_worker(options: &WorkerOptions) -> u8 {
             eprintln!("serve-worker: {}", error.message);
             1
         }
-    };
-    done.store(true, Ordering::Relaxed);
-    if let Some(handle) = beat_thread {
-        handle.join().ok();
     }
-    code
 }
 
 /// A typed worker failure plus whether a restart could help.
@@ -212,7 +181,9 @@ fn evaluate(options: &WorkerOptions, stop: &Arc<AtomicBool>) -> Result<Evaluated
     }
 
     let checkpoint = options.job_dir.join("checkpoint.json");
-    let resume = checkpoint_exists(&checkpoint, options.checkpoint_generations);
+    // Resume whenever any retained checkpoint generation survives.
+    let resume =
+        (0..options.checkpoint_generations).any(|g| generation_path(&checkpoint, g).exists());
     let progress = Arc::new(
         ProgressSink::file(&options.job_dir.join("telemetry.jsonl"))
             .map_err(|e| WorkerError::fatal(format!("opening telemetry sink: {e}")))?,
@@ -236,11 +207,10 @@ fn evaluate(options: &WorkerOptions, stop: &Arc<AtomicBool>) -> Result<Evaluated
             replications: curve.replications(),
         });
     }
-    // The worker writes the manifest itself — the parent's finish path
-    // skips it — so provenance is recorded by the process that actually
-    // produced the estimates. Built from a fresh non-resume evaluator,
-    // as the thread-mode finish path does, so the two modes emit
-    // identical manifests.
+    // The attempt is the only manifest writer, so provenance is
+    // recorded by whatever actually produced the estimates. Built from
+    // a fresh non-resume evaluator, so a resumed job's manifest equals
+    // an uninterrupted one's.
     let manifest = evaluator_for_spec(
         &spec,
         &checkpoint,
@@ -265,31 +235,79 @@ fn evaluate(options: &WorkerOptions, stop: &Arc<AtomicBool>) -> Result<Evaluated
     })
 }
 
-fn spawn_heartbeat(
-    path: PathBuf,
-    interval: Duration,
+/// The evaluator for one attempt over `spec` — exactly the
+/// configuration `ahs evaluate` would build for the same spec, with
+/// the checkpoint namespaced into the job directory.
+fn evaluator_for_spec(
+    spec: &JobSpec,
+    checkpoint: &Path,
+    checkpoint_every: u64,
+    checkpoint_generations: u32,
+    watchdog: Option<Watchdog>,
+    resume: bool,
+) -> UnsafetyEvaluator {
+    let mut eval = UnsafetyEvaluator::new(spec.params.clone())
+        .with_seed(spec.seed)
+        .with_threads(spec.threads)
+        .with_replications(spec.replications)
+        .with_checkpoint(checkpoint, checkpoint_every)
+        .with_checkpoint_generations(checkpoint_generations)
+        .with_quarantine_budget(spec.quarantine_budget);
+    if spec.plain {
+        eval = eval.with_bias(BiasMode::None);
+    }
+    if let Some(watchdog) = watchdog {
+        eval = eval.with_watchdog(watchdog);
+    }
+    if resume {
+        eval = eval.with_resume(checkpoint);
+    }
+    eval
+}
+
+/// The heartbeat thread, stopped and joined on drop — also when a
+/// panicking in-process attempt unwinds past it.
+struct Heartbeat {
     done: Arc<AtomicBool>,
-) -> Option<std::thread::JoinHandle<()>> {
-    std::thread::Builder::new()
-        .name("heartbeat".to_owned())
-        .spawn(move || {
-            let mut beat = 0u64;
-            while !done.load(Ordering::Relaxed) {
-                // The heartbeat failpoint skips one write — which is
-                // exactly what a real stalled IO does — so the chaos
-                // tier can exercise the supervisor's staleness watch.
-                let skip = matches!(
-                    ahs_inject::eval("serve::worker::heartbeat"),
-                    Some(ahs_inject::Fault::Error(_))
-                );
-                if !skip {
-                    heartbeat_write(&path, beat).ok();
-                    beat += 1;
+    handle: Option<JoinHandle<()>>,
+}
+
+impl Heartbeat {
+    fn start(path: PathBuf, interval: Duration) -> Heartbeat {
+        let done = Arc::new(AtomicBool::new(false));
+        let flag = done.clone();
+        let handle = std::thread::Builder::new()
+            .name("heartbeat".to_owned())
+            .spawn(move || {
+                let mut beat = 0u64;
+                while !flag.load(Ordering::Relaxed) {
+                    // The heartbeat failpoint skips one write — which is
+                    // exactly what a real stalled IO does — so the chaos
+                    // tier can exercise the supervisor's staleness watch.
+                    let skip = matches!(
+                        ahs_inject::eval("serve::worker::heartbeat"),
+                        Some(ahs_inject::Fault::Error(_))
+                    );
+                    if !skip {
+                        heartbeat_write(&path, beat).ok();
+                        beat += 1;
+                    }
+                    std::thread::park_timeout(interval);
                 }
-                std::thread::sleep(interval);
-            }
-        })
-        .ok()
+            })
+            .ok();
+        Heartbeat { done, handle }
+    }
+}
+
+impl Drop for Heartbeat {
+    fn drop(&mut self) {
+        self.done.store(true, Ordering::Relaxed);
+        if let Some(handle) = self.handle.take() {
+            handle.thread().unpark();
+            handle.join().ok();
+        }
+    }
 }
 
 // --- the outcome document ---------------------------------------------
@@ -400,8 +418,6 @@ pub(crate) struct WorkerOutcome {
     kind: String,
     /// Final estimates (present only for a finished outcome).
     pub curve: Option<UnsafetyCurve>,
-    /// Evaluation wall time reported by the worker.
-    pub wall_seconds: f64,
     /// Telemetry drops in the worker's sink.
     pub telemetry_dropped: u64,
     /// Replications completed (drain progress).
@@ -424,10 +440,6 @@ impl WorkerOutcome {
         let error = doc.get("error").filter(|e| !matches!(e, Json::Null));
         Some(WorkerOutcome {
             curve: crate::server::curve_from_status(&doc),
-            wall_seconds: doc
-                .get("wall_seconds")
-                .and_then(Json::as_f64)
-                .unwrap_or(0.0),
             telemetry_dropped: doc
                 .get("telemetry_dropped")
                 .and_then(Json::as_u64)

@@ -41,6 +41,12 @@ fn request_raw(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, 
     (status, response)
 }
 
+fn read_json(path: &std::path::Path) -> Json {
+    let text =
+        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("reading {}: {e}", path.display()));
+    Json::parse(&text).expect("valid JSON")
+}
+
 fn shutdown(server: Server) -> ahs_serve::DrainReport {
     server.stop_flag().store(true, Ordering::Relaxed);
     server.join()
@@ -179,6 +185,7 @@ fn manifest_is_gated_until_finished_and_drain_exits_75() {
 
     let (status, body) = request(addr, "GET", &format!("/v1/jobs/{name}/manifest"), "").unwrap();
     assert_eq!(status, 409, "manifest must be gated: {body}");
+    wait_for_state(addr, &name, "running", Duration::from_secs(60));
 
     // Draining with the job unfinished maps to exit 75. A drain also
     // stops admitting: a racing submission sees either the closed
@@ -191,6 +198,18 @@ fn manifest_is_gated_until_finished_and_drain_exits_75() {
     let report = server.join();
     assert_eq!(report.unfinished, 1);
     assert_eq!(report.outcome().code(), 75);
+
+    // The in-process attempt spoke the worker protocol: its drain is
+    // on record in the job's outcome document.
+    let outcome = read_json(&dir.join("jobs").join(&name).join("outcome.json"));
+    assert_eq!(
+        outcome.get("schema").and_then(Json::as_str),
+        Some("ahs-serve-worker-outcome/v1")
+    );
+    assert_eq!(
+        outcome.get("outcome").and_then(Json::as_str),
+        Some("drained")
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -266,6 +285,22 @@ fn status_documents_carry_every_schema_key_in_every_phase() {
     assert_eq!(status, 200);
     let manifest = Json::parse(&manifest).expect("manifest is JSON");
     assert!(manifest.get("schema").is_some());
+
+    // Under the default (in-process) runner the attempt still speaks
+    // the worker protocol: a finished outcome document, and the
+    // manifest written by that same attempt.
+    let job_dir = dir.join("jobs").join(&name);
+    let outcome = read_json(&job_dir.join("outcome.json"));
+    assert_eq!(
+        outcome.get("schema").and_then(Json::as_str),
+        Some("ahs-serve-worker-outcome/v1")
+    );
+    assert_eq!(
+        outcome.get("outcome").and_then(Json::as_str),
+        Some("finished")
+    );
+    assert_eq!(read_json(&job_dir.join("manifest.json")), manifest);
+    assert_eq!(status_bits(&outcome), status_bits(&doc));
 
     let report = shutdown(server);
     assert_eq!(report.finished, 1);

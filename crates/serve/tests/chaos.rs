@@ -161,6 +161,27 @@ fn serve_chaos_sweep_covers_every_serve_failpoint() {
     assert_eq!(doc.get("quarantined").and_then(Json::as_u64), Some(0));
     cover(&mut covered, &["des::replication::body"]);
 
+    // --- A panic that escapes the study (here, out of the second
+    // checkpoint save) unwinds out of the in-process attempt: the
+    // runner reads it as exit 101, a crash, and the restart resumes
+    // bitwise from the checkpoint the first save flushed.
+    arm("des::checkpoint::save=1*off->1*panic(save-chaos)");
+    let name = submit_ok(addr, &job_body(73, 3000, 1));
+    let doc = wait_for_state(addr, &name, "finished", WAIT);
+    assert!(
+        doc.get("restarts").and_then(Json::as_u64) >= Some(1),
+        "the escaped panic must consume a restart"
+    );
+    assert!(
+        !doc.get("resume_lineage")
+            .and_then(Json::as_array)
+            .unwrap()
+            .is_empty(),
+        "the restarted attempt must resume from the flushed checkpoint"
+    );
+    assert_eq!(status_bits(&doc), curve_bits(&solo(73, 3000, 1)));
+    cover(&mut covered, &["des::checkpoint::save"]);
+
     // --- serve::response::write: a faulted response write drops the
     // connection cleanly (EOF, not a hang), is counted, and leaves the
     // server fully responsive.

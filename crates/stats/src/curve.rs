@@ -1,7 +1,5 @@
 //! Time-grid accumulation of transient measures such as `S(t)`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ci::ConfidenceInterval;
 use crate::welford::WeightedStats;
 
@@ -10,7 +8,7 @@ use crate::welford::WeightedStats;
 /// The AHS study evaluates the unsafety `S(t)` at trip durations between
 /// 2 and 10 hours; a `TimeGrid` holds those instants and a
 /// [`Curve`] accumulates per-instant estimates over replications.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimeGrid {
     points: Vec<f64>,
 }
@@ -68,7 +66,7 @@ impl TimeGrid {
 }
 
 /// One estimated point of a curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CurvePoint {
     /// Abscissa (time, platoon size, …).
     pub x: f64,

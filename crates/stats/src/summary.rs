@@ -1,7 +1,5 @@
 //! Lightweight tabular result formatting for the experiment harness.
 
-use serde::{Deserialize, Serialize};
-
 /// A simple rectangular table of string cells with a header row, used to
 /// print figure/table reproductions in both Markdown and CSV.
 ///
@@ -15,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// let md = format_markdown(&t);
 /// assert!(md.contains("| t (h) | S(t) |"));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table {
     header: Vec<String>,
     rows: Vec<Vec<String>>,

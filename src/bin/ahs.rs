@@ -15,8 +15,7 @@
 //!           [--queue-capacity Q] [--restart-budget R]
 //!           [--checkpoint-every N] [--checkpoint-generations G]
 //!           [--max-reps R] [--max-threads T] [--quarantine-cap B]
-//!           [--max-connections C] [--isolation process|thread]
-//!           [--mem-limit MB] [--cpu-limit SECS]
+//!           [--max-connections C] [--mem-limit MB] [--cpu-limit SECS]
 //!           [--watchdog-events E] [--watchdog-seconds W]
 //!           [--failpoints SPEC]
 //! ahs durations [--samples N] [--seed S]
@@ -40,7 +39,10 @@ use ahs_safety::core::{
     UnsafetyEvaluator, MANEUVERS,
 };
 use ahs_safety::des::Watchdog;
-use ahs_safety::obs::{interrupt_flag, Metrics, ProgressSink, RunOutcome};
+use ahs_safety::obs::{
+    interrupt_flag, limit_cpu_seconds, limit_memory_bytes, rlimit_supported, Metrics, ProgressSink,
+    RunOutcome,
+};
 use ahs_safety::platoon::DurationModel;
 use ahs_safety::stats::{StoppingRule, TimeGrid};
 
@@ -54,8 +56,8 @@ fn main() -> ExitCode {
         "evaluate" => cmd_evaluate(rest),
         "check" => cmd_check(rest),
         "serve" => cmd_serve(rest),
-        // Hidden: the process-isolation mode `ahs serve` re-execs for
-        // each job attempt. Not for direct use.
+        // Hidden: the worker mode `ahs serve` re-execs for each job
+        // attempt. Not for direct use.
         "serve-worker" => cmd_serve_worker(rest),
         "durations" => cmd_durations(rest).map(|()| ExitCode::SUCCESS),
         "involved" => cmd_involved(rest).map(|()| ExitCode::SUCCESS),
@@ -157,23 +159,22 @@ serve flags:
   --quarantine-cap B  admission cap on quarantine budget (default 1000)
   --max-connections C concurrent connection handlers; beyond C connections
                       are shed with a 503                (default 64)
-  --isolation MODE    process (default on unix) runs each job attempt in a
-                      re-execed `ahs serve-worker` child so crashes and
-                      resource-limit kills stay contained; thread (default
-                      elsewhere) runs attempts in the server process
   --mem-limit MB      RLIMIT_AS budget each worker process applies to
-                      itself (process isolation only)
+                      itself (rlimit platforms only)
   --cpu-limit SECS    RLIMIT_CPU budget each worker process applies to
-                      itself (process isolation only)
+                      itself (rlimit platforms only)
   --watchdog-events E, --watchdog-seconds W
                       watchdog applied to every job (server policy)
   --failpoints SPEC   arm deterministic fault injection (inject builds only)
 
-serve exposes POST/GET /v1/jobs, GET /v1/jobs/{id}[/manifest], and
-GET /v1/healthz (schemas in tests/serve-api.schema.json, API guide in
-docs/serving.md); on SIGINT/SIGTERM it drains in-flight jobs at chunk
-boundaries and exits 75 while any accepted job is unfinished — a restart
-over the same --state-dir resumes every one of them bitwise
+serve runs each job attempt in a re-execed `ahs serve-worker` process
+wherever rlimits are supported, so crashes and resource-limit kills stay
+contained (elsewhere attempts run in the server process); it exposes
+POST/GET /v1/jobs, GET /v1/jobs/{id}[/manifest], and GET /v1/healthz
+(schemas in tests/serve-api.schema.json, API guide in docs/serving.md); on
+SIGINT/SIGTERM it drains in-flight jobs at chunk boundaries and exits 75
+while any accepted job is unfinished — a restart over the same --state-dir
+resumes every one of them bitwise
 
 on SIGINT/SIGTERM, evaluate stops gracefully, flushes the checkpoint and
 manifest, and exits with code 75 (resumable)";
@@ -515,36 +516,28 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
     if config.max_connections == 0 {
         return Err("--max-connections must be positive".into());
     }
-    // Process isolation is the default wherever rlimits (and POSIX
-    // signals) exist; elsewhere the in-process thread mode remains.
-    let default_isolation = if cfg!(unix) { "process" } else { "thread" };
-    config.isolation = match f.value("--isolation")?.unwrap_or(default_isolation) {
-        "thread" => Isolation::Thread,
-        "process" => {
-            let worker_exe = std::env::current_exe()
-                .map_err(|e| format!("resolving the worker binary for --isolation process: {e}"))?;
-            let mut isolation = ProcessIsolation::new(worker_exe);
-            isolation.mem_limit_mb = parse_positive(&f, "--mem-limit")?;
-            isolation.cpu_limit_secs = parse_positive(&f, "--cpu-limit")?;
-            Isolation::Process(isolation)
-        }
-        other => {
-            return Err(format!(
-                "unknown isolation `{other}` (use process or thread)"
-            ))
-        }
-    };
-    if matches!(config.isolation, Isolation::Thread)
-        && (f.has("--mem-limit") || f.has("--cpu-limit"))
-    {
-        return Err("--mem-limit/--cpu-limit require --isolation process".into());
+    if f.has("--isolation") {
+        let reason = "the platform picks worker processes wherever rlimits are supported";
+        return Err(format!("--isolation was removed: {reason}"));
+    }
+    // The platform decides where attempts run: worker processes
+    // wherever rlimits (and POSIX signals) exist, in-process elsewhere.
+    if rlimit_supported() {
+        let worker_exe =
+            std::env::current_exe().map_err(|e| format!("resolving the worker binary: {e}"))?;
+        let mut isolation = ProcessIsolation::new(worker_exe);
+        isolation.mem_limit_mb = parse_positive(&f, "--mem-limit")?;
+        isolation.cpu_limit_secs = parse_positive(&f, "--cpu-limit")?;
+        config.isolation = Isolation::Process(isolation);
+    } else if f.has("--mem-limit") || f.has("--cpu-limit") {
+        return Err("--mem-limit/--cpu-limit are not supported on this platform".into());
     }
 
     let state_dir = config.state_dir.clone();
     let (workers, queue_capacity) = (config.workers, config.queue_capacity);
-    let isolation_name = match &config.isolation {
-        Isolation::Thread => "thread",
-        Isolation::Process(_) => "process",
+    let runner = match &config.isolation {
+        Isolation::Thread => "in-process attempts",
+        Isolation::Process(_) => "process isolation",
     };
     let server =
         Server::start(config, interrupt_flag()).map_err(|e| format!("starting server: {e}"))?;
@@ -552,7 +545,7 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
     println!("ahs-serve listening on http://{}", server.local_addr());
     println!(
         "state dir {}; {workers} worker(s); queue capacity {queue_capacity}; \
-         {isolation_name} isolation; stop with SIGINT/SIGTERM (drains, exit 75 \
+         {runner}; stop with SIGINT/SIGTERM (drains, exit 75 \
          while jobs are resumable)",
         state_dir.display()
     );
@@ -571,11 +564,12 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
     Ok(report.outcome().exit_code())
 }
 
-/// The hidden process-isolation mode: evaluates one job attempt from
-/// its state directory and exits 0 (finished), 75 (drained on
-/// SIGTERM), or 1 (typed failure); the supervising `ahs serve` parent
-/// maps anything else — signals, rlimit kills, aborts — to a restart
-/// from the latest good checkpoint generation.
+/// The hidden worker mode: applies the resource budgets to this
+/// process, runs one job attempt from its state directory, and exits
+/// 0 (finished), 75 (drained on SIGTERM), or 1 (typed failure); the
+/// supervising `ahs serve` parent maps anything else — signals, rlimit
+/// kills, aborts — to a restart from the latest good checkpoint
+/// generation.
 fn cmd_serve_worker(args: &[String]) -> Result<ExitCode, String> {
     use ahs_safety::serve::{run_worker, WorkerOptions};
 
@@ -587,6 +581,20 @@ fn cmd_serve_worker(args: &[String]) -> Result<ExitCode, String> {
     let Some(job_dir) = f.value("--job-dir")? else {
         return Err("serve-worker requires --job-dir (internal mode; use `ahs serve`)".into());
     };
+    // Self-applied budgets, before the attempt parses or compiles
+    // anything, so a runaway allocation or CPU spin dies inside this
+    // process, never in the server. Failure to apply one is a warning:
+    // the attempt still runs supervised, just unbounded.
+    if let Some(mb) = parse_positive(&f, "--mem-limit")? {
+        if let Err(e) = limit_memory_bytes(mb.saturating_mul(1024 * 1024)) {
+            eprintln!("serve-worker: warning: could not apply --mem-limit: {e}");
+        }
+    }
+    if let Some(secs) = parse_positive(&f, "--cpu-limit")? {
+        if let Err(e) = limit_cpu_seconds(secs) {
+            eprintln!("serve-worker: warning: could not apply --cpu-limit: {e}");
+        }
+    }
     let expect_fingerprint = match f.value("--expect-fingerprint")? {
         None => None,
         Some(hex) => Some(
@@ -599,12 +607,12 @@ fn cmd_serve_worker(args: &[String]) -> Result<ExitCode, String> {
         checkpoint_every: f.parse("--checkpoint-every", 10_000u64)?,
         checkpoint_generations: f.parse("--checkpoint-generations", 2u32)?,
         heartbeat_interval: std::time::Duration::from_millis(f.parse("--heartbeat-ms", 200u64)?),
-        mem_limit_mb: parse_positive(&f, "--mem-limit")?,
-        cpu_limit_secs: parse_positive(&f, "--cpu-limit")?,
         watchdog: parse_watchdog(&f)?,
         expect_fingerprint,
     };
-    Ok(ExitCode::from(run_worker(&options)))
+    // SIGTERM from the supervisor flips this flag; the attempt drains
+    // at the next chunk boundary with a flushed checkpoint.
+    Ok(ExitCode::from(run_worker(&options, &interrupt_flag())))
 }
 
 fn cmd_check(args: &[String]) -> Result<ExitCode, String> {

@@ -404,6 +404,26 @@ fn serve_starts_lists_health_and_drains_clean() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn serve_rejects_the_removed_isolation_flag() {
+    // The platform picks the job runner; a leftover `--isolation` is an
+    // error before anything binds, not a silently ignored flag.
+    let dir = std::env::temp_dir().join("ahs_cli_serve_isolation_test");
+    let out = ahs()
+        .args(["serve", "--isolation", "thread", "--addr", "127.0.0.1:0"])
+        .arg("--state-dir")
+        .arg(&dir)
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("--isolation was removed"), "{err}");
+    assert!(
+        !dir.exists(),
+        "a rejected serve must not create its state dir"
+    );
+}
+
 /// Sends SIGTERM via /bin/kill so the test has no signal-crate
 /// dependency.
 fn kill_term(pid: u32) {

@@ -6,7 +6,8 @@
 //! generation, and finishes bitwise-identical to a crash-free solo
 //! run; a worker driven past its memory budget dies alone — in its own
 //! process — while a concurrent job and the server itself are
-//! unaffected.
+//! unaffected; and the in-process runner, speaking the same attempt
+//! protocol, writes the same estimates as a worker process.
 
 #![cfg(unix)]
 
@@ -83,10 +84,40 @@ fn sigkilled_worker_is_reaped_restarted_and_bitwise_identical() {
         curve_bits(&solo(SEED, REPS, 1)),
         "resumed-after-SIGKILL estimates must be bitwise-identical to a solo run"
     );
+    let report = shutdown(server);
+    assert_eq!(report.outcome().code(), 0);
 
+    // The in-process runner speaks the same protocol: the same spec
+    // through a default-config server writes a manifest whose
+    // estimates are byte-identical to the process-mode manifest.
+    let thread_dir = state_dir("sigkill-in-process");
+    let mut config = ServeConfig::new(&thread_dir);
+    config.addr = "127.0.0.1:0".to_owned();
+    let server = Server::start(config, Arc::new(AtomicBool::new(false))).expect("server starts");
+    let thread_name = submit(server.local_addr(), &job_body(SEED, REPS, 1));
+    wait_for_state(
+        server.local_addr(),
+        &thread_name,
+        "finished",
+        Duration::from_secs(180),
+    );
+    let estimates = |dir: &std::path::Path, name: &str| {
+        let path = dir.join("jobs").join(name).join("manifest.json");
+        let manifest = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        manifest
+            .get("estimates")
+            .expect("manifest estimates")
+            .render()
+    };
+    assert_eq!(
+        estimates(&thread_dir, &thread_name),
+        estimates(&dir, &name),
+        "in-process and process-mode manifests must carry identical estimates"
+    );
     let report = shutdown(server);
     assert_eq!(report.outcome().code(), 0);
     std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&thread_dir).ok();
 }
 
 #[test]
