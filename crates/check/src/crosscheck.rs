@@ -19,7 +19,7 @@
 //! models have strictly positive rates everywhere — the `delay-sanity`
 //! lint pass guards this — so the comparison is exact.
 
-use std::collections::HashSet;
+use std::collections::HashMap;
 
 use ahs_ctmc::{SanMarkovModel, StateSpace};
 use ahs_san::{Marking, SanModel};
@@ -75,58 +75,82 @@ pub fn cross_validate(
     let adapter = SanMarkovModel::new(model).map_err(CheckError::Ctmc)?;
     let space = StateSpace::explore(&adapter, max_states).map_err(CheckError::Ctmc)?;
 
-    let checker_stable: HashSet<&Marking> = (0..graph.len())
-        .filter(|&i| graph.is_stable(i))
-        .map(|i| graph.marking(i))
+    // Each marking is hashed once: the CTMC states into an index, the
+    // checker's stable states as lookups into it. Since both sides hold
+    // distinct markings, the sets are equal iff every stable checker
+    // state maps and the counts agree.
+    let ctmc_index: HashMap<&Marking, u32> = space
+        .states()
+        .iter()
+        .enumerate()
+        .map(|(c, m)| (m, c as u32))
         .collect();
-    let ctmc_states: HashSet<&Marking> = space.states().iter().collect();
-    let state_sets_match = checker_stable == ctmc_states;
+    let mut to_ctmc: Vec<Option<u32>> = vec![None; graph.len()];
+    let mut checker_stable_states = 0;
+    let mut unmapped = 0;
+    for i in (0..graph.len()).filter(|&i| graph.is_stable(i)) {
+        checker_stable_states += 1;
+        to_ctmc[i] = ctmc_index.get(graph.marking(i)).copied();
+        unmapped += usize::from(to_ctmc[i].is_none());
+    }
+    let state_sets_match = unmapped == 0 && checker_stable_states == space.len();
 
     // Stable→stable support derived from the micro-step graph: follow
     // each timed edge of a stable state through the instantaneous
-    // closure to every stable marking it can end in.
-    let mut checker_pairs: HashSet<(&Marking, &Marking)> = HashSet::new();
+    // closure to every stable marking it can end in. `seen[j] == stamp`
+    // marks `j` as visited by the current closure.
+    let mut checker_pairs: Vec<(u32, u32)> = Vec::new();
     let mut closure: Vec<u32> = Vec::new();
-    let mut seen: HashSet<u32> = HashSet::new();
-    for i in 0..graph.len() {
-        if !graph.is_stable(i) {
-            continue;
-        }
+    let mut seen: Vec<u32> = vec![0; graph.len()];
+    let mut stamp = 0u32;
+    for i in (0..graph.len()).filter(|&i| graph.is_stable(i)) {
         for e in graph.successors(i) {
+            stamp += 1;
             closure.clear();
-            seen.clear();
             closure.push(e.target);
-            seen.insert(e.target);
+            seen[e.target as usize] = stamp;
             let mut head = 0;
             while head < closure.len() {
                 let j = closure[head] as usize;
                 head += 1;
                 if graph.is_stable(j) {
                     if j != i {
-                        checker_pairs.insert((graph.marking(i), graph.marking(j)));
+                        checker_pairs.push((i as u32, j as u32));
                     }
                     continue;
                 }
                 for e2 in graph.successors(j) {
-                    if seen.insert(e2.target) {
+                    if seen[e2.target as usize] != stamp {
+                        seen[e2.target as usize] = stamp;
                         closure.push(e2.target);
                     }
                 }
             }
         }
     }
+    checker_pairs.sort_unstable();
+    checker_pairs.dedup();
 
-    let ctmc_pairs: HashSet<(&Marking, &Marking)> = space
-        .edges()
-        .map(|(r, c, _)| (&space.states()[r], &space.states()[c]))
+    // In CTMC indices the pairs are still distinct (the map is
+    // injective); sorted, they line up with `edges()`, which the CSR
+    // builder emits sorted and merged. An unmapped endpoint is a
+    // mismatch.
+    let translated: Option<Vec<(usize, usize)>> = checker_pairs
+        .iter()
+        .map(|&(i, j)| Some((to_ctmc[i as usize]? as usize, to_ctmc[j as usize]? as usize)))
         .collect();
+    let ctmc_transition_pairs = space.rates().nnz();
+    let transitions_match = translated.is_some_and(|mut pairs| {
+        pairs.sort_unstable();
+        pairs.into_iter().eq(space.edges().map(|(r, c, _)| (r, c)))
+    });
 
     Ok(CrossCheck {
-        checker_stable_states: checker_stable.len(),
-        ctmc_states: ctmc_states.len(),
+        checker_stable_states,
+        ctmc_states: space.len(),
         state_sets_match,
         checker_transition_pairs: checker_pairs.len(),
-        ctmc_transition_pairs: ctmc_pairs.len(),
-        transitions_match: checker_pairs == ctmc_pairs,
+        ctmc_transition_pairs,
+        transitions_match,
     })
 }

@@ -9,7 +9,7 @@
 
 use ahs_check::{cross_validate, CheckConfig, Checker, StateGraph};
 use ahs_core::{AhsModel, Params, Strategy};
-use ahs_san::SanModel;
+use ahs_san::{Delay, SanBuilder, SanModel};
 
 /// Micro-step reachable states of every n = 1 strategy model
 /// (cross-checked against `ahs-lint --max-states` exploration).
@@ -39,6 +39,66 @@ fn fixture_chain_cross_validates_against_ctmc() {
     assert_eq!(cross.ctmc_states, 3);
     assert_eq!(cross.checker_transition_pairs, 3);
     assert_eq!(cross.ctmc_transition_pairs, 3);
+}
+
+/// One token walking places `a, b, c, d` (indices 0–3) along `moves`,
+/// one unit-rate timed activity per `(from, to)` move.
+fn token_walk(moves: &[(usize, usize)]) -> SanModel {
+    let mut b = SanBuilder::new("token_walk");
+    let places = [
+        b.place_with_tokens("a", 1).unwrap(),
+        b.place("b").unwrap(),
+        b.place("c").unwrap(),
+        b.place("d").unwrap(),
+    ];
+    for (k, &(from, to)) in moves.iter().enumerate() {
+        b.timed_activity(&format!("move{k}"), Delay::exponential(1.0))
+            .unwrap()
+            .input_place(places[from])
+            .output_place(places[to])
+            .build()
+            .unwrap();
+    }
+    b.build().unwrap()
+}
+
+/// The ring `a → b → c → a` and its graph.
+fn ring() -> (SanModel, StateGraph) {
+    let ring = token_walk(&[(0, 1), (1, 2), (2, 0)]);
+    let graph = StateGraph::explore(&ring, 1 << 10, None).unwrap();
+    assert!(cross_validate(&ring, &graph, 1 << 10).unwrap().matches());
+    (ring, graph)
+}
+
+#[test]
+fn cross_validation_catches_a_differing_transition() {
+    // Same stable markings {a}, {b}, {c}; `c → b` in place of `c → a`.
+    let (_, graph) = ring();
+    let cross = cross_validate(&token_walk(&[(0, 1), (1, 2), (2, 1)]), &graph, 1 << 10).unwrap();
+    assert!(cross.state_sets_match, "{cross:?}");
+    assert!(!cross.transitions_match, "{cross:?}");
+    assert_eq!(cross.checker_transition_pairs, 3);
+    assert_eq!(cross.ctmc_transition_pairs, 3);
+}
+
+#[test]
+fn cross_validation_catches_a_missing_state() {
+    // Without its crash arc the sibling never reaches {v_KO}, a stable
+    // marking of the clean chain's graph.
+    let graph =
+        StateGraph::explore(&ahs_check::fixtures::escalation_chain(), 1 << 10, None).unwrap();
+    let cross = cross_validate(&ahs_check::fixtures::broken_livelock(), &graph, 1 << 10).unwrap();
+    assert!(!cross.state_sets_match, "{cross:?}");
+    assert!(!cross.transitions_match, "{cross:?}");
+    assert_eq!(cross.checker_stable_states, 3);
+    assert_eq!(cross.ctmc_states, 2);
+
+    // Equal counts, different sets: {d} in place of the ring's {c}.
+    let (_, graph) = ring();
+    let cross = cross_validate(&token_walk(&[(0, 1), (1, 3), (3, 0)]), &graph, 1 << 10).unwrap();
+    assert_eq!(cross.checker_stable_states, cross.ctmc_states);
+    assert!(!cross.state_sets_match, "{cross:?}");
+    assert!(!cross.transitions_match, "{cross:?}");
 }
 
 #[test]
@@ -114,4 +174,20 @@ fn paper_model_n2_state_count_is_pinned() {
     let graph = StateGraph::explore(&model, 300_000, None).unwrap();
     assert!(graph.complete());
     assert_eq!(graph.len(), MICRO_STATES_N2);
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "large graph; run under --release (CI model-check job)"
+)]
+fn paper_model_n2_cross_check_is_pinned() {
+    let model = paper_model(2, Strategy::Dd);
+    let graph = StateGraph::explore(&model, 300_000, None).unwrap();
+    let cross = cross_validate(&model, &graph, 1 << 19).unwrap();
+    assert!(cross.matches(), "{cross:?}");
+    assert_eq!(cross.checker_stable_states, 97_917);
+    assert_eq!(cross.ctmc_states, 97_917);
+    assert_eq!(cross.checker_transition_pairs, 639_120);
+    assert_eq!(cross.ctmc_transition_pairs, 639_120);
 }

@@ -9,10 +9,15 @@
 //! order, an extra random draw, a rate computed by another formula —
 //! fails here instead of silently moving the paper's numbers.
 //!
+//! The exact `S(t)` of the DD model at n = 1 and n = 2 (state-space
+//! exploration plus uniformization) is pinned the same way, so a solver
+//! kernel that adds the same terms in another order fails here too.
+//!
 //! If a change re-samples on purpose, re-record the constants below and
 //! say why in the change log.
 
-use ahs_core::{BiasMode, Params, Strategy, UnsafetyEvaluator};
+use ahs_core::{AhsModel, BiasMode, Params, Strategy, UnsafetyEvaluator};
+use ahs_ctmc::{transient_distribution, SanMarkovModel, StateSpace};
 use ahs_stats::TimeGrid;
 
 /// `(S(t).to_bits(), half_width.to_bits())` at t = 2, 4, 6, 8, 10 h.
@@ -81,4 +86,65 @@ fn dd_paper_point_estimates_are_pinned() {
 #[test]
 fn cc_paper_point_estimates_are_pinned() {
     assert_pinned(Strategy::Cc, &CC_BITS);
+}
+
+/// `S(t).to_bits()` of the exact DD unsafety at t = 2, 6, 10 h
+/// (uniformization, `tol = 1e-12`) at n = 1 and n = 2.
+const EXACT_N1_BITS: [u64; 3] = [
+    0x3df6_ff2f_60ab_a1ca,
+    0x3e11_63cc_6aeb_8b2b,
+    0x3e1d_07cc_fd88_f71d,
+];
+const EXACT_N2_BITS: [u64; 3] = [
+    0x3e22_f7fd_efc0_b6bc,
+    0x3e3c_a7d7_459d_28af,
+    0x3e47_e9d7_c2ac_6944,
+];
+
+fn exact_bits(n: usize) -> Vec<u64> {
+    let params = Params::builder()
+        .n(n)
+        .strategy(Strategy::Dd)
+        .build()
+        .unwrap();
+    let (san, handles) = AhsModel::build(&params).unwrap().into_san();
+    let adapter = SanMarkovModel::new(&san).unwrap();
+    let space = StateSpace::explore(&adapter, 1 << 19).unwrap();
+    [2.0, 6.0, 10.0]
+        .into_iter()
+        .map(|t| {
+            let pi = transient_distribution(&space, t, 1e-12);
+            space
+                .probability(&pi, |m| m.is_marked(handles.ko_total))
+                .to_bits()
+        })
+        .collect()
+}
+
+fn assert_exact_pinned(n: usize, pinned: &[u64; 3]) {
+    let got = exact_bits(n);
+    for (i, (g, p)) in got.iter().zip(pinned).enumerate() {
+        assert_eq!(
+            g,
+            p,
+            "n={n} point {i}: exact S(t) {} (bits {g:#x}) moved from the pinned {} \
+             — the uniformization kernel sums in another order",
+            f64::from_bits(*g),
+            f64::from_bits(*p),
+        );
+    }
+}
+
+#[test]
+fn exact_unsafety_n1_is_pinned() {
+    assert_exact_pinned(1, &EXACT_N1_BITS);
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "97 917-state chain; run under --release (CI model-check job)"
+)]
+fn exact_unsafety_n2_is_pinned() {
+    assert_exact_pinned(2, &EXACT_N2_BITS);
 }

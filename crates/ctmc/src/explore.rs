@@ -1,6 +1,6 @@
 //! Breadth-first state-space exploration.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::hash::Hash;
 
 use crate::error::CtmcError;
@@ -46,63 +46,7 @@ impl<S: Clone + Eq + Hash> StateSpace<S> {
     where
         M: MarkovModel<State = S>,
     {
-        let mut index: HashMap<S, usize> = HashMap::new();
-        let mut states: Vec<S> = Vec::new();
-        let mut initial_pairs: Vec<(usize, f64)> = Vec::new();
-
-        let intern = |s: S, states: &mut Vec<S>, index: &mut HashMap<S, usize>| -> usize {
-            if let Some(&i) = index.get(&s) {
-                return i;
-            }
-            let i = states.len();
-            index.insert(s.clone(), i);
-            states.push(s);
-            i
-        };
-
-        for (s, p) in model.initial_states() {
-            let i = intern(s, &mut states, &mut index);
-            initial_pairs.push((i, p));
-        }
-
-        let mut triplets: Vec<(usize, usize, f64)> = Vec::new();
-        let mut frontier = 0usize;
-        while frontier < states.len() {
-            if states.len() > max_states {
-                return Err(CtmcError::StateSpaceTooLarge { budget: max_states });
-            }
-            let state = states[frontier].clone();
-            for (succ, rate) in model.transitions(&state) {
-                if !rate.is_finite() || rate < 0.0 {
-                    return Err(CtmcError::InvalidRate { rate });
-                }
-                if rate == 0.0 {
-                    continue;
-                }
-                let j = intern(succ, &mut states, &mut index);
-                if j != frontier {
-                    triplets.push((frontier, j, rate));
-                }
-            }
-            frontier += 1;
-        }
-        if states.len() > max_states {
-            return Err(CtmcError::StateSpaceTooLarge { budget: max_states });
-        }
-
-        let n = states.len();
-        let rates = SparseMatrix::from_triplets(n, triplets);
-        let exit_rates = rates.row_sums();
-        let mut initial = vec![0.0; n];
-        for (i, p) in initial_pairs {
-            initial[i] += p;
-        }
-        Ok(StateSpace {
-            states,
-            initial,
-            rates,
-            exit_rates,
-        })
+        Self::breadth_first(model, max_states, true).map(|(space, _)| space)
     }
 
     /// Explores the reachable state space like
@@ -127,31 +71,46 @@ impl<S: Clone + Eq + Hash> StateSpace<S> {
     where
         M: MarkovModel<State = S>,
     {
+        Self::breadth_first(model, max_states, false)
+    }
+
+    /// The one exploration loop: a breadth-first walk that drops
+    /// successors beyond the budget and reports whether none was
+    /// dropped. With `fail_on_overflow` it stops after the state whose
+    /// successors first overflowed and returns
+    /// [`CtmcError::StateSpaceTooLarge`].
+    fn breadth_first<M>(
+        model: &M,
+        max_states: usize,
+        fail_on_overflow: bool,
+    ) -> Result<(Self, bool), CtmcError>
+    where
+        M: MarkovModel<State = S>,
+    {
         let mut index: HashMap<S, usize> = HashMap::new();
         let mut states: Vec<S> = Vec::new();
-        let mut initial_pairs: Vec<(usize, f64)> = Vec::new();
-        let mut complete = true;
+        // Index of `s`, interned while the budget has room.
+        let mut intern = |s: S, states: &mut Vec<S>| match index.entry(s) {
+            Entry::Occupied(e) => Some(*e.get()),
+            Entry::Vacant(_) if states.len() >= max_states => None,
+            Entry::Vacant(e) => {
+                states.push(e.key().clone());
+                Some(*e.insert(states.len() - 1))
+            }
+        };
 
+        let mut complete = true;
+        let mut initial_pairs: Vec<(usize, f64)> = Vec::new();
         for (s, p) in model.initial_states() {
-            let i = match index.get(&s) {
-                Some(&i) => i,
-                None if states.len() < max_states => {
-                    let i = states.len();
-                    index.insert(s.clone(), i);
-                    states.push(s);
-                    i
-                }
-                None => {
-                    complete = false;
-                    continue;
-                }
-            };
-            initial_pairs.push((i, p));
+            match intern(s, &mut states) {
+                Some(i) => initial_pairs.push((i, p)),
+                None => complete = false,
+            }
         }
 
         let mut triplets: Vec<(usize, usize, f64)> = Vec::new();
         let mut frontier = 0usize;
-        while frontier < states.len() {
+        while frontier < states.len() && (complete || !fail_on_overflow) {
             let state = states[frontier].clone();
             for (succ, rate) in model.transitions(&state) {
                 if !rate.is_finite() || rate < 0.0 {
@@ -160,24 +119,16 @@ impl<S: Clone + Eq + Hash> StateSpace<S> {
                 if rate == 0.0 {
                     continue;
                 }
-                let j = match index.get(&succ) {
-                    Some(&j) => j,
-                    None if states.len() < max_states => {
-                        let j = states.len();
-                        index.insert(succ.clone(), j);
-                        states.push(succ);
-                        j
-                    }
-                    None => {
-                        complete = false;
-                        continue;
-                    }
-                };
-                if j != frontier {
-                    triplets.push((frontier, j, rate));
+                match intern(succ, &mut states) {
+                    Some(j) if j != frontier => triplets.push((frontier, j, rate)),
+                    Some(_) => {}
+                    None => complete = false,
                 }
             }
             frontier += 1;
+        }
+        if !complete && fail_on_overflow {
+            return Err(CtmcError::StateSpaceTooLarge { budget: max_states });
         }
 
         let n = states.len();
@@ -187,15 +138,13 @@ impl<S: Clone + Eq + Hash> StateSpace<S> {
         for (i, p) in initial_pairs {
             initial[i] += p;
         }
-        Ok((
-            StateSpace {
-                states,
-                initial,
-                rates,
-                exit_rates,
-            },
-            complete,
-        ))
+        let space = StateSpace {
+            states,
+            initial,
+            rates,
+            exit_rates,
+        };
+        Ok((space, complete))
     }
 
     /// Number of states.

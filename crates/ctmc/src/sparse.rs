@@ -2,13 +2,15 @@
 
 /// A CSR sparse matrix of `f64` entries.
 ///
-/// Used to store uniformized transition-probability matrices; the only
-/// operations the solvers need are row iteration and `xᵀ·M` products.
+/// Stores generator rates and (transposed) uniformized
+/// transition-probability matrices; the only operations the solvers
+/// need are row iteration and `M·x` products. Column indices are `u32`,
+/// halving the index bytes the product streams.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SparseMatrix {
     n: usize,
     row_ptr: Vec<usize>,
-    cols: Vec<usize>,
+    cols: Vec<u32>,
     vals: Vec<f64>,
 }
 
@@ -18,11 +20,16 @@ impl SparseMatrix {
     ///
     /// # Panics
     ///
-    /// Panics if any coordinate is out of range.
+    /// Panics if any coordinate is out of range, or if `n` exceeds the
+    /// `u32` index range.
     pub fn from_triplets(
         n: usize,
         triplets: impl IntoIterator<Item = (usize, usize, f64)>,
     ) -> Self {
+        assert!(
+            u32::try_from(n).is_ok(),
+            "dimension {n} exceeds u32 indices"
+        );
         let mut per_row: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
         for (r, c, v) in triplets {
             assert!(r < n && c < n, "triplet ({r}, {c}) out of range for n={n}");
@@ -41,7 +48,7 @@ impl SparseMatrix {
                 if last == Some(c) {
                     *vals.last_mut().expect("entry exists") += v;
                 } else {
-                    cols.push(c);
+                    cols.push(c as u32);
                     vals.push(v);
                     last = Some(c);
                 }
@@ -76,27 +83,28 @@ impl SparseMatrix {
         let hi = self.row_ptr[row + 1];
         self.cols[lo..hi]
             .iter()
-            .copied()
+            .map(|&c| c as usize)
             .zip(self.vals[lo..hi].iter().copied())
     }
 
-    /// Computes `out = xᵀ · M` (row-vector times matrix), the kernel of
-    /// forward transient/steady-state iteration.
+    /// Computes `out = M · x`, one gather per row: `out[i]` sums
+    /// `M[i][j] · x[j]` over the row's entries in ascending `j`. The
+    /// solvers store the uniformized matrix transposed, so this is the
+    /// forward step `xᵀ·P` with every output summed in ascending source
+    /// order.
     ///
     /// # Panics
     ///
     /// Panics if dimensions disagree.
-    pub fn vec_mul(&self, x: &[f64], out: &mut [f64]) {
+    pub fn mul_vec(&self, x: &[f64], out: &mut [f64]) {
         assert_eq!(x.len(), self.n, "input length mismatch");
         assert_eq!(out.len(), self.n, "output length mismatch");
-        out.fill(0.0);
-        for (r, &xr) in x.iter().enumerate() {
-            if xr == 0.0 {
-                continue;
-            }
-            for (c, v) in self.row(r) {
-                out[c] += xr * v;
-            }
+        for (o, bounds) in out.iter_mut().zip(self.row_ptr.windows(2)) {
+            let (lo, hi) = (bounds[0], bounds[1]);
+            *o = self.cols[lo..hi]
+                .iter()
+                .zip(&self.vals[lo..hi])
+                .fold(0.0, |acc, (&j, &v)| acc + x[j as usize] * v);
         }
     }
 
@@ -127,14 +135,14 @@ mod tests {
     }
 
     #[test]
-    fn vec_mul_matches_dense() {
+    fn mul_vec_matches_dense() {
         // M = [[0, 1], [2, 3]] as triplets.
         let m = SparseMatrix::from_triplets(2, vec![(0, 1, 1.0), (1, 0, 2.0), (1, 1, 3.0)]);
         let x = [5.0, 7.0];
         let mut out = [0.0; 2];
-        m.vec_mul(&x, &mut out);
-        // xM = [5*0 + 7*2, 5*1 + 7*3] = [14, 26]
-        assert_eq!(out, [14.0, 26.0]);
+        m.mul_vec(&x, &mut out);
+        // Mx = [0*5 + 1*7, 2*5 + 3*7] = [7, 31]
+        assert_eq!(out, [7.0, 31.0]);
     }
 
     #[test]

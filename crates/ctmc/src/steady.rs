@@ -4,7 +4,7 @@ use std::hash::Hash;
 
 use crate::error::CtmcError;
 use crate::explore::StateSpace;
-use crate::transient::uniformized_matrix;
+use crate::transient::uniformized_transpose;
 
 /// Computes the steady-state distribution of an irreducible explored
 /// CTMC by power iteration on `P = I + Q/q` (which shares Q's stationary
@@ -26,13 +26,13 @@ pub fn steady_state<S: Clone + Eq + Hash>(
 ) -> Result<Vec<f64>, CtmcError> {
     let n = space.len();
     let q = space.max_exit_rate() * 1.02 + 1e-12;
-    let p = uniformized_matrix(space, q);
+    let pt = uniformized_transpose(space, q);
 
     let mut pi = vec![1.0 / n as f64; n];
     let mut next = vec![0.0; n];
     let mut residual = f64::INFINITY;
     for _ in 0..max_iter {
-        p.vec_mul(&pi, &mut next);
+        pt.mul_vec(&pi, &mut next);
         let norm: f64 = next.iter().sum();
         for v in &mut next {
             *v /= norm;

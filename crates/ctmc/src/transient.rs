@@ -88,7 +88,7 @@ pub fn transient_distribution<S: Clone + Eq + Hash>(
         return space.initial().to_vec();
     }
     let q = space.max_exit_rate() * 1.02 + 1e-12;
-    let p = uniformized_matrix(space, q);
+    let pt = uniformized_transpose(space, q);
 
     let (left, weights) = poisson_weights(q * t, tol);
     let mut vec = space.initial().to_vec();
@@ -97,7 +97,7 @@ pub fn transient_distribution<S: Clone + Eq + Hash>(
 
     // Advance to the left truncation point.
     for _ in 0..left {
-        p.vec_mul(&vec, &mut scratch);
+        pt.mul_vec(&vec, &mut scratch);
         std::mem::swap(&mut vec, &mut scratch);
     }
     for (i, w) in weights.iter().enumerate() {
@@ -105,27 +105,27 @@ pub fn transient_distribution<S: Clone + Eq + Hash>(
             *r += w * v;
         }
         if i + 1 < weights.len() {
-            p.vec_mul(&vec, &mut scratch);
+            pt.mul_vec(&vec, &mut scratch);
             std::mem::swap(&mut vec, &mut scratch);
         }
     }
     result
 }
 
-/// Builds `P = I + Q/q` for the explored space.
-pub(crate) fn uniformized_matrix<S: Clone + Eq + Hash>(
+/// Builds `Pᵀ` for `P = I + Q/q` over the explored space, so that
+/// [`SparseMatrix::mul_vec`] computes the forward step `xᵀ·P` as a
+/// gather. Row `c` of `Pᵀ` lists its sources `r` in ascending order,
+/// so each output adds its terms in the order a row-by-row `xᵀ·P`
+/// visits them: the same sum, bit for bit.
+pub(crate) fn uniformized_transpose<S: Clone + Eq + Hash>(
     space: &StateSpace<S>,
     q: f64,
 ) -> SparseMatrix {
     let n = space.len();
-    let mut triplets = Vec::with_capacity(space.rates().nnz() + n);
-    for r in 0..n {
+    let triplets = (0..n).flat_map(|r| {
         let diag = 1.0 - space.exit_rates()[r] / q;
-        triplets.push((r, r, diag));
-        for (c, v) in space.rates().row(r) {
-            triplets.push((r, c, v / q));
-        }
-    }
+        std::iter::once((r, r, diag)).chain(space.rates().row(r).map(move |(c, v)| (c, r, v / q)))
+    });
     SparseMatrix::from_triplets(n, triplets)
 }
 

@@ -502,20 +502,30 @@ impl SanModel {
     /// `marking`, with its total probability. Branches over both
     /// weighted instantaneous choices and case distributions.
     ///
+    /// The result is deterministic: markings appear in the order the
+    /// depth-first branching first reaches them, and a marking reached
+    /// along several paths sums their probabilities in that same order.
+    /// The explorers that number states from this list therefore number
+    /// them identically on every call.
+    ///
     /// # Errors
     ///
     /// Returns [`SanError::InstantaneousLivelock`] if the branching
     /// exceeds an internal budget, or
     /// [`SanError::InvalidCaseDistribution`] from case evaluation.
     pub fn stable_successors(&self, marking: &Marking) -> Result<Vec<(Marking, f64)>, SanError> {
-        let mut stable: HashMap<Marking, f64> = HashMap::new();
+        // Almost always one entry, so a linear scan beats hashing.
+        let mut stable: Vec<(Marking, f64)> = Vec::new();
         let mut frontier = vec![(marking.clone(), 1.0_f64)];
         let mut expansions = 0usize;
 
         while let Some((m, prob)) = frontier.pop() {
             let enabled = self.enabled_instantaneous(&m);
             if enabled.is_empty() {
-                *stable.entry(m).or_insert(0.0) += prob;
+                match stable.iter_mut().find(|(s, _)| *s == m) {
+                    Some((_, p)) => *p += prob,
+                    None => stable.push((m, prob)),
+                }
                 continue;
             }
             expansions += 1;
@@ -544,7 +554,7 @@ impl SanModel {
                 }
             }
         }
-        Ok(stable.into_iter().collect())
+        Ok(stable)
     }
 
     /// Renders the net structure as Graphviz DOT (places as circles,
@@ -800,6 +810,47 @@ mod tests {
             assert!((p - 0.5).abs() < 1e-12);
             assert!(m.is_marked(x) ^ m.is_marked(z));
             assert!(!m.is_marked(y));
+        }
+    }
+
+    #[test]
+    fn stable_successors_are_in_first_reached_order() {
+        // Five cases: four end in distinct places, the fifth cascades
+        // through `mid` into `a`, so `a` is reached twice.
+        let mut b = SanBuilder::new("fan-out");
+        let src = b.place_with_tokens("src", 1).unwrap();
+        let [a, c, d, e, mid] = ["a", "c", "d", "e", "mid"].map(|name| b.place(name).unwrap());
+        let mut fan = b.instant_activity("fan", 0, 1.0).unwrap().input_place(src);
+        for (p, place) in [(0.1, a), (0.2, c), (0.3, d), (0.2, e), (0.2, mid)] {
+            fan = fan.case(p).output_place(place);
+        }
+        fan.build().unwrap();
+        b.instant_activity("settle", 0, 1.0)
+            .unwrap()
+            .input_place(mid)
+            .output_place(a)
+            .build()
+            .unwrap();
+        let model = b.build().unwrap();
+        let run = || -> Vec<(Marking, u64)> {
+            model
+                .stable_successors(model.initial_marking())
+                .unwrap()
+                .into_iter()
+                .map(|(m, p)| (m, p.to_bits()))
+                .collect()
+        };
+        let first = run();
+        // The branching is depth-first from the last case: `mid` → `a`,
+        // then `e`, `d`, `c`, and `a` again (merged into the first).
+        let order: Vec<PlaceId> = first
+            .iter()
+            .map(|(m, _)| *[a, c, d, e].iter().find(|&&p| m.is_marked(p)).unwrap())
+            .collect();
+        assert_eq!(order, [a, e, d, c]);
+        assert!((f64::from_bits(first[0].1) - 0.3).abs() < 1e-12);
+        for _ in 0..32 {
+            assert_eq!(run(), first);
         }
     }
 
