@@ -4,15 +4,23 @@
 //! Lifecycle: [`Server::start`] binds the listener, rescans the state
 //! directory (re-enqueueing every unfinished job, so a restart resumes
 //! exactly where the previous process stopped), and spawns the worker
-//! pool plus a non-blocking accept loop. Raising the shutdown flag —
-//! the same `Arc<AtomicBool>` handed to every study as its interrupt
-//! flag — drains the system: the accept loop closes, running jobs stop
-//! at their next chunk boundary and flush a final checkpoint, queued
-//! jobs stay queued, and [`Server::join`] reports how many accepted
-//! jobs remain unfinished (the caller exits 75 when any do).
+//! pool, a blocking accept loop and a drain watcher. Nothing on the job
+//! path polls: the accept thread sleeps in `accept(2)` and the workers
+//! in a condition-variable wait, each woken by the event it waits for.
+//!
+//! Raising the shutdown flag — the same `Arc<AtomicBool>` handed to
+//! every study as its interrupt flag — drains the system. The flag is
+//! a bare atomic (a signal handler can do no more than store it), so
+//! the drain watcher is the one thread that checks it on a timer; on
+//! seeing it raised it wakes the accept thread with a loopback
+//! connection and the idle workers with a broadcast. The accept loop
+//! then closes, running jobs stop at their next chunk boundary and
+//! flush a final checkpoint, queued jobs stay queued, and
+//! [`Server::join`] reports how many accepted jobs remain unfinished
+//! (the caller exits 75 when any do).
 
 use std::collections::VecDeque;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -26,8 +34,13 @@ use crate::http::{read_request, write_response, Request, RequestError};
 use crate::job::{AdmissionPolicy, Job, JobSpec, Phase, SubmitError};
 use crate::supervisor::{run_supervised, Isolation, SupervisorConfig};
 
-/// How often parked threads poll the shutdown flag.
-const POLL: Duration = Duration::from_millis(25);
+/// How often the drain watcher checks the shutdown flag — the only
+/// timed wait in the server, and off the job path.
+const DRAIN_WATCH: Duration = Duration::from_millis(25);
+
+/// Back-off after a failed `accept(2)` (EMFILE and the like), so a
+/// persistent error does not spin the accept thread.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(25);
 
 /// Everything [`Server::start`] needs.
 #[derive(Debug, Clone)]
@@ -92,7 +105,9 @@ pub(crate) struct Counters {
 struct Inner {
     config: ServeConfig,
     jobs: Mutex<Vec<Arc<Job>>>,
-    queue: Mutex<VecDeque<Arc<Job>>>,
+    queue: Mutex<Queue>,
+    /// Notified on every enqueue, and broadcast (under the queue lock)
+    /// by the drain watcher once the shutdown flag is raised.
     queue_signal: Condvar,
     next_seq: AtomicU64,
     stop: Arc<AtomicBool>,
@@ -101,6 +116,15 @@ struct Inner {
     /// Live connection-handler threads, bounded by
     /// `config.max_connections`.
     connections: AtomicUsize,
+}
+
+/// The job queue plus the slots that admitted-but-not-yet-enqueued
+/// submissions hold, so the capacity check and the enqueue are one
+/// atomic admission.
+#[derive(Default)]
+struct Queue {
+    waiting: VecDeque<Arc<Job>>,
+    reserved: usize,
 }
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -133,6 +157,7 @@ pub struct Server {
     inner: Arc<Inner>,
     addr: SocketAddr,
     accept_handle: JoinHandle<()>,
+    drain_handle: JoinHandle<()>,
     worker_handles: Vec<JoinHandle<()>>,
 }
 
@@ -149,13 +174,12 @@ impl Server {
         let jobs_dir = config.state_dir.join("jobs");
         std::fs::create_dir_all(&jobs_dir)?;
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
 
         let inner = Arc::new(Inner {
             config,
             jobs: Mutex::new(Vec::new()),
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(Queue::default()),
             queue_signal: Condvar::new(),
             next_seq: AtomicU64::new(1),
             stop,
@@ -182,11 +206,19 @@ impl Server {
                 .spawn(move || accept_loop(&inner, &listener))
                 .expect("spawning accept thread")
         };
+        let drain_handle = {
+            let inner = inner.clone();
+            std::thread::Builder::new()
+                .name("serve-drain".to_owned())
+                .spawn(move || drain_watch(&inner, addr))
+                .expect("spawning drain thread")
+        };
 
         Ok(Server {
             inner,
             addr,
             accept_handle,
+            drain_handle,
             worker_handles,
         })
     }
@@ -205,6 +237,7 @@ impl Server {
     /// reports what was left. In-flight jobs stop at chunk boundaries
     /// with a flushed checkpoint; nothing is lost.
     pub fn join(self) -> DrainReport {
+        self.drain_handle.join().ok();
         self.accept_handle.join().ok();
         for handle in self.worker_handles {
             handle.join().ok();
@@ -308,7 +341,7 @@ fn rescan(inner: &Arc<Inner>, jobs_dir: &std::path::Path) -> std::io::Result<()>
             job.phase(),
             Phase::Queued | Phase::Running | Phase::Interrupted { .. }
         ) {
-            queue.push_back(job.clone());
+            queue.waiting.push_back(job.clone());
         }
         jobs.push(job);
     }
@@ -374,14 +407,16 @@ fn worker_loop(inner: &Arc<Inner>) {
                     // resume on the next server start.
                     return;
                 }
-                if let Some(job) = queue.pop_front() {
+                if let Some(job) = queue.waiting.pop_front() {
                     break job;
                 }
-                let (guard, _) = inner
+                // The flag was checked under this lock and the drain
+                // watcher broadcasts under it, so a drain cannot slip
+                // in between the check and the wait.
+                queue = inner
                     .queue_signal
-                    .wait_timeout(queue, POLL)
+                    .wait(queue)
                     .unwrap_or_else(PoisonError::into_inner);
-                queue = guard;
             }
         };
         let restarts = run_supervised(&job, &inner.cache, &config, &inner.stop);
@@ -392,9 +427,16 @@ fn worker_loop(inner: &Arc<Inner>) {
     }
 }
 
+/// Blocks in `accept(2)`; every return re-checks the shutdown flag,
+/// which the drain watcher's wake-up connection guarantees happens
+/// once a drain starts.
 fn accept_loop(inner: &Arc<Inner>, listener: &TcpListener) {
-    while !inner.stop.load(Ordering::Relaxed) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if inner.stop.load(Ordering::Relaxed) {
+            return;
+        }
+        match accepted {
             Ok((stream, _)) => match ConnectionPermit::acquire(inner) {
                 Some(permit) => {
                     let inner = inner.clone();
@@ -408,8 +450,78 @@ fn accept_loop(inner: &Arc<Inner>, listener: &TcpListener) {
                 }
                 None => shed_connection(inner, stream),
             },
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => std::thread::sleep(POLL),
-            Err(_) => std::thread::sleep(POLL),
+            Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
+        }
+    }
+}
+
+/// Waits for the shutdown flag, then wakes every thread parked on the
+/// job path: a connection to the listener returns the accept thread
+/// from `accept(2)`, and a broadcast under the queue lock releases the
+/// idle workers. The flag is checked on a timer because SIGINT/SIGTERM
+/// can only store it: `signal(2)` installs the handler with restart
+/// semantics, and std retries `EINTR`, so a signal never interrupts
+/// `accept` itself.
+fn drain_watch(inner: &Inner, addr: SocketAddr) {
+    while !inner.stop.load(Ordering::Relaxed) {
+        std::thread::sleep(DRAIN_WATCH);
+    }
+    let wake = wake_addr(addr);
+    if let Err(e) = TcpStream::connect_timeout(&wake, Duration::from_secs(1)) {
+        eprintln!("warning: could not wake the accept loop at {wake}: {e}");
+    }
+    let _queue = lock(&inner.queue);
+    inner.queue_signal.notify_all();
+}
+
+/// Where to connect to reach a listener bound to `addr`: the address
+/// itself, or the same family's loopback for an unspecified bind.
+fn wake_addr(addr: SocketAddr) -> SocketAddr {
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, addr.port())
+}
+
+/// A queue slot held from the capacity check to the enqueue; dropped
+/// unfilled (a failed admission step), it is given back.
+struct QueueSlot<'a> {
+    inner: &'a Inner,
+    filled: bool,
+}
+
+impl QueueSlot<'_> {
+    /// Reserves a slot if the queue, counting slots already reserved,
+    /// is below capacity.
+    fn reserve(inner: &Inner) -> Option<QueueSlot<'_>> {
+        let mut queue = lock(&inner.queue);
+        if queue.waiting.len() + queue.reserved >= inner.config.queue_capacity {
+            return None;
+        }
+        queue.reserved += 1;
+        Some(QueueSlot {
+            inner,
+            filled: false,
+        })
+    }
+
+    /// Enqueues `job` in the reserved slot and wakes one worker.
+    fn fill(mut self, job: Arc<Job>) {
+        let mut queue = lock(&self.inner.queue);
+        queue.reserved -= 1;
+        queue.waiting.push_back(job);
+        self.filled = true;
+        drop(queue);
+        self.inner.queue_signal.notify_one();
+    }
+}
+
+impl Drop for QueueSlot<'_> {
+    fn drop(&mut self) {
+        if !self.filled {
+            lock(&self.inner.queue).reserved -= 1;
         }
     }
 }
@@ -732,8 +844,10 @@ fn submit(inner: &Arc<Inner>, body: &[u8]) -> Routed {
         return (503, Vec::new(), error_body("server is draining"));
     }
     // Load shedding: an explicit, typed rejection the client can back
-    // off on — never silent queue growth.
-    if lock(&inner.queue).len() >= inner.config.queue_capacity {
+    // off on — never silent queue growth. The slot is reserved with the
+    // check, so concurrent submissions cannot overfill the queue; every
+    // failure below gives it back.
+    let Some(slot) = QueueSlot::reserve(inner) else {
         inner
             .counters
             .rejected_overloaded
@@ -743,7 +857,7 @@ fn submit(inner: &Arc<Inner>, body: &[u8]) -> Routed {
             vec![("retry-after", "1".to_owned())],
             error_body("job queue is full; retry later"),
         );
-    }
+    };
     // The enqueue failpoint models the admission step itself failing
     // (queue datastructure, bookkeeping IO): a typed 503, never a
     // half-admitted job.
@@ -798,8 +912,7 @@ fn submit(inner: &Arc<Inner>, body: &[u8]) -> Routed {
     }
     job.persist_status();
     lock(&inner.jobs).push(job.clone());
-    lock(&inner.queue).push_back(job.clone());
-    inner.queue_signal.notify_one();
+    slot.fill(job.clone());
     inner.counters.accepted.fetch_add(1, Ordering::Relaxed);
     (202, Vec::new(), render_line(&job.status_json()))
 }

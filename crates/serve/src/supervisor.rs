@@ -7,9 +7,10 @@
 //!
 //! * **Process**: the attempt re-execs the current binary as a hidden
 //!   `ahs serve-worker`, which applies `setrlimit` budgets to itself
-//!   before running the protocol. The supervisor watches its exit
-//!   status and heartbeat, so *any* death — SIGKILL, SIGSEGV,
-//!   rlimit-induced aborts, a wedge — costs one restart.
+//!   before running the protocol. The supervisor sees the worker's
+//!   death as EOF on its stdout pipe and watches its heartbeat, so
+//!   *any* death — SIGKILL, SIGSEGV, rlimit-induced aborts, a wedge —
+//!   costs one restart, and is reaped as soon as it happens.
 //! * **Thread** (in-process, for platforms without rlimits): the
 //!   supervisor thread runs the same protocol under `catch_unwind`,
 //!   a panic standing in for exit 101. An abort, OOM or stack
@@ -26,6 +27,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -36,10 +38,6 @@ use ahs_obs::{heartbeat_read, send_sigterm};
 use crate::cache::ModelCache;
 use crate::job::{Job, Phase};
 use crate::worker::{run_worker, WorkerOptions, WorkerOutcome};
-
-/// How often the process supervisor polls a child for exit, heartbeat
-/// advance, and the drain flag.
-const REAP_POLL: Duration = Duration::from_millis(25);
 
 /// Default heartbeat cadence of an attempt.
 const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(200);
@@ -422,7 +420,6 @@ fn run_process(
         .arg("--heartbeat-ms")
         .arg(options.heartbeat_interval.as_millis().to_string())
         .stdin(Stdio::null())
-        .stdout(Stdio::null())
         .stderr(Stdio::inherit());
     if let Some(fingerprint) = options.expect_fingerprint {
         command
@@ -443,38 +440,70 @@ fn run_process(
             command.arg("--watchdog-seconds").arg(seconds.to_string());
         }
     }
-    let mut child = command
-        .spawn()
-        .map_err(|e| format!("spawning worker process: {e}"))?;
+    let (mut child, exit_seen) =
+        spawn_watched(&mut command).map_err(|e| format!("spawning worker process: {e}"))?;
     job.set_worker_pid(Some(child.id()));
     let ended = supervise_child(
         &mut child,
+        &exit_seen,
         &options.job_dir.join("heartbeat"),
         isolation,
         stop,
     );
     job.set_worker_pid(None);
-    Ok(ended)
+    ended
+}
+
+/// Spawns `command` with its stdout on a pipe and returns the child
+/// with a receiver that fires when that pipe reaches EOF — the moment
+/// the child dies, whatever killed it. The worker never writes to
+/// stdout and starts no processes that could inherit the pipe; a short
+/// helper thread drains it regardless, so a stray write cannot block.
+fn spawn_watched(command: &mut Command) -> std::io::Result<(Child, Receiver<()>)> {
+    let mut child = command.stdout(Stdio::piped()).spawn()?;
+    let mut pipe = child.stdout.take().expect("stdout was just piped");
+    let (exited, exit_seen) = mpsc::channel();
+    let reader = std::thread::Builder::new()
+        .name("serve-reap".to_owned())
+        .spawn(move || {
+            std::io::copy(&mut pipe, &mut std::io::sink()).ok();
+            exited.send(()).ok();
+        });
+    if let Err(e) = reader {
+        child.kill().ok();
+        child.wait().ok();
+        return Err(e);
+    }
+    Ok((child, exit_seen))
 }
 
 /// Waits the child out: forwards the drain flag as SIGTERM (SIGKILL
 /// after the grace period), watches the heartbeat for advance, and
 /// kills a wedged worker. Returns how the child ended and whether a
-/// drain was requested of it.
+/// drain was requested of it; `Err` when it could not be reaped.
+///
+/// The exit is seen at once on `exit_seen` (see [`spawn_watched`]);
+/// the checks run every heartbeat interval while the child lives.
+/// (Blocking in `Child::wait` on another thread instead would need the
+/// `Child` there, and a kill by PID would race the reap and could hit
+/// a reused PID.)
 fn supervise_child(
     child: &mut Child,
+    exit_seen: &Receiver<()>,
     heartbeat: &Path,
     isolation: &ProcessIsolation,
     stop: &Arc<AtomicBool>,
-) -> (WorkerExit, bool) {
+) -> Result<(WorkerExit, bool), String> {
+    let tick = isolation.heartbeat_interval.max(Duration::from_millis(1));
     let mut termed = false;
     let mut kill_deadline: Option<Instant> = None;
     let mut stale = false;
     let mut last_beat: Option<u64> = None;
     let mut last_advance = Instant::now();
-    let status = loop {
-        if let Ok(Some(status)) = child.try_wait() {
-            break status;
+    loop {
+        match exit_seen.recv_timeout(tick) {
+            Ok(()) | Err(RecvTimeoutError::Disconnected) => break,
+            Err(RecvTimeoutError::Timeout) => {}
         }
         if !termed && stop.load(Ordering::Relaxed) {
             termed = true;
@@ -484,13 +513,16 @@ fn supervise_child(
             // the hard kill.
             if send_sigterm(child.id()).is_err() {
                 child.kill().ok();
+                break;
             }
         }
+        // SIGKILL cannot be caught, so once it is sent the reap below
+        // returns promptly; the pipe's EOF is not waited for.
         if kill_deadline.is_some_and(|deadline| Instant::now() > deadline) {
             child.kill().ok();
-            kill_deadline = None;
+            break;
         }
-        if !termed && !stale {
+        if !termed {
             let beat = heartbeat_read(heartbeat);
             if beat.is_some() && beat != last_beat {
                 last_beat = beat;
@@ -498,16 +530,20 @@ fn supervise_child(
             } else if last_advance.elapsed() > isolation.heartbeat_stale_after {
                 stale = true;
                 child.kill().ok();
+                break;
             }
         }
-        std::thread::sleep(REAP_POLL);
-    };
+    }
+    let status = child.wait().map_err(|e| {
+        child.kill().ok();
+        format!("reaping worker process {}: {e}", child.id())
+    })?;
     let exit = if stale {
         WorkerExit::HeartbeatStale
     } else {
         exit_of_status(&status)
     };
-    (exit, termed)
+    Ok((exit, termed))
 }
 
 fn exit_of_status(status: &ExitStatus) -> WorkerExit {
@@ -557,5 +593,100 @@ mod tests {
         assert!(describe_exit(WorkerExit::Code(101)).contains("code 101"));
         assert!(describe_exit(WorkerExit::Signal(9)).contains("signal 9"));
         assert!(describe_exit(WorkerExit::HeartbeatStale).contains("heartbeat"));
+    }
+
+    /// Supervises `sh -c script`, spawned the way `run_process` spawns
+    /// a worker, against a heartbeat file that is never
+    /// written, and times the whole supervision.
+    #[cfg(unix)]
+    fn supervise_sh(
+        script: &str,
+        isolation: &ProcessIsolation,
+        stop: &Arc<AtomicBool>,
+    ) -> ((WorkerExit, bool), Duration) {
+        let (mut child, exit_seen) = spawn_watched(
+            Command::new("/bin/sh")
+                .arg("-c")
+                .arg(script)
+                .stdin(Stdio::null()),
+        )
+        .expect("spawning /bin/sh");
+        let heartbeat = std::env::temp_dir().join(format!(
+            "ahs-supervise-no-heartbeat-{}-{}",
+            std::process::id(),
+            child.id()
+        ));
+        let started = Instant::now();
+        let ended =
+            supervise_child(&mut child, &exit_seen, &heartbeat, isolation, stop).expect("reaped");
+        (ended, started.elapsed())
+    }
+
+    #[cfg(unix)]
+    fn sh_isolation() -> ProcessIsolation {
+        let mut isolation = ProcessIsolation::new("/bin/sh");
+        isolation.heartbeat_interval = Duration::from_millis(50);
+        isolation
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn supervised_child_exit_code_is_reported() {
+        let stop = Arc::new(AtomicBool::new(false));
+        let ((exit, termed), _) = supervise_sh("exit 3", &sh_isolation(), &stop);
+        assert_eq!(exit, WorkerExit::Code(3));
+        assert!(!termed);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn supervised_child_killed_by_a_signal_is_reported() {
+        let stop = Arc::new(AtomicBool::new(false));
+        let ((exit, termed), _) = supervise_sh("kill -9 $$", &sh_isolation(), &stop);
+        assert_eq!(exit, WorkerExit::Signal(9));
+        assert!(!termed);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn silent_child_is_killed_as_heartbeat_stale() {
+        let stop = Arc::new(AtomicBool::new(false));
+        let mut isolation = sh_isolation();
+        isolation.heartbeat_stale_after = Duration::from_millis(200);
+        // `exec` so the pipe's only writer is the process we kill.
+        let ((exit, termed), took) = supervise_sh("exec sleep 30", &isolation, &stop);
+        assert_eq!(exit, WorkerExit::HeartbeatStale);
+        assert!(!termed);
+        assert!(took < Duration::from_secs(10), "stale kill took {took:?}");
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn drain_mid_run_sends_sigterm() {
+        let stop = Arc::new(AtomicBool::new(false));
+        let raise = {
+            let stop = stop.clone();
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(100));
+                stop.store(true, Ordering::Relaxed);
+            })
+        };
+        let ((exit, termed), took) = supervise_sh("exec sleep 30", &sh_isolation(), &stop);
+        raise.join().unwrap();
+        assert_eq!(exit, WorkerExit::Signal(15), "the drain must be a SIGTERM");
+        assert!(termed);
+        assert!(took < Duration::from_secs(10), "drain took {took:?}");
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn exit_is_reaped_without_waiting_a_heartbeat_tick() {
+        // A 5 s tick: only the pipe's EOF can reap this child in time.
+        let stop = Arc::new(AtomicBool::new(false));
+        let mut isolation = sh_isolation();
+        isolation.heartbeat_interval = Duration::from_secs(5);
+        let ((exit, _), took) = supervise_sh("exit 0", &isolation, &stop);
+        assert_eq!(exit, WorkerExit::Code(0));
+        assert!(took < Duration::from_secs(1), "exit reaped after {took:?}");
     }
 }

@@ -306,3 +306,43 @@ fn status_documents_carry_every_schema_key_in_every_phase() {
     assert_eq!(report.finished, 1);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// An idle server bound to `bind` drains promptly once the flag is
+/// raised — its accept thread, parked in a blocking `accept`, is woken
+/// by the drain — and releases its port.
+fn idle_drain_wakes_accept(bind: &str, tag: &str) {
+    let (server, dir) = start_with(|c| c.addr = bind.to_owned(), tag);
+    let port = server.local_addr().port();
+    // Let the accept thread and the workers park.
+    std::thread::sleep(Duration::from_millis(100));
+
+    server.stop_flag().store(true, Ordering::Relaxed);
+    let (done, joined) = std::sync::mpsc::channel();
+    std::thread::spawn(move || done.send(server.join()).ok());
+    let report = joined
+        .recv_timeout(Duration::from_secs(2))
+        .expect("an idle drain must finish within 2 s");
+    assert_eq!(
+        report,
+        ahs_serve::DrainReport {
+            finished: 0,
+            failed: 0,
+            unfinished: 0,
+        }
+    );
+
+    let old = SocketAddr::from(([127, 0, 0, 1], port));
+    let refused = TcpStream::connect(old).expect_err("the listener must be closed");
+    assert_eq!(refused.kind(), std::io::ErrorKind::ConnectionRefused);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn idle_drain_wakes_a_loopback_listener() {
+    idle_drain_wakes_accept("127.0.0.1:0", "api-drain-loopback");
+}
+
+#[test]
+fn idle_drain_wakes_an_unspecified_listener() {
+    idle_drain_wakes_accept("0.0.0.0:0", "api-drain-unspecified");
+}

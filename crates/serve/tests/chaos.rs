@@ -119,6 +119,49 @@ fn serve_chaos_sweep_covers_every_serve_failpoint() {
     assert_eq!(status_bits(&doc), curve_bits(&solo(51, 600, 2)));
     cover(&mut covered, &["serve::job::enqueue"]);
 
+    // --- Admission is atomic: with the one worker of a second server
+    // busy on a long job and room for one queued job, two submissions
+    // racing through a slowed admission step cannot both get in — one
+    // is accepted, the other shed with a 429.
+    let race_dir = state_dir("chaos-admission");
+    let mut race_config = ServeConfig::new(&race_dir);
+    race_config.addr = "127.0.0.1:0".to_owned();
+    race_config.workers = 1;
+    race_config.queue_capacity = 1;
+    let race_server =
+        Server::start(race_config, Arc::new(AtomicBool::new(false))).expect("server starts");
+    let race_addr = race_server.local_addr();
+    let long = submit_ok(race_addr, &job_body(53, 500_000, 1));
+    wait_for_state(race_addr, &long, "running", WAIT);
+    arm("serve::job::enqueue=2*delay(200)");
+    let racers: Vec<_> = [54, 55]
+        .map(|seed| {
+            std::thread::spawn(move || {
+                request(race_addr, "POST", "/v1/jobs", &job_body(seed, 100, 1))
+                    .expect("submit answered")
+                    .0
+            })
+        })
+        .into_iter()
+        .collect();
+    let mut statuses: Vec<u16> = racers.into_iter().map(|r| r.join().unwrap()).collect();
+    statuses.sort_unstable();
+    assert_eq!(
+        statuses,
+        [202, 429],
+        "exactly one racing submission may take the last queue slot"
+    );
+    let health = get_json(race_addr, "/v1/healthz");
+    assert_eq!(health.get("accepted").and_then(Json::as_u64), Some(2));
+    assert_eq!(
+        health.get("rejected_overloaded").and_then(Json::as_u64),
+        Some(1)
+    );
+    race_server.stop_flag().store(true, Ordering::Relaxed);
+    assert_eq!(race_server.join().unfinished, 2);
+    std::fs::remove_dir_all(&race_dir).ok();
+    ahs_inject::clear();
+
     // --- serve::worker::spawn: the first attempt dies in a crash the
     // supervisor classifies as restartable; the restart is counted in
     // the status document and the finished job is bitwise-identical to
