@@ -85,15 +85,13 @@ fn bench_uniformization(c: &mut Criterion) {
         fn initial_states(&self) -> Vec<(u32, f64)> {
             vec![(0, 1.0)]
         }
-        fn transitions(&self, s: &u32) -> Vec<(u32, f64)> {
-            let mut out = Vec::new();
+        fn transitions(&self, s: &u32, emit: &mut dyn FnMut(&u32, f64)) {
             if *s < 100 {
-                out.push((s + 1, 2.0));
+                emit(&(s + 1), 2.0);
             }
             if *s > 0 {
-                out.push((s - 1, 3.0));
+                emit(&(s - 1), 3.0);
             }
-            out
         }
     }
     let space = StateSpace::explore(&BirthDeath, 200).unwrap();

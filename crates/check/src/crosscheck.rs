@@ -19,10 +19,8 @@
 //! models have strictly positive rates everywhere — the `delay-sanity`
 //! lint pass guards this — so the comparison is exact.
 
-use std::collections::HashMap;
-
 use ahs_ctmc::{SanMarkovModel, StateSpace};
-use ahs_san::{Marking, SanModel};
+use ahs_san::SanModel;
 
 use crate::graph::StateGraph;
 use crate::CheckError;
@@ -75,22 +73,16 @@ pub fn cross_validate(
     let adapter = SanMarkovModel::new(model).map_err(CheckError::Ctmc)?;
     let space = StateSpace::explore(&adapter, max_states).map_err(CheckError::Ctmc)?;
 
-    // Each marking is hashed once: the CTMC states into an index, the
-    // checker's stable states as lookups into it. Since both sides hold
+    // Each checker stable state is one lookup into the CTMC space's own
+    // interner; no second index is built. Since both sides hold
     // distinct markings, the sets are equal iff every stable checker
     // state maps and the counts agree.
-    let ctmc_index: HashMap<&Marking, u32> = space
-        .states()
-        .iter()
-        .enumerate()
-        .map(|(c, m)| (m, c as u32))
-        .collect();
     let mut to_ctmc: Vec<Option<u32>> = vec![None; graph.len()];
     let mut checker_stable_states = 0;
     let mut unmapped = 0;
     for i in (0..graph.len()).filter(|&i| graph.is_stable(i)) {
         checker_stable_states += 1;
-        to_ctmc[i] = ctmc_index.get(graph.marking(i)).copied();
+        to_ctmc[i] = space.index_of(graph.marking(i)).map(|c| c as u32);
         unmapped += usize::from(to_ctmc[i].is_none());
     }
     let state_sets_match = unmapped == 0 && checker_stable_states == space.len();

@@ -15,15 +15,15 @@
 //! fresh rescan.
 //!
 //! The result is a [`StateGraph`]: dense markings interned in BFS
-//! order through a hashed visited set (the canonical `Marking`
-//! `Eq`/`Hash`), a CSR edge list labelled with `(activity, case)`, a
+//! order by an [`Interner`] (the canonical `Marking` `Eq`/`Hash`; each
+//! marking stored once), a CSR edge list labelled with `(activity, case)`, a
 //! per-state stability flag, and BFS parent pointers from which a
 //! *shortest* firing trace to any state can be reconstructed — the
 //! minimal counterexamples the property layer emits.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 
+use ahs_ctmc::Interner;
 use ahs_san::{ActivityId, Marking, SanModel, Timing};
 
 use crate::CheckError;
@@ -64,7 +64,7 @@ pub struct TraceStep {
 /// The explored marking graph of a SAN.
 #[derive(Debug, Clone)]
 pub struct StateGraph {
-    states: Vec<Marking>,
+    states: Interner<Marking>,
     stable: Vec<bool>,
     /// CSR row starts: edges of state `i` are
     /// `edges[edge_start[i]..edge_start[i + 1]]`.
@@ -92,21 +92,22 @@ impl StateGraph {
         interrupt: Option<&AtomicBool>,
     ) -> Result<StateGraph, CheckError> {
         let max_states = max_states.clamp(1, u32::MAX as usize - 1);
-        let mut index: HashMap<Marking, u32> = HashMap::new();
-        let mut states: Vec<Marking> = Vec::new();
+        let mut states: Interner<Marking> = Interner::new();
         let mut stable: Vec<bool> = Vec::new();
         let mut edge_start: Vec<u32> = Vec::new();
         let mut edges: Vec<Edge> = Vec::new();
         let mut parent: Vec<Option<Parent>> = Vec::new();
         let mut complete = true;
 
-        let init = model.initial_marking().clone();
-        index.insert(init.clone(), 0);
-        states.push(init);
+        states.intern(model.initial_marking(), max_states);
         parent.push(None);
 
         let mut cache = model.new_cache();
         let mut enabled: Vec<ActivityId> = Vec::new();
+        // The marking being expanded and the one each firing lands in:
+        // two scratch buffers, reset field-wise instead of reallocated.
+        let mut m = model.initial_marking().clone();
+        let mut next = m.clone();
         let mut frontier = 0usize;
         while frontier < states.len() {
             if frontier.is_multiple_of(INTERRUPT_POLL) {
@@ -118,7 +119,7 @@ impl StateGraph {
                     }
                 }
             }
-            let m = states[frontier].clone();
+            m.clone_from(&states.states()[frontier]);
             model.prime_cache(&mut cache, &m);
 
             // Top-priority enabled instantaneous activities; empty iff
@@ -171,28 +172,22 @@ impl StateGraph {
                     if branch.probability(&m) == 0.0 {
                         continue;
                     }
-                    let mut next = m.clone();
+                    next.clone_from(&m);
                     model.fire(a, case, &mut next);
-                    let j = match index.get(&next) {
-                        Some(&j) => j,
-                        None if states.len() < max_states => {
-                            let j = states.len() as u32;
-                            index.insert(next.clone(), j);
-                            states.push(next);
-                            parent.push(Some(Parent {
-                                state: frontier as u32,
-                                activity: a,
-                                case: case as u16,
-                            }));
-                            j
-                        }
-                        None => {
-                            complete = false;
-                            continue;
-                        }
+                    let before = states.len();
+                    let Some(j) = states.intern(&next, max_states) else {
+                        complete = false;
+                        continue;
                     };
+                    if j == before {
+                        parent.push(Some(Parent {
+                            state: frontier as u32,
+                            activity: a,
+                            case: case as u16,
+                        }));
+                    }
                     edges.push(Edge {
-                        target: j,
+                        target: j as u32,
                         activity: a,
                         case: case as u16,
                     });
@@ -234,12 +229,12 @@ impl StateGraph {
 
     /// The marking of state `i`.
     pub fn marking(&self, i: usize) -> &Marking {
-        &self.states[i]
+        &self.states.states()[i]
     }
 
     /// All explored markings, in BFS order (initial marking first).
     pub fn markings(&self) -> &[Marking] {
-        &self.states
+        self.states.states()
     }
 
     /// Whether state `i` is stable (no instantaneous activity enabled).
@@ -290,6 +285,8 @@ impl StateGraph {
     /// exploration orders, so two explorations of the same model agree
     /// bit for bit.
     pub fn state_set_digest(&self) -> u64 {
-        self.states.iter().fold(0, |acc, m| acc ^ m.fingerprint())
+        self.markings()
+            .iter()
+            .fold(0, |acc, m| acc ^ m.fingerprint())
     }
 }

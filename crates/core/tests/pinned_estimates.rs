@@ -148,3 +148,71 @@ fn exact_unsafety_n1_is_pinned() {
 fn exact_unsafety_n2_is_pinned() {
     assert_exact_pinned(2, &EXACT_N2_BITS);
 }
+
+/// Order-sensitive digests of the explored DD chain at n = 1 and n = 2:
+/// `(space, π)`. `space` folds every state's `Marking::fingerprint` in
+/// index order, then `(row, col, rate.to_bits())` of every generator
+/// entry; `π` folds the `to_bits` of every entry of π(2 h), π(6 h) and
+/// π(10 h). The KO sums above cannot see a renumbered state or a
+/// reordered sum in a row whose state is not KO; these can.
+const ORDER_N1: (u64, u64) = (0xfa46_d17c_173a_bfbc, 0xcec0_ef57_9289_7502);
+const ORDER_N2: (u64, u64) = (0x4f0c_36a7_33bc_82c9, 0x0d13_6bbc_aa32_0d63);
+
+/// FNV-1a over the little-endian bytes of each word.
+fn fold(h: u64, word: u64) -> u64 {
+    word.to_le_bytes().into_iter().fold(h, |h, byte| {
+        (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn order_digests(n: usize) -> (u64, u64) {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    let params = Params::builder()
+        .n(n)
+        .strategy(Strategy::Dd)
+        .build()
+        .unwrap();
+    let (san, _) = AhsModel::build(&params).unwrap().into_san();
+    let adapter = SanMarkovModel::new(&san).unwrap();
+    let space = StateSpace::explore(&adapter, 1 << 19).unwrap();
+    let mut h = space
+        .states()
+        .iter()
+        .fold(OFFSET, |h, m| fold(h, m.fingerprint()));
+    for (r, c, rate) in space.edges() {
+        h = fold(fold(fold(h, r as u64), c as u64), rate.to_bits());
+    }
+    let pi = [2.0, 6.0, 10.0]
+        .into_iter()
+        .flat_map(|t| transient_distribution(&space, t, 1e-12))
+        .fold(OFFSET, |h, p| fold(h, p.to_bits()));
+    (h, pi)
+}
+
+fn assert_order_pinned(n: usize, pinned: (u64, u64)) {
+    let (space, pi) = order_digests(n);
+    assert_eq!(
+        space, pinned.0,
+        "n={n}: state-space digest {space:#x} moved — the explorer renumbered \
+         states, reordered edges or changed a rate bit"
+    );
+    assert_eq!(
+        pi, pinned.1,
+        "n={n}: π digest {pi:#x} moved — the uniformization kernel changed \
+         some entry's bits"
+    );
+}
+
+#[test]
+fn exact_order_digests_n1_are_pinned() {
+    assert_order_pinned(1, ORDER_N1);
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "97 917-state chain; run under --release (CI model-check job)"
+)]
+fn exact_order_digests_n2_are_pinned() {
+    assert_order_pinned(2, ORDER_N2);
+}

@@ -1,16 +1,17 @@
 //! Breadth-first state-space exploration.
 
-use std::collections::hash_map::{Entry, HashMap};
 use std::hash::Hash;
 
 use crate::error::CtmcError;
+use crate::intern::Interner;
 use crate::sparse::SparseMatrix;
 
 /// A continuous-time Markov model described by its transition function.
 ///
-/// `transitions` returns rate-weighted successors; several entries may
-/// lead to the same state (they are summed). Self-loops are permitted
-/// and ignored (they do not change the CTMC's law).
+/// `transitions` emits rate-weighted successors through a callback;
+/// several entries may lead to the same state (they are summed).
+/// Self-loops are permitted and ignored (they do not change the CTMC's
+/// law).
 pub trait MarkovModel {
     /// The state type.
     type State: Clone + Eq + Hash;
@@ -18,14 +19,17 @@ pub trait MarkovModel {
     /// The initial probability distribution (must sum to 1).
     fn initial_states(&self) -> Vec<(Self::State, f64)>;
 
-    /// Outgoing transitions of `state` as `(successor, rate)` pairs.
-    fn transitions(&self, state: &Self::State) -> Vec<(Self::State, f64)>;
+    /// Emits the outgoing transitions of `state` as `(successor, rate)`
+    /// pairs. The successor is lent for the call only, so a model can
+    /// build every successor in one reused scratch state; the explorer
+    /// clones just the states it has not seen before.
+    fn transitions(&self, state: &Self::State, emit: &mut dyn FnMut(&Self::State, f64));
 }
 
 /// An explored, indexed state space with its generator in sparse form.
 #[derive(Debug, Clone)]
 pub struct StateSpace<S> {
-    states: Vec<S>,
+    states: Interner<S>,
     initial: Vec<f64>,
     /// Off-diagonal generator rates, row = source state.
     rates: SparseMatrix,
@@ -87,43 +91,48 @@ impl<S: Clone + Eq + Hash> StateSpace<S> {
     where
         M: MarkovModel<State = S>,
     {
-        let mut index: HashMap<S, usize> = HashMap::new();
-        let mut states: Vec<S> = Vec::new();
-        // Index of `s`, interned while the budget has room.
-        let mut intern = |s: S, states: &mut Vec<S>| match index.entry(s) {
-            Entry::Occupied(e) => Some(*e.get()),
-            Entry::Vacant(_) if states.len() >= max_states => None,
-            Entry::Vacant(e) => {
-                states.push(e.key().clone());
-                Some(*e.insert(states.len() - 1))
-            }
-        };
-
+        let mut states: Interner<S> = Interner::new();
         let mut complete = true;
         let mut initial_pairs: Vec<(usize, f64)> = Vec::new();
         for (s, p) in model.initial_states() {
-            match intern(s, &mut states) {
+            match states.intern(&s, max_states) {
                 Some(i) => initial_pairs.push((i, p)),
                 None => complete = false,
             }
         }
 
         let mut triplets: Vec<(usize, usize, f64)> = Vec::new();
+        let mut invalid: Option<f64> = None;
+        // The state being expanded, copied out of the interner (which
+        // grows during the expansion) into one reused buffer.
+        let mut current: Option<S> = None;
         let mut frontier = 0usize;
         while frontier < states.len() && (complete || !fail_on_overflow) {
-            let state = states[frontier].clone();
-            for (succ, rate) in model.transitions(&state) {
+            let source = &states.states()[frontier];
+            match current.as_mut() {
+                Some(s) => s.clone_from(source),
+                None => current = Some(source.clone()),
+            }
+            let state = current.as_ref().expect("set above");
+            model.transitions(state, &mut |succ, rate| {
+                if invalid.is_some() {
+                    return;
+                }
                 if !rate.is_finite() || rate < 0.0 {
-                    return Err(CtmcError::InvalidRate { rate });
+                    invalid = Some(rate);
+                    return;
                 }
                 if rate == 0.0 {
-                    continue;
+                    return;
                 }
-                match intern(succ, &mut states) {
+                match states.intern(succ, max_states) {
                     Some(j) if j != frontier => triplets.push((frontier, j, rate)),
                     Some(_) => {}
                     None => complete = false,
                 }
+            });
+            if let Some(rate) = invalid {
+                return Err(CtmcError::InvalidRate { rate });
             }
             frontier += 1;
         }
@@ -159,7 +168,14 @@ impl<S: Clone + Eq + Hash> StateSpace<S> {
 
     /// The states, in exploration order.
     pub fn states(&self) -> &[S] {
-        &self.states
+        self.states.states()
+    }
+
+    /// Index of `state` in [`states`](StateSpace::states), if it was
+    /// explored. One hash and, on a hash match, one `Eq` comparison
+    /// against the single stored copy.
+    pub fn index_of(&self, state: &S) -> Option<usize> {
+        self.states.index_of(state)
     }
 
     /// The initial distribution, index-aligned with
@@ -198,7 +214,7 @@ impl<S: Clone + Eq + Hash> StateSpace<S> {
     where
         F: Fn(&S) -> bool,
     {
-        self.states
+        self.states()
             .iter()
             .zip(distribution.iter())
             .filter(|(s, _)| pred(s))
@@ -215,7 +231,7 @@ impl<S: Clone + Eq + Hash> StateSpace<S> {
         F: Fn(&S) -> bool,
     {
         let n = self.len();
-        let absorb: Vec<bool> = self.states.iter().map(pred).collect();
+        let absorb: Vec<bool> = self.states().iter().map(pred).collect();
         let triplets = (0..n)
             .filter(|&r| !absorb[r])
             .flat_map(|r| self.rates.row(r).map(move |(c, v)| (r, c, v)))
@@ -247,15 +263,13 @@ mod tests {
         fn initial_states(&self) -> Vec<(u32, f64)> {
             vec![(0, 1.0)]
         }
-        fn transitions(&self, s: &u32) -> Vec<(u32, f64)> {
-            let mut out = Vec::new();
+        fn transitions(&self, s: &u32, emit: &mut dyn FnMut(&u32, f64)) {
             if *s < self.cap {
-                out.push((s + 1, self.lambda));
+                emit(&(s + 1), self.lambda);
             }
             if *s > 0 {
-                out.push((s - 1, self.mu));
+                emit(&(s - 1), self.mu);
             }
-            out
         }
     }
 
@@ -312,11 +326,10 @@ mod tests {
             fn initial_states(&self) -> Vec<(u8, f64)> {
                 vec![(0, 1.0)]
             }
-            fn transitions(&self, s: &u8) -> Vec<(u8, f64)> {
+            fn transitions(&self, s: &u8, emit: &mut dyn FnMut(&u8, f64)) {
                 if *s == 0 {
-                    vec![(0, 5.0), (1, 1.0)]
-                } else {
-                    vec![]
+                    emit(&0, 5.0);
+                    emit(&1, 1.0);
                 }
             }
         }
@@ -333,8 +346,8 @@ mod tests {
             fn initial_states(&self) -> Vec<(u8, f64)> {
                 vec![(0, 1.0)]
             }
-            fn transitions(&self, _: &u8) -> Vec<(u8, f64)> {
-                vec![(1, -3.0)]
+            fn transitions(&self, _: &u8, emit: &mut dyn FnMut(&u8, f64)) {
+                emit(&1, -3.0);
             }
         }
         assert!(matches!(

@@ -30,11 +30,11 @@ use crate::explore::StateSpace;
 ///     fn initial_states(&self) -> Vec<(u8, f64)> {
 ///         vec![(0, 1.0)]
 ///     }
-///     fn transitions(&self, s: &u8) -> Vec<(u8, f64)> {
+///     fn transitions(&self, s: &u8, emit: &mut dyn FnMut(&u8, f64)) {
 ///         match s {
-///             0 => vec![(1, 2.0)],
-///             1 => vec![(2, 4.0)],
-///             _ => vec![],
+///             0 => emit(&1, 2.0),
+///             1 => emit(&2, 4.0),
+///             _ => {}
 ///         }
 ///     }
 /// }
@@ -167,15 +167,13 @@ mod tests {
         fn initial_states(&self) -> Vec<(u32, f64)> {
             vec![(0, 1.0)]
         }
-        fn transitions(&self, s: &u32) -> Vec<(u32, f64)> {
-            let mut out = Vec::new();
+        fn transitions(&self, s: &u32, emit: &mut dyn FnMut(&u32, f64)) {
             if *s < self.components {
-                out.push((s + 1, self.fail * (self.components - s) as f64));
+                emit(&(s + 1), self.fail * (self.components - s) as f64);
             }
             if *s > 0 && *s < self.components {
-                out.push((s - 1, self.repair * *s as f64));
+                emit(&(s - 1), self.repair * *s as f64);
             }
-            out
         }
     }
 
@@ -222,11 +220,9 @@ mod tests {
             fn initial_states(&self) -> Vec<(u8, f64)> {
                 vec![(0, 1.0)]
             }
-            fn transitions(&self, s: &u8) -> Vec<(u8, f64)> {
+            fn transitions(&self, s: &u8, emit: &mut dyn FnMut(&u8, f64)) {
                 if *s == 0 {
-                    vec![(1, 1.0)]
-                } else {
-                    vec![]
+                    emit(&1, 1.0);
                 }
             }
         }

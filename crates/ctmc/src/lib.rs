@@ -12,8 +12,12 @@
 //! * [`StateSpace`] — breadth-first exploration into a sparse generator
 //!   matrix, with optional absorbing predicates for first-passage
 //!   measures.
+//! * [`Interner`] — the single-storage state numbering behind
+//!   [`StateSpace`], shared with the `ahs-check` explorer.
 //! * [`transient_distribution`] — uniformization (Fox–Glynn-style
-//!   normalized Poisson weights) for `π(t)`.
+//!   normalized Poisson weights) for `π(t)`, over a multi-lane gather
+//!   kernel that sums the same terms in the same order as a plain row
+//!   gather.
 //! * [`steady_state`] — power iteration on the uniformized chain.
 //!
 //! # Example
@@ -28,8 +32,8 @@
 //!     fn initial_states(&self) -> Vec<(bool, f64)> {
 //!         vec![(true, 1.0)]
 //!     }
-//!     fn transitions(&self, s: &bool) -> Vec<(bool, f64)> {
-//!         if *s { vec![(false, 1.0)] } else { vec![(true, 4.0)] }
+//!     fn transitions(&self, s: &bool, emit: &mut dyn FnMut(&bool, f64)) {
+//!         if *s { emit(&false, 1.0) } else { emit(&true, 4.0) }
 //!     }
 //! }
 //!
@@ -47,6 +51,7 @@
 mod error;
 mod explore;
 mod hitting;
+mod intern;
 mod san_adapter;
 mod sparse;
 mod steady;
@@ -55,6 +60,7 @@ mod transient;
 pub use error::CtmcError;
 pub use explore::{MarkovModel, StateSpace};
 pub use hitting::{expected_hitting_time, expected_hitting_time_from_start};
+pub use intern::Interner;
 pub use san_adapter::SanMarkovModel;
 pub use sparse::SparseMatrix;
 pub use steady::steady_state;

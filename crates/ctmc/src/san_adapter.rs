@@ -81,11 +81,13 @@ impl MarkovModel for SanMarkovModel<'_> {
             .expect("initial stabilization failed; validate the model first")
     }
 
-    fn transitions(&self, state: &Marking) -> Vec<(Marking, f64)> {
-        let mut out = Vec::new();
+    fn transitions(&self, state: &Marking, emit: &mut dyn FnMut(&Marking, f64)) {
         // Enabled-member count per shared-rate group, counted once per
         // state however many members are enabled.
         let mut group_enabled = vec![None; self.model.rate_groups().len()];
+        let mut probs = Vec::new();
+        // Every case fires into this one marking, reset field-wise.
+        let mut fired = state.clone();
         for &a in self.model.timed_activities() {
             if !self.model.is_enabled(a, state) {
                 continue;
@@ -97,29 +99,36 @@ impl MarkovModel for SanMarkovModel<'_> {
                         .get_or_insert_with(|| self.model.group_enabled_count(g, state))
                 })
                 .expect("constructor verified exponential delays");
-            if rate <= 0.0 {
+            // A zero rate is no transition. A negative or non-finite one
+            // is emitted, so the explorer reports it as invalid.
+            if rate == 0.0 {
                 continue;
             }
-            let probs = self
-                .model
-                .case_probabilities(a, state)
+            self.model
+                .case_probabilities_into(a, state, &mut probs)
                 .expect("case distribution must be valid in reachable markings");
-            for (case, p_case) in probs.iter().enumerate() {
-                if *p_case == 0.0 {
+            for (case, &p_case) in probs.iter().enumerate() {
+                if p_case == 0.0 {
                     continue;
                 }
-                let mut fired = state.clone();
+                fired.clone_from(state);
                 self.model.fire(a, case, &mut fired);
+                // A stable marking is its own only stable successor,
+                // with path probability 1: `rate · p_case · 1.0` is
+                // `rate · p_case` exactly.
+                if self.model.is_stable(&fired) {
+                    emit(&fired, rate * p_case);
+                    continue;
+                }
                 let stables = self
                     .model
                     .stable_successors(&fired)
                     .expect("instantaneous stabilization must terminate");
-                for (m, p_path) in stables {
-                    out.push((m, rate * p_case * p_path));
+                for (m, p_path) in &stables {
+                    emit(m, rate * p_case * p_path);
                 }
             }
         }
-        out
     }
 }
 
@@ -190,6 +199,37 @@ mod tests {
         let p_b = space.probability(&pi, |m| m.is_marked(pb));
         assert!((p_a - 0.5).abs() < 1e-9);
         assert!((p_b - 0.5).abs() < 1e-9);
+    }
+
+    /// A rate that evaluates negative is a model defect the explorer
+    /// must report, not a transition to drop: `claim` fires at
+    /// `tokens(slots) − 3 = −1` from the initial marking.
+    #[test]
+    fn negative_rate_is_rejected_not_dropped() {
+        let mut b = SanBuilder::new("negative-rate");
+        let slots = b.place_with_tokens("slots", 2).unwrap();
+        let used = b.place("used").unwrap();
+        b.timed_activity(
+            "claim",
+            Delay::exponential_fn(move |m| m.tokens(slots) as f64 - 3.0),
+        )
+        .unwrap()
+        .input_place(slots)
+        .output_place(used)
+        .build()
+        .unwrap();
+        b.timed_activity("release", Delay::exponential(1.0))
+            .unwrap()
+            .input_place(used)
+            .output_place(slots)
+            .build()
+            .unwrap();
+        let model = b.build().unwrap();
+        let adapter = SanMarkovModel::new(&model).unwrap();
+        assert!(matches!(
+            StateSpace::explore(&adapter, 100),
+            Err(CtmcError::InvalidRate { rate }) if rate == -1.0
+        ));
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::hash::Hash;
 
 use crate::error::CtmcError;
 use crate::explore::StateSpace;
-use crate::transient::uniformized_transpose;
+use crate::transient::uniformized_kernel;
 
 /// Computes the steady-state distribution of an irreducible explored
 /// CTMC by power iteration on `P = I + Q/q` (which shares Q's stationary
@@ -26,21 +26,27 @@ pub fn steady_state<S: Clone + Eq + Hash>(
 ) -> Result<Vec<f64>, CtmcError> {
     let n = space.len();
     let q = space.max_exit_rate() * 1.02 + 1e-12;
-    let pt = uniformized_transpose(space, q);
+    let pt = uniformized_kernel(space, q);
 
+    // The iterates live in the kernel's position order; the two sums
+    // walk them in state order, as the residual and norm are defined.
+    let order = pt.position();
     let mut pi = vec![1.0 / n as f64; n];
     let mut next = vec![0.0; n];
     let mut residual = f64::INFINITY;
     for _ in 0..max_iter {
         pt.mul_vec(&pi, &mut next);
-        let norm: f64 = next.iter().sum();
+        let norm: f64 = order.iter().map(|&p| next[p as usize]).sum();
         for v in &mut next {
             *v /= norm;
         }
-        residual = pi.iter().zip(next.iter()).map(|(a, b)| (a - b).abs()).sum();
+        residual = order
+            .iter()
+            .map(|&p| (pi[p as usize] - next[p as usize]).abs())
+            .sum();
         std::mem::swap(&mut pi, &mut next);
         if residual < tol {
-            return Ok(pi);
+            return Ok(pt.to_rows(&pi));
         }
     }
     Err(CtmcError::NotConverged {
@@ -65,15 +71,13 @@ mod tests {
         fn initial_states(&self) -> Vec<(u32, f64)> {
             vec![(0, 1.0)]
         }
-        fn transitions(&self, s: &u32) -> Vec<(u32, f64)> {
-            let mut out = Vec::new();
+        fn transitions(&self, s: &u32, emit: &mut dyn FnMut(&u32, f64)) {
             if *s < self.k {
-                out.push((s + 1, self.lambda));
+                emit(&(s + 1), self.lambda);
             }
             if *s > 0 {
-                out.push((s - 1, self.mu));
+                emit(&(s - 1), self.mu);
             }
-            out
         }
     }
 
@@ -103,14 +107,48 @@ mod tests {
             fn initial_states(&self) -> Vec<(bool, f64)> {
                 vec![(true, 1.0)]
             }
-            fn transitions(&self, s: &bool) -> Vec<(bool, f64)> {
-                vec![(!*s, 7.0)]
+            fn transitions(&self, s: &bool, emit: &mut dyn FnMut(&bool, f64)) {
+                emit(&!*s, 7.0);
             }
         }
         let space = crate::StateSpace::explore(&Sym, 4).unwrap();
         let pi = steady_state(&space, 1e-13, 10_000).unwrap();
         assert!((pi[0] - 0.5).abs() < 1e-9);
         assert!((pi[1] - 0.5).abs() < 1e-9);
+    }
+
+    /// The lane kernel, position order and state-order sums reproduce
+    /// a plain power-iteration loop over the row-gather reference bit
+    /// for bit.
+    #[test]
+    fn matches_a_reference_loop_bit_for_bit() {
+        let m = Mm1k {
+            lambda: 2.0,
+            mu: 3.0,
+            k: 40,
+        };
+        let space = crate::StateSpace::explore(&m, 100).unwrap();
+        let (tol, max_iter) = (1e-12, 100_000);
+        let n = space.len();
+        let q = space.max_exit_rate() * 1.02 + 1e-12;
+        let pt = space.rates().uniformized_transpose(space.exit_rates(), q);
+        let mut pi = vec![1.0 / n as f64; n];
+        let mut next = vec![0.0; n];
+        loop {
+            crate::sparse::row_gather(&pt, &pi, &mut next);
+            let norm: f64 = next.iter().sum();
+            for v in &mut next {
+                *v /= norm;
+            }
+            let residual: f64 = pi.iter().zip(&next).map(|(a, b)| (a - b).abs()).sum();
+            std::mem::swap(&mut pi, &mut next);
+            if residual < tol {
+                break;
+            }
+        }
+        let got = steady_state(&space, tol, max_iter).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&pi));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::hash::Hash;
 
 use crate::explore::StateSpace;
-use crate::sparse::SparseMatrix;
+use crate::sparse::LaneMatrix;
 
 /// Computes normalized Poisson(λ) weights over a truncated support
 /// `[left, left + weights.len())`, Fox–Glynn style: the recurrence is
@@ -88,10 +88,13 @@ pub fn transient_distribution<S: Clone + Eq + Hash>(
         return space.initial().to_vec();
     }
     let q = space.max_exit_rate() * 1.02 + 1e-12;
-    let pt = uniformized_transpose(space, q);
+    let pt = uniformized_kernel(space, q);
 
+    // Every vector below is in the kernel's position order; the
+    // elementwise `result += w·v` does not care, and the result is put
+    // back in state order once at the end.
     let (left, weights) = poisson_weights(q * t, tol);
-    let mut vec = space.initial().to_vec();
+    let mut vec = pt.to_positions(space.initial());
     let mut scratch = vec![0.0; n];
     let mut result = vec![0.0; n];
 
@@ -109,24 +112,19 @@ pub fn transient_distribution<S: Clone + Eq + Hash>(
             std::mem::swap(&mut vec, &mut scratch);
         }
     }
-    result
+    pt.to_rows(&result)
 }
 
-/// Builds `Pᵀ` for `P = I + Q/q` over the explored space, so that
-/// [`SparseMatrix::mul_vec`] computes the forward step `xᵀ·P` as a
-/// gather. Row `c` of `Pᵀ` lists its sources `r` in ascending order,
-/// so each output adds its terms in the order a row-by-row `xᵀ·P`
-/// visits them: the same sum, bit for bit.
-pub(crate) fn uniformized_transpose<S: Clone + Eq + Hash>(
+/// `Pᵀ` for `P = I + Q/q` over the explored space, laid out for the
+/// lane kernel, whose gather computes the forward step `xᵀ·P`. Row `c`
+/// of `Pᵀ` lists its sources `r` in ascending order, so each output
+/// adds its terms in the order a row-by-row `xᵀ·P` visits them: the
+/// same sum, bit for bit.
+pub(crate) fn uniformized_kernel<S: Clone + Eq + Hash>(
     space: &StateSpace<S>,
     q: f64,
-) -> SparseMatrix {
-    let n = space.len();
-    let triplets = (0..n).flat_map(|r| {
-        let diag = 1.0 - space.exit_rates()[r] / q;
-        std::iter::once((r, r, diag)).chain(space.rates().row(r).map(move |(c, v)| (c, r, v / q)))
-    });
-    SparseMatrix::from_triplets(n, triplets)
+) -> LaneMatrix {
+    LaneMatrix::new(&space.rates().uniformized_transpose(space.exit_rates(), q))
 }
 
 #[cfg(test)]
@@ -143,11 +141,11 @@ mod tests {
         fn initial_states(&self) -> Vec<(bool, f64)> {
             vec![(true, 1.0)]
         }
-        fn transitions(&self, s: &bool) -> Vec<(bool, f64)> {
+        fn transitions(&self, s: &bool, emit: &mut dyn FnMut(&bool, f64)) {
             if *s {
-                vec![(false, self.fail)]
+                emit(&false, self.fail);
             } else {
-                vec![(true, self.repair)]
+                emit(&true, self.repair);
             }
         }
     }
@@ -199,6 +197,54 @@ mod tests {
             let total: f64 = pi.iter().sum();
             assert!((total - 1.0).abs() < 1e-9);
         }
+    }
+
+    /// A chain with irregular out-degrees, so `Pᵀ` has rows of many
+    /// lengths: the lane kernel must reproduce a uniformization loop
+    /// over the plain row gather bit for bit.
+    #[test]
+    fn matches_a_reference_loop_bit_for_bit() {
+        struct Web;
+        impl MarkovModel for Web {
+            type State = u32;
+            fn initial_states(&self) -> Vec<(u32, f64)> {
+                vec![(0, 0.75), (5, 0.25)]
+            }
+            fn transitions(&self, s: &u32, emit: &mut dyn FnMut(&u32, f64)) {
+                for k in 0..=(s % 5) {
+                    emit(
+                        &((s * 7 + 3 * k + 1) % 97),
+                        0.5 + f64::from(k) + f64::from(s % 3),
+                    );
+                }
+            }
+        }
+        let space = crate::StateSpace::explore(&Web, 1000).unwrap();
+        let n = space.len();
+        let (t, tol) = (3.0, 1e-12);
+        let q = space.max_exit_rate() * 1.02 + 1e-12;
+        let pt = space.rates().uniformized_transpose(space.exit_rates(), q);
+        let (left, weights) = poisson_weights(q * t, tol);
+        let mut vec = space.initial().to_vec();
+        let mut scratch = vec![0.0; n];
+        let mut want = vec![0.0; n];
+        for _ in 0..left {
+            crate::sparse::row_gather(&pt, &vec, &mut scratch);
+            std::mem::swap(&mut vec, &mut scratch);
+        }
+        for (i, w) in weights.iter().enumerate() {
+            for (r, v) in want.iter_mut().zip(&vec) {
+                *r += w * v;
+            }
+            if i + 1 < weights.len() {
+                crate::sparse::row_gather(&pt, &vec, &mut scratch);
+                std::mem::swap(&mut vec, &mut scratch);
+            }
+        }
+        let got = transient_distribution(&space, t, tol);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert!(n > 20, "{n} states");
+        assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]

@@ -29,13 +29,14 @@ impl MarkovModel for UnitRateSan<'_> {
         vec![(self.model.initial_marking().clone(), 1.0)]
     }
 
-    fn transitions(&self, m: &Marking) -> Vec<(Marking, f64)> {
+    fn transitions(&self, m: &Marking, emit: &mut dyn FnMut(&Marking, f64)) {
         let enabled = if self.model.is_stable(m) {
             self.model.enabled_timed(m)
         } else {
             self.model.enabled_instantaneous(m)
         };
-        let mut out = Vec::new();
+        // Every firing lands in this one marking, reset field-wise.
+        let mut next = m.clone();
         for a in enabled {
             for case in 0..self.model.activity(a).cases().len() {
                 // A case whose probability evaluates to exactly 0 in this
@@ -48,12 +49,11 @@ impl MarkovModel for UnitRateSan<'_> {
                 if p == 0.0 {
                     continue;
                 }
-                let mut next = m.clone();
+                next.clone_from(m);
                 self.model.fire(a, case, &mut next);
-                out.push((next, 1.0));
+                emit(&next, 1.0);
             }
         }
-        out
     }
 }
 

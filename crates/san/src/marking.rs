@@ -44,12 +44,29 @@ pub enum PlaceValue {
 /// address extended places. Using the wrong accessor for a place's kind
 /// panics: this is a programming error in model construction, not a
 /// runtime condition.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Marking {
     /// Per-place token count, or `EXT_TAG | index` into `arrays`.
     slots: Vec<u64>,
     /// Extended-place contents, in declaration order.
     arrays: Vec<Vec<i64>>,
+}
+
+/// `clone_from` copies field by field into the existing buffers, so a
+/// scratch marking reset from a source of the same shape does not
+/// allocate.
+impl Clone for Marking {
+    fn clone(&self) -> Self {
+        Marking {
+            slots: self.slots.clone(),
+            arrays: self.arrays.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.slots.clone_from(&source.slots);
+        self.arrays.clone_from(&source.arrays);
+    }
 }
 
 impl Marking {
@@ -457,6 +474,20 @@ mod tests {
         assert_eq!(m.fingerprint(), n.fingerprint());
         n.array_mut(PlaceId(1))[2] = -3;
         assert_ne!(m.fingerprint(), n.fingerprint());
+    }
+
+    #[test]
+    fn clone_from_reuses_buffers_and_copies_values() {
+        let src = Marking::from_decls(&decls());
+        let mut dst = src.clone();
+        dst.set_tokens(PlaceId(0), 9);
+        dst.array_mut(PlaceId(1))[1] = 5;
+        let (slots, row) = (dst.slots.as_ptr(), dst.arrays[0].as_ptr());
+        dst.clone_from(&src);
+        assert_eq!(dst, src);
+        assert_eq!(dst.array(PlaceId(1)), &[1, -2, 3]);
+        assert_eq!(dst.slots.as_ptr(), slots);
+        assert_eq!(dst.arrays[0].as_ptr(), row);
     }
 
     #[test]
