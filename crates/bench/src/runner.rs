@@ -71,7 +71,7 @@ pub struct RunConfig {
 }
 
 impl RunConfig {
-    /// A quick configuration for smoke runs and benches.
+    /// A quick configuration for smoke runs and tests.
     pub fn quick() -> Self {
         RunConfig {
             replications: 6_000,

@@ -7,8 +7,10 @@
 //! degraded vehicle, and how many vehicles are lost (`v_KO`). These
 //! are interval-of-time reward variables over the same composed SAN.
 
-use ahs_des::{Backend, RewardSpec, RewardStudy};
-use ahs_stats::RunningStats;
+use std::collections::HashSet;
+use std::sync::Arc;
+
+use ahs_des::{Backend, CurveEstimate, RewardSpec, Study};
 
 use crate::error::AhsError;
 use crate::model::AhsModel;
@@ -38,82 +40,71 @@ pub struct TripMeasures {
 }
 
 /// Estimates [`TripMeasures`] for `params` over `horizon_hours`, using
-/// `replications` plain Monte-Carlo runs (rewards do not support
-/// importance sampling; these measures are not rare, so plain sampling
-/// converges quickly even at the paper's λ).
+/// `replications` plain Monte-Carlo runs per measure on every available
+/// core (rewards do not support importance sampling; these measures are
+/// not rare, so plain sampling converges quickly even at the paper's
+/// λ). The result is the same for any core count.
 ///
 /// # Errors
 ///
 /// Returns [`AhsError`] for invalid parameters or simulation failures.
+///
+/// # Panics
+///
+/// Panics if `horizon_hours` is negative or not finite.
 pub fn trip_measures(
     params: &Params,
     horizon_hours: f64,
     replications: u64,
     seed: u64,
 ) -> Result<TripMeasures, AhsError> {
-    let build = || -> Result<_, AhsError> {
-        let model = AhsModel::build(params)?;
-        Ok(model.into_san())
+    let (san, handles) = AhsModel::build(params)?.into_san();
+    let san = Arc::new(san);
+    let estimate = |spec: &RewardSpec, seed: u64| {
+        Study::new(Arc::clone(&san))
+            .with_seed(seed)
+            .with_fixed_replications(replications)
+            .reward(spec, horizon_hours, Backend::Markov)
     };
 
-    // Maneuver starts: every firing of a failure activity L_i starts (or
-    // escalates into) a maneuver; escalations are maneuver-failure cases
-    // and counted through the maneuver activities' firing with failure
-    // outcome — here we count maneuver-activity completions instead,
-    // which equals the number of maneuver executions.
-    let (san, handles) = build()?;
-    let maneuver_set: std::collections::HashSet<usize> = handles
+    // Maneuver executions: completions of any maneuver activity.
+    let maneuver_set: HashSet<usize> = handles
         .maneuver_activities
         .iter()
         .map(|a| a.index())
         .collect();
     let spec =
         RewardSpec::impulse(move |a, _| f64::from(u8::from(maneuver_set.contains(&a.index()))));
-    let maneuvers = RewardStudy::new(san)
-        .with_seed(seed)
-        .with_replications(replications)
-        .estimate(&spec, horizon_hours, Backend::Markov)?;
+    let maneuvers = estimate(&spec, seed)?;
 
     // Fraction of time with >= 1 vehicle recovering.
-    let (san, handles) = build()?;
     let (ca, cb, cc) = (handles.class_a, handles.class_b, handles.class_c);
     let spec = RewardSpec::rate(move |m| {
         f64::from(u8::from(m.tokens(ca) + m.tokens(cb) + m.tokens(cc) > 0))
     });
-    let recovery = RewardStudy::new(san)
-        .with_seed(seed ^ 1)
-        .with_replications(replications)
-        .estimate(&spec, horizon_hours, Backend::Markov)?;
+    let recovery = estimate(&spec, seed ^ 1)?;
 
-    // Vehicles lost: firings of the AS maneuver's failure case mark
-    // v_KO; count tokens entering the v_KO places via a rate-less
-    // impulse on back_to_ko? Simpler and exact: impulse 1 whenever a
-    // marking transition newly marks any v_ko place — here approximated
-    // by counting back_to_ko firings (every lost vehicle passes through
-    // exactly one such firing, at rate back_rate after the loss).
-    let (san, handles) = build()?;
-    let ko_backs: std::collections::HashSet<usize> = (0..params.total_vehicles())
+    // Vehicles lost: firings of `back_to_ko`, which every vehicle lost
+    // to v_KO passes through exactly once.
+    let ko_backs: HashSet<usize> = (0..params.total_vehicles())
         .map(|v| {
             san.find_activity(&format!("vehicle[{v}].back_to_ko"))
                 .expect("model defines back_to_ko per vehicle")
                 .index()
         })
         .collect();
-    let _ = handles;
     let spec = RewardSpec::impulse(move |a, _| f64::from(u8::from(ko_backs.contains(&a.index()))));
-    let lost = RewardStudy::new(san)
-        .with_seed(seed ^ 2)
-        .with_replications(replications)
-        .estimate(&spec, horizon_hours, Backend::Markov)?;
+    let lost = estimate(&spec, seed ^ 2)?;
 
-    let hw = |s: &RunningStats| s.confidence_interval(0.95).half_width();
+    let mean = |e: &CurveEstimate| e.curve.estimator(0).mean();
+    let hw = |e: &CurveEstimate| e.curve.interval(0, 0.95).half_width();
     Ok(TripMeasures {
         horizon_hours,
-        expected_maneuvers: maneuvers.mean(),
+        expected_maneuvers: mean(&maneuvers),
         expected_maneuvers_hw: hw(&maneuvers),
-        recovery_time_fraction: recovery.mean() / horizon_hours,
+        recovery_time_fraction: mean(&recovery) / horizon_hours,
         recovery_time_fraction_hw: hw(&recovery) / horizon_hours,
-        expected_vehicles_lost: lost.mean(),
+        expected_vehicles_lost: mean(&lost),
         expected_vehicles_lost_hw: hw(&lost),
         replications,
     })

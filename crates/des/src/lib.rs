@@ -13,10 +13,11 @@
 //! On top of the executors, [`Study`] runs independent replications —
 //! optionally in parallel — until a [`StoppingRule`](ahs_stats::StoppingRule)
 //! is satisfied, producing first-passage probability curves such as the
-//! paper's unsafety `S(t)`. Two further estimation tools complete the
-//! layer: [`SplittingStudy`] (fixed-effort multilevel splitting, an
-//! independent rare-event method used for cross-validation) and
-//! [`RewardStudy`] (Möbius-style rate/impulse reward variables).
+//! paper's unsafety `S(t)`, transient curves, and the expected totals of
+//! Möbius-style rate/impulse reward variables ([`RewardSpec`],
+//! [`Study::reward`]). [`SplittingStudy`] (fixed-effort multilevel
+//! splitting, an independent rare-event method used for
+//! cross-validation) completes the layer.
 //!
 //! # Example
 //!
@@ -70,7 +71,7 @@ pub use executor::EventDrivenSimulator;
 pub use observer::{NullObserver, Observer, TraceObserver};
 pub use replay::{ReplayOutcome, ReplayStep};
 pub use replication::{Backend, CurveEstimate, Study};
-pub use reward::{RewardSpec, RewardStudy};
+pub use reward::RewardSpec;
 pub use rng::{replication_rng, split_seed};
 pub use splitting::{SplittingEstimate, SplittingStudy};
 pub use ssa::{MarkovSimulator, RunOutcome};

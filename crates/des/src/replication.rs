@@ -32,6 +32,7 @@ use crate::bias::BiasScheme;
 use crate::checkpoint::{model_fingerprint, QuarantinedRep, StudyCheckpoint};
 use crate::error::SimError;
 use crate::executor::EventDrivenSimulator;
+use crate::reward::{RewardObserver, RewardSpec};
 use crate::rng::replication_rng;
 use crate::ssa::MarkovSimulator;
 use crate::watchdog::Watchdog;
@@ -389,6 +390,41 @@ impl Study {
                 Engine::Markov(sim) => sim.run_transient(&pred, grid.points(), rng)?,
             };
             Ok(RepOutcome::Weighted(obs))
+        })
+    }
+
+    /// Estimates the expected total of a reward variable over
+    /// `[0, horizon]`: one observation per replication, accumulated on
+    /// the one-point grid `[horizon]`. Importance sampling is not
+    /// supported, since the likelihood ratio would have to be carried
+    /// per accumulation interval.
+    ///
+    /// # Errors
+    ///
+    /// Same failure modes as [`first_passage`](Study::first_passage).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `backend` is [`Backend::BiasedMarkov`] or `horizon` is
+    /// negative or not finite.
+    pub fn reward(
+        &self,
+        spec: &RewardSpec,
+        horizon: f64,
+        backend: Backend,
+    ) -> Result<CurveEstimate, SimError> {
+        assert!(
+            !matches!(backend, Backend::BiasedMarkov(_)),
+            "reward estimation requires an unbiased backend"
+        );
+        let grid = TimeGrid::new(vec![horizon]);
+        self.run_study(&grid, backend, |engine, rng| {
+            let mut obs = RewardObserver::new(spec);
+            match engine {
+                Engine::Event(sim) => sim.run(horizon, rng, &mut obs)?,
+                Engine::Markov(sim) => sim.run_with_observer(horizon, rng, &mut obs)?,
+            };
+            Ok(RepOutcome::Weighted(vec![(obs.total, 1.0)]))
         })
     }
 
@@ -948,7 +984,7 @@ fn record_outcome(curve: &mut Curve, outcome: RepOutcome) -> Result<(), SimError
 }
 
 /// Extracts a human-readable message from a panic payload.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -6,29 +6,18 @@
 //! *impulse reward* adds a value on each activity completion
 //! (`Σ g(aᵢ)`), e.g. the number of maneuvers attempted. Both are the
 //! interval-of-time variables of the Möbius reward formalism, estimated
-//! here over independent replications.
+//! over independent replications by [`Study::reward`](crate::Study::reward).
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use ahs_san::{ActivityId, Marking};
 
-use ahs_obs::Metrics;
-use ahs_san::{ActivityId, Marking, SanModel};
-use ahs_stats::{RunningStats, StoppingRule};
-
-use crate::error::SimError;
 use crate::observer::Observer;
-use crate::replication::{panic_message, Backend};
-use crate::rng::replication_rng;
-use crate::ssa::MarkovSimulator;
-use crate::watchdog::Watchdog;
-use crate::EventDrivenSimulator;
 
 /// Specification of a reward variable accumulated over `[0, horizon]`.
 ///
 /// # Example
 ///
 /// ```
-/// use ahs_des::{Backend, RewardSpec, RewardStudy};
+/// use ahs_des::{Backend, RewardSpec, Study};
 /// use ahs_san::{Delay, SanBuilder};
 ///
 /// // Fraction of time a repairable component is down.
@@ -46,12 +35,12 @@ use crate::EventDrivenSimulator;
 /// let model = b.build()?;
 ///
 /// let spec = RewardSpec::rate(move |m| f64::from(u8::from(m.is_marked(down))));
-/// let est = RewardStudy::new(model)
+/// let est = Study::new(model)
 ///     .with_seed(3)
-///     .with_replications(4000)
-///     .estimate(&spec, 50.0, Backend::Markov)?;
+///     .with_fixed_replications(4000)
+///     .reward(&spec, 50.0, Backend::Markov)?;
 /// // Long-run unavailability is 1/5; over [0, 50] the mean integral is ≈ 10.
-/// assert!((est.mean() / 50.0 - 0.2).abs() < 0.02);
+/// assert!((est.curve.estimator(0).mean() / 50.0 - 0.2).abs() < 0.02);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub struct RewardSpec {
@@ -118,15 +107,17 @@ impl std::fmt::Debug for RewardSpec {
 }
 
 /// Observer accumulating one replication's reward.
-struct RewardObserver<'s> {
+pub(crate) struct RewardObserver<'s> {
     spec: &'s RewardSpec,
-    total: f64,
+    /// The reward accumulated so far; the replication's total once the
+    /// run has ended.
+    pub(crate) total: f64,
     last_time: f64,
     last_rate_value: f64,
 }
 
 impl<'s> RewardObserver<'s> {
-    fn new(spec: &'s RewardSpec) -> Self {
+    pub(crate) fn new(spec: &'s RewardSpec) -> Self {
         RewardObserver {
             spec,
             total: 0.0,
@@ -161,191 +152,15 @@ impl Observer for RewardObserver<'_> {
     }
 }
 
-/// Estimates the expectation of a reward variable over independent
-/// replications (unbiased backends only — importance sampling is not
-/// supported for rewards, since the weights would need to be carried
-/// per accumulation interval).
-pub struct RewardStudy {
-    model: SanModel,
-    seed: u64,
-    rule: StoppingRule,
-    metrics: Option<Arc<Metrics>>,
-    quarantine_budget: u64,
-    watchdog: Option<Watchdog>,
-}
-
-impl RewardStudy {
-    /// Creates a study with a default fixed budget of 10 000
-    /// replications.
-    pub fn new(model: SanModel) -> Self {
-        RewardStudy {
-            model,
-            seed: 0x5EED,
-            rule: StoppingRule::fixed(10_000),
-            metrics: None,
-            quarantine_budget: 0,
-            watchdog: None,
-        }
-    }
-
-    /// Sets the master seed.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Runs exactly `n` replications.
-    #[must_use]
-    pub fn with_replications(mut self, n: u64) -> Self {
-        self.rule = StoppingRule::fixed(n);
-        self
-    }
-
-    /// Replaces the stopping rule.
-    #[must_use]
-    pub fn with_rule(mut self, rule: StoppingRule) -> Self {
-        self.rule = rule;
-        self
-    }
-
-    /// Attaches a telemetry sink (per-run tallies and replication
-    /// counts).
-    #[must_use]
-    pub fn with_metrics(mut self, metrics: Arc<Metrics>) -> Self {
-        self.metrics = Some(metrics);
-        self
-    }
-
-    /// Tolerates up to `budget` panicking replications: a panicking
-    /// reward closure (or simulator invariant) quarantines that
-    /// replication instead of aborting the study. The default budget is
-    /// zero — the first panic surfaces as
-    /// [`SimError::QuarantineOverflow`].
-    #[must_use]
-    pub fn with_quarantine_budget(mut self, budget: u64) -> Self {
-        self.quarantine_budget = budget;
-        self
-    }
-
-    /// Applies per-replication runtime budgets (see [`Watchdog`]).
-    #[must_use]
-    pub fn with_watchdog(mut self, watchdog: Watchdog) -> Self {
-        self.watchdog = Some(watchdog);
-        self
-    }
-
-    /// The model under study.
-    pub fn model(&self) -> &SanModel {
-        &self.model
-    }
-
-    /// Estimates the expected total reward over `[0, horizon]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::NonMarkovian`] for the Markov backend on a
-    /// non-exponential model, or any replication-level failure. A
-    /// [`Backend::BiasedMarkov`] backend is rejected as
-    /// [`SimError::NonMarkovian`]-adjacent misuse via panic — rewards
-    /// require an unbiased measure.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `backend` is [`Backend::BiasedMarkov`].
-    pub fn estimate(
-        &self,
-        spec: &RewardSpec,
-        horizon: f64,
-        backend: Backend,
-    ) -> Result<RunningStats, SimError> {
-        let mut stats = RunningStats::new();
-        match backend {
-            Backend::BiasedMarkov(_) => {
-                panic!("reward estimation requires an unbiased backend")
-            }
-            Backend::Markov => {
-                let mut sim = MarkovSimulator::new(&self.model)?;
-                if let Some(m) = &self.metrics {
-                    sim = sim.with_metrics(m.clone());
-                }
-                if let Some(w) = &self.watchdog {
-                    sim = sim.with_watchdog(*w);
-                }
-                self.run_loop(&mut stats, |rng| {
-                    let mut obs = RewardObserver::new(spec);
-                    sim.run_with_observer(horizon, rng, &mut obs)?;
-                    Ok(obs.total)
-                })?;
-            }
-            Backend::EventDriven => {
-                let mut sim = EventDrivenSimulator::new(&self.model);
-                if let Some(m) = &self.metrics {
-                    sim = sim.with_metrics(m.clone());
-                }
-                if let Some(w) = &self.watchdog {
-                    sim = sim.with_watchdog(*w);
-                }
-                self.run_loop(&mut stats, |rng| {
-                    let mut obs = RewardObserver::new(spec);
-                    sim.run(horizon, rng, &mut obs)?;
-                    Ok(obs.total)
-                })?;
-            }
-        }
-        Ok(stats)
-    }
-
-    /// The shared replication loop: one deterministic RNG stream per
-    /// replication index, panics quarantined up to the configured
-    /// budget, typed errors surfaced immediately.
-    fn run_loop<F>(&self, stats: &mut RunningStats, mut one_rep: F) -> Result<(), SimError>
-    where
-        F: FnMut(&mut rand::rngs::SmallRng) -> Result<f64, SimError>,
-    {
-        let mut rep = 0u64;
-        let mut quarantined = 0u64;
-        while !self.rule.is_satisfied(stats) {
-            let mut rng = replication_rng(self.seed, rep);
-            rep += 1;
-            match catch_unwind(AssertUnwindSafe(|| one_rep(&mut rng))) {
-                Ok(Ok(total)) => stats.push(total),
-                Ok(Err(e)) => return Err(e),
-                Err(payload) => {
-                    quarantined += 1;
-                    if let Some(m) = &self.metrics {
-                        m.record_quarantined();
-                    }
-                    if quarantined > self.quarantine_budget {
-                        return Err(SimError::QuarantineOverflow {
-                            quarantined,
-                            budget: self.quarantine_budget,
-                            message: panic_message(&*payload),
-                        });
-                    }
-                }
-            }
-        }
-        if let Some(m) = &self.metrics {
-            m.add_replications(rep - quarantined);
-        }
-        Ok(())
-    }
-}
-
-impl std::fmt::Debug for RewardStudy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RewardStudy")
-            .field("model", &self.model.name())
-            .field("seed", &self.seed)
-            .finish_non_exhaustive()
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
-    use ahs_san::{Delay, SanBuilder};
+    use crate::{replication_rng, Backend, CurveEstimate, MarkovSimulator, SimError, Study};
+    use ahs_obs::Metrics;
+    use ahs_san::{Delay, SanBuilder, SanModel};
+    use ahs_stats::{RunningStats, StoppingRule};
 
     fn repairable(fail: f64, repair: f64) -> (SanModel, ahs_san::PlaceId) {
         let mut b = SanBuilder::new("fr");
@@ -366,16 +181,20 @@ mod tests {
         (b.build().unwrap(), down)
     }
 
+    fn mean(est: &CurveEstimate) -> f64 {
+        est.curve.estimator(0).mean()
+    }
+
     #[test]
     fn rate_reward_matches_long_run_unavailability() {
         let (model, down) = repairable(1.0, 3.0);
         let spec = RewardSpec::rate(move |m| f64::from(u8::from(m.is_marked(down))));
-        let est = RewardStudy::new(model)
+        let est = Study::new(model)
             .with_seed(1)
-            .with_replications(3_000)
-            .estimate(&spec, 100.0, Backend::Markov)
+            .with_fixed_replications(3_000)
+            .reward(&spec, 100.0, Backend::Markov)
             .unwrap();
-        let frac = est.mean() / 100.0;
+        let frac = mean(&est) / 100.0;
         assert!((frac - 0.25).abs() < 0.01, "downtime fraction {frac}");
     }
 
@@ -386,12 +205,12 @@ mod tests {
         let (model, _) = repairable(2.0, 1000.0);
         let fail = model.find_activity("fail").unwrap();
         let spec = RewardSpec::impulse(move |a, _| f64::from(u8::from(a == fail)));
-        let est = RewardStudy::new(model)
+        let est = Study::new(model)
             .with_seed(2)
-            .with_replications(2_000)
-            .estimate(&spec, 10.0, Backend::Markov)
+            .with_fixed_replications(2_000)
+            .reward(&spec, 10.0, Backend::Markov)
             .unwrap();
-        assert!((est.mean() - 20.0).abs() < 0.6, "count {}", est.mean());
+        assert!((mean(&est) - 20.0).abs() < 0.6, "count {}", mean(&est));
     }
 
     #[test]
@@ -401,26 +220,26 @@ mod tests {
         // Cost = downtime + 0.5 per repair.
         let spec = RewardSpec::rate(move |m| f64::from(u8::from(m.is_marked(down))))
             .with_impulse(move |a, _| if a == repair { 0.5 } else { 0.0 });
-        let est = RewardStudy::new(model)
+        let est = Study::new(model)
             .with_seed(3)
-            .with_replications(3_000)
-            .estimate(&spec, 50.0, Backend::Markov)
+            .with_fixed_replications(3_000)
+            .reward(&spec, 50.0, Backend::Markov)
             .unwrap();
         // Downtime ≈ 25; repairs ≈ 0.5/unit time · 50 = 25 → 12.5.
-        assert!((est.mean() - 37.5).abs() < 1.5, "cost {}", est.mean());
+        assert!((mean(&est) - 37.5).abs() < 1.5, "cost {}", mean(&est));
     }
 
     #[test]
     fn both_backends_agree() {
         let (model, down) = repairable(0.7, 2.0);
         let spec1 = RewardSpec::rate(move |m| f64::from(u8::from(m.is_marked(down))));
-        let study = RewardStudy::new(model)
+        let study = Study::new(model)
             .with_seed(4)
-            .with_replications(4_000);
-        let a = study.estimate(&spec1, 30.0, Backend::Markov).unwrap();
-        let b = study.estimate(&spec1, 30.0, Backend::EventDriven).unwrap();
-        let ci_a = a.confidence_interval(0.99);
-        let ci_b = b.confidence_interval(0.99);
+            .with_fixed_replications(4_000);
+        let a = study.reward(&spec1, 30.0, Backend::Markov).unwrap();
+        let b = study.reward(&spec1, 30.0, Backend::EventDriven).unwrap();
+        let ci_a = a.curve.interval(0, 0.99);
+        let ci_b = b.curve.interval(0, 0.99);
         assert!(ci_a.overlaps(&ci_b), "{ci_a} vs {ci_b}");
     }
 
@@ -428,20 +247,21 @@ mod tests {
     fn stopping_rule_applies() {
         let (model, down) = repairable(1.0, 1.0);
         let spec = RewardSpec::rate(move |m| f64::from(u8::from(m.is_marked(down))));
-        let est = RewardStudy::new(model)
+        let est = Study::new(model)
             .with_seed(5)
             .with_rule(
                 StoppingRule::relative_precision(0.95, 0.05)
                     .with_min_samples(100)
                     .with_max_samples(50_000),
             )
-            .estimate(&spec, 20.0, Backend::Markov)
+            .reward(&spec, 20.0, Backend::Markov)
             .unwrap();
-        assert!(est.count() >= 100);
+        assert!(est.replications >= 100);
+        assert!(est.converged, "precision rule did not fire");
         assert!(
-            est.confidence_interval(0.95).relative_half_width() <= 0.06,
+            est.curve.interval(0, 0.95).relative_half_width() <= 0.06,
             "precision not reached: {}",
-            est.confidence_interval(0.95)
+            est.curve.interval(0, 0.95)
         );
     }
 
@@ -458,25 +278,31 @@ mod tests {
             f64::from(u8::from(m.is_marked(down)))
         });
         let metrics = Arc::new(Metrics::new());
-        let est = RewardStudy::new(model)
+        let est = Study::new(model)
             .with_seed(6)
-            .with_replications(200)
+            .with_fixed_replications(200)
             .with_quarantine_budget(1)
             .with_metrics(metrics.clone())
-            .estimate(&spec, 10.0, Backend::Markov)
+            .reward(&spec, 10.0, Backend::Markov)
             .unwrap();
-        assert_eq!(est.count(), 200, "quarantined rep must not count");
-        assert_eq!(metrics.snapshot().quarantined, 1);
+        // A fixed budget counts replication indices: the quarantined one
+        // is recorded, not replaced.
+        assert_eq!(est.replications, 199, "quarantined rep must not count");
+        assert_eq!(est.quarantined.len(), 1);
+        assert!(est.quarantined[0].message.contains("injected reward panic"));
+        let snap = metrics.snapshot();
+        assert_eq!(snap.quarantined, 1);
+        assert_eq!(snap.replications, 199);
     }
 
     #[test]
     fn quarantine_budget_zero_surfaces_first_panic() {
         let (model, _) = repairable(1.0, 1.0);
         let spec = RewardSpec::rate(|_| panic!("always broken"));
-        let err = RewardStudy::new(model)
+        let err = Study::new(model)
             .with_seed(7)
-            .with_replications(10)
-            .estimate(&spec, 1.0, Backend::EventDriven)
+            .with_fixed_replications(10)
+            .reward(&spec, 1.0, Backend::EventDriven)
             .unwrap_err();
         match err {
             SimError::QuarantineOverflow {
@@ -496,10 +322,71 @@ mod tests {
     fn biased_backend_rejected() {
         let (model, _) = repairable(1.0, 1.0);
         let spec = RewardSpec::rate(|_| 1.0);
-        let _ = RewardStudy::new(model).estimate(
-            &spec,
-            1.0,
-            Backend::BiasedMarkov(crate::BiasScheme::new()),
+        let _ =
+            Study::new(model).reward(&spec, 1.0, Backend::BiasedMarkov(crate::BiasScheme::new()));
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and non-negative")]
+    fn nan_horizon_rejected_up_front() {
+        let (model, down) = repairable(1.0, 1.0);
+        let spec = RewardSpec::rate(move |m| f64::from(u8::from(m.is_marked(down))));
+        let _ =
+            Study::new(model)
+                .with_fixed_replications(2)
+                .reward(&spec, f64::NAN, Backend::Markov);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and non-negative")]
+    fn negative_horizon_rejected_up_front() {
+        let (model, down) = repairable(1.0, 1.0);
+        let spec = RewardSpec::rate(move |m| f64::from(u8::from(m.is_marked(down))));
+        let _ = Study::new(model)
+            .with_fixed_replications(2)
+            .reward(&spec, -1.0, Backend::Markov);
+    }
+
+    /// The reference algorithm: one `run_with_observer` per replication
+    /// index on stream `replication_rng(seed, i)`, folded sequentially
+    /// into one `RunningStats`. With one thread and a budget within one
+    /// chunk, `Study::reward` must reproduce it bit for bit.
+    #[test]
+    fn reward_matches_sequential_reference_fold_bitwise() {
+        let (model, down) = repairable(0.7, 2.0);
+        let repair = model.find_activity("repair").unwrap();
+        let spec = RewardSpec::rate(move |m| f64::from(u8::from(m.is_marked(down))))
+            .with_impulse(move |a, _| if a == repair { 0.25 } else { 0.0 });
+        let (seed, n, horizon) = (0xBEEF, 1_000, 30.0);
+
+        let sim = MarkovSimulator::new(&model).unwrap();
+        let mut reference = RunningStats::new();
+        for i in 0..n {
+            let mut obs = RewardObserver::new(&spec);
+            sim.run_with_observer(horizon, &mut replication_rng(seed, i), &mut obs)
+                .unwrap();
+            reference.push(obs.total);
+        }
+
+        let est = Study::new(model)
+            .with_seed(seed)
+            .with_fixed_replications(n)
+            .with_threads(1)
+            .reward(&spec, horizon, Backend::Markov)
+            .unwrap();
+        let bits = |s: &RunningStats| {
+            (
+                s.count(),
+                s.mean().to_bits(),
+                s.m2().to_bits(),
+                s.min().to_bits(),
+                s.max().to_bits(),
+            )
+        };
+        assert_eq!(est.replications, n);
+        assert_eq!(
+            bits(est.curve.estimator(0).product_stats()),
+            bits(&reference)
         );
     }
 }

@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use ahs_des::{Backend, BiasScheme, Study};
+use ahs_des::{Backend, BiasScheme, RewardSpec, Study};
 use ahs_obs::Metrics;
 use ahs_san::{Delay, PlaceId, SanBuilder, SanModel};
 use ahs_stats::TimeGrid;
@@ -141,6 +141,41 @@ fn transient_is_thread_count_invariant() {
             .collect::<Vec<_>>()
     };
     assert_eq!(run(1), run(4));
+}
+
+/// A rate + impulse reward (time with component 1 down, plus one per
+/// latch firing) over 5 000 replications: five chunks, so the fold
+/// crosses chunk boundaries.
+fn run_reward(threads: usize, backend: Backend) -> (u64, u64, u64) {
+    let (m, _) = model();
+    let latch = m.find_activity("latch").unwrap();
+    let dn1 = m.find_place("dn1").unwrap();
+    let spec = RewardSpec::rate(move |mk| f64::from(u8::from(mk.is_marked(dn1))))
+        .with_impulse(move |a, _| f64::from(u8::from(a == latch)));
+    let est = Study::new(m)
+        .with_seed(0x2E_2009)
+        .with_fixed_replications(5_000)
+        .with_threads(threads)
+        .reward(&spec, 4.0, backend)
+        .unwrap();
+    assert_eq!(est.replications, 5_000);
+    let stats = est.curve.estimator(0).product_stats();
+    (stats.count(), stats.mean().to_bits(), stats.m2().to_bits())
+}
+
+#[test]
+fn reward_is_thread_count_invariant() {
+    for backend in [Backend::Markov, Backend::EventDriven] {
+        let baseline = run_reward(1, backend.clone());
+        assert!(f64::from_bits(baseline.1) > 0.0, "reward never accrued");
+        for threads in [2, 4] {
+            assert_eq!(
+                baseline,
+                run_reward(threads, backend.clone()),
+                "{backend:?} reward differs between 1 and {threads} threads"
+            );
+        }
+    }
 }
 
 #[test]

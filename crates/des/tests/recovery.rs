@@ -10,7 +10,7 @@ use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use ahs_des::{generation_path, Backend, SimError, Study, StudyCheckpoint, Watchdog};
+use ahs_des::{generation_path, Backend, RewardSpec, SimError, Study, StudyCheckpoint, Watchdog};
 use ahs_obs::{Metrics, ProgressSink};
 use ahs_san::{Delay, PlaceId, SanBuilder, SanModel};
 use ahs_stats::TimeGrid;
@@ -162,6 +162,65 @@ fn interrupted_study_resumes_bitwise_identical_at_any_thread_count() {
             resumed.curve.estimators(),
             baseline.curve.estimators(),
             "resumed study diverged from uninterrupted run at {threads} threads"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Time spent with `ko` latched over `[0, 4]`, a reward whose total
+/// differs per replication.
+fn ko_time(ko: PlaceId) -> RewardSpec {
+    RewardSpec::rate(move |m| f64::from(u8::from(m.is_marked(ko))))
+}
+
+#[test]
+fn interrupted_reward_study_resumes_bitwise_identical() {
+    let dir = scratch_dir("reward-resume");
+    let (baseline_study, ko) = study(1, 77);
+    let baseline = baseline_study
+        .reward(&ko_time(ko), 4.0, Backend::Markov)
+        .unwrap();
+    assert_eq!(baseline.replications, 600);
+    assert!(
+        baseline.curve.estimator(0).mean() > 0.0,
+        "reward never accrued"
+    );
+
+    for threads in [1_usize, 2, 4] {
+        let cp_path = dir.join(format!("reward-{threads}.checkpoint.json"));
+        let flag = Arc::new(AtomicBool::new(false));
+        let sink = Arc::new(ProgressSink::to_writer(Box::new(RaiseAfter {
+            needle: "chunk_done",
+            remaining: 2,
+            flag: flag.clone(),
+        })));
+        let (s, ko) = study(threads, 77);
+        let first = s
+            .with_checkpoint(&cp_path, 100)
+            .with_interrupt(flag)
+            .with_progress(sink)
+            .reward(&ko_time(ko), 4.0, Backend::Markov)
+            .unwrap();
+        assert!(
+            first.interrupted || first.replications == 600,
+            "reward study neither interrupted nor complete at {threads} threads"
+        );
+
+        let cp = StudyCheckpoint::load(&cp_path).unwrap();
+        assert_eq!(cp.watermark, first.replications);
+        assert!(cp.watermark > 0, "no replication survived the interrupt");
+        let watermark = cp.watermark;
+        let (s, ko) = study(threads, 77);
+        let resumed = s
+            .with_resume(cp)
+            .reward(&ko_time(ko), 4.0, Backend::Markov)
+            .unwrap();
+        assert_eq!(resumed.replications, 600);
+        assert_eq!(resumed.resume_lineage, vec![watermark]);
+        assert_eq!(
+            resumed.curve.estimators(),
+            baseline.curve.estimators(),
+            "resumed reward study diverged from uninterrupted run at {threads} threads"
         );
     }
     std::fs::remove_dir_all(&dir).ok();

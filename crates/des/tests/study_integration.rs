@@ -2,7 +2,7 @@
 //! estimation, state-dependent bias schemes, and reward/splitting
 //! interplay on a common model.
 
-use ahs_des::{Backend, BiasScheme, RewardSpec, RewardStudy, SplittingStudy, Study};
+use ahs_des::{Backend, BiasScheme, RewardSpec, SplittingStudy, Study};
 use ahs_san::{Delay, PlaceId, SanBuilder, SanModel};
 use ahs_stats::TimeGrid;
 
@@ -120,16 +120,16 @@ fn reward_and_splitting_coexist_on_one_model() {
     let d0 = downs[0];
 
     let spec = RewardSpec::rate(move |m| f64::from(u8::from(m.is_marked(d0))));
-    let reward = RewardStudy::new({
+    let reward = Study::new({
         let (m, _) = two_components(0.3, 1.5);
         m
     })
     .with_seed(33)
-    .with_replications(4_000)
-    .estimate(&spec, 50.0, Backend::Markov)
+    .with_fixed_replications(4_000)
+    .reward(&spec, 50.0, Backend::Markov)
     .unwrap();
     // Component-0 unavailability: 0.3/1.8 over [0, 50].
-    assert!((reward.mean() / 50.0 - 1.0 / 6.0).abs() < 0.01);
+    assert!((reward.curve.estimator(0).mean() / 50.0 - 1.0 / 6.0).abs() < 0.01);
 
     let d = downs.clone();
     let split = SplittingStudy::new(model)
