@@ -3,7 +3,7 @@
 
 use ahs_san::{Delay, Marking, RateGroupId, SanBuilder, SanError};
 
-use crate::model::{array_append, array_remove, Refs};
+use crate::model::Refs;
 use crate::params::Params;
 
 /// The shared-rate groups of the join and leave activities.
@@ -59,7 +59,7 @@ fn add_join(b: &mut SanBuilder, v: usize, refs: &Refs, group: RateGroupId) -> Re
 
     let gate_refs = refs.clone();
     let space_touches: Vec<_> = std::iter::once(refs.ko_total)
-        .chain(refs.platoon_indicators())
+        .chain(refs.platoon_arrays.iter().copied())
         .collect();
     let space_gate = b.predicate_gate_touching("join_space", space_touches, move |m: &Marking| {
         !m.is_marked(gate_refs.ko_total) && gate_refs.open_platoons(m) != 0
@@ -76,7 +76,7 @@ fn add_join(b: &mut SanBuilder, v: usize, refs: &Refs, group: RateGroupId) -> Re
             move |m: &mut Marking| {
                 m.set_tokens(vp.platoon, k);
                 m.add_tokens(vp.present, 1);
-                array_append(m.array_mut(og_refs.array_place(k)), v as i64 + 1);
+                og_refs.array_append(m, k, v as i64 + 1);
             },
         ));
     }
@@ -133,7 +133,7 @@ fn add_leave(
         move |m: &mut Marking| {
             m.set_tokens(vp.present, 0);
             m.set_tokens(vp.platoon, 0);
-            array_remove(m.array_mut(og_refs.array_place(1)), v as i64 + 1);
+            og_refs.array_remove(m, 1, v as i64 + 1);
             m.add_tokens(vp.out, 1);
         },
     );
@@ -153,27 +153,29 @@ fn open_adjacent(refs: &Refs, m: &Marking, which: u64) -> u64 {
     if which == 0 {
         return 0;
     }
-    // Bit 0 is no platoon, and bits past the last platoon are never
-    // open.
-    let adjacent = (1 << (which - 1) | 1 << (which + 1)) & !1;
-    refs.open_platoons(m) & adjacent
+    [which - 1, which + 1]
+        .into_iter()
+        .filter(|&k| (1..=refs.num_platoons() as u64).contains(&k) && refs.has_room(m, k))
+        .fold(0, |open, k| open | 1 << k)
 }
 
 fn add_change(b: &mut SanBuilder, v: usize, refs: &Refs, params: &Params) -> Result<(), SanError> {
     let vp = refs.vehicles[v];
 
-    // Operating, and an adjacent platoon has space.
+    // Operating, and an adjacent platoon has space. Adjacency goes
+    // first: it is the test that usually rejects, and it reads at most
+    // three words (order does not change the value: the gate is pure).
     let gate_refs = refs.clone();
-    let gate_touches: Vec<_> = [refs.ko_total, vp.present]
+    let gate_touches: Vec<_> = [refs.ko_total, vp.present, vp.platoon]
         .into_iter()
         .chain(vp.maneuvers)
-        .chain(refs.platoon_indicators())
+        .chain(refs.platoon_arrays.iter().copied())
         .collect();
     let gate = b.predicate_gate_touching("change_possible", gate_touches, move |m: &Marking| {
-        !m.is_marked(gate_refs.ko_total)
+        open_adjacent(&gate_refs, m, m.tokens(vp.platoon)) != 0
+            && !m.is_marked(gate_refs.ko_total)
             && m.is_marked(vp.present)
             && gate_refs.active_slot(m, v).is_none()
-            && open_adjacent(&gate_refs, m, m.tokens(vp.platoon)) != 0
     });
 
     // One case per direction (down = toward the exit lane, up = away),
@@ -201,8 +203,8 @@ fn add_change(b: &mut SanBuilder, v: usize, refs: &Refs, params: &Params) -> Res
                     return;
                 }
                 let id = v as i64 + 1;
-                array_remove(m.array_mut(move_refs.array_place(from)), id);
-                array_append(m.array_mut(move_refs.array_place(to)), id);
+                move_refs.array_remove(m, from, id);
+                move_refs.array_append(m, to, id);
                 m.set_tokens(vp.platoon, to);
             },
         ));

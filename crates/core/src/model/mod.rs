@@ -29,7 +29,7 @@ use ahs_san::{ActivityId, Marking, PlaceId, SanBuilder, SanModel};
 
 use crate::error::AhsError;
 use crate::failure::MANEUVERS;
-use crate::params::{Params, MAX_PLATOONS};
+use crate::params::Params;
 use crate::severity::SeverityCount;
 
 /// Place handles of one vehicle replica.
@@ -105,11 +105,12 @@ impl Refs {
             .map_or(0, |s| crate::failure::maneuver_priority(MANEUVERS[s]))
     }
 
-    /// Number of vehicles currently in platoon `which` (1 or 2).
+    /// Number of vehicles currently in platoon `which` (1-based): the
+    /// length of its compacted occupancy array's non-zero prefix.
     pub fn platoon_size(&self, m: &Marking, which: u64) -> usize {
-        self.vehicles
+        m.array(self.array_place(which))
             .iter()
-            .filter(|vp| m.tokens(vp.platoon) == which)
+            .take_while(|&&id| id != 0)
             .count()
     }
 
@@ -128,30 +129,25 @@ impl Refs {
             .count()
     }
 
+    /// Whether platoon `which` (1-based) holds fewer than `capacity`
+    /// vehicles. The occupancy arrays are compacted and exactly
+    /// `capacity` long, so this reads one word: the array's last entry.
+    pub fn has_room(&self, m: &Marking, which: u64) -> bool {
+        m.array(self.array_place(which))[self.capacity - 1] == 0
+    }
+
     /// The platoons with a free slot, as a bit set: bit `k` is set iff
-    /// platoon `k` (1-based) holds fewer than `capacity` vehicles. One
-    /// pass over the platoon indicators, no allocation.
+    /// platoon `k` (1-based) [has room](Self::has_room). One word per
+    /// platoon, no allocation.
     pub fn open_platoons(&self, m: &Marking) -> u64 {
-        let mut sizes = [0usize; MAX_PLATOONS + 1];
-        for vp in self.vehicles.iter() {
-            if let Some(size) = sizes.get_mut(m.tokens(vp.platoon) as usize) {
-                *size += 1;
-            }
-        }
-        (1..=self.num_platoons())
-            .filter(|&k| sizes[k] < self.capacity)
+        (1..=self.num_platoons() as u64)
+            .filter(|&k| self.has_room(m, k))
             .fold(0, |open, k| open | 1 << k)
     }
 
     /// Number of platoons.
     pub fn num_platoons(&self) -> usize {
         self.platoon_arrays.len()
-    }
-
-    /// Every vehicle's platoon-indicator place — the read set of the
-    /// platoon-size helpers, used in gate `touches` declarations.
-    pub fn platoon_indicators(&self) -> impl Iterator<Item = PlaceId> + '_ {
-        self.vehicles.iter().map(|vp| vp.platoon)
     }
 
     /// The occupancy-array place of platoon `which` (1-based).
@@ -161,6 +157,50 @@ impl Refs {
     /// Panics if `which` is not a valid platoon number.
     pub fn array_place(&self, which: u64) -> PlaceId {
         self.platoon_arrays[which as usize - 1]
+    }
+
+    /// Removes vehicle id `id` from platoon `which`'s occupancy array,
+    /// compacting the remaining entries forward (the paper's position
+    /// management after leave events).
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, panics if `id` is not in the array: the array
+    /// and the vehicle's platoon indicator would then disagree, and the
+    /// platoon gates read the arrays.
+    pub fn array_remove(&self, m: &mut Marking, which: u64, id: i64) {
+        let arr = m.array_mut(self.array_place(which));
+        let pos = arr.iter().position(|&x| x == id);
+        debug_assert!(
+            pos.is_some(),
+            "array_remove: vehicle id {id} is not in platoon{which} {arr:?}"
+        );
+        if let Some(pos) = pos {
+            arr.copy_within(pos + 1.., pos);
+            if let Some(last) = arr.last_mut() {
+                *last = 0;
+            }
+        }
+    }
+
+    /// Appends vehicle id `id` at the first free slot of platoon
+    /// `which`'s occupancy array — "each time a vehicle joins a platoon
+    /// it occupies the last position" (paper §3.2.3).
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, panics if the array is full (see
+    /// [`array_remove`](Self::array_remove)).
+    pub fn array_append(&self, m: &mut Marking, which: u64, id: i64) {
+        let arr = m.array_mut(self.array_place(which));
+        let slot = arr.iter().position(|&x| x == 0);
+        debug_assert!(
+            slot.is_some(),
+            "array_append: platoon{which} is full, cannot take vehicle id {id}: {arr:?}"
+        );
+        if let Some(slot) = slot {
+            arr[slot] = id;
+        }
     }
 
     /// The platoon whose leader coordinates with the faulty vehicle's
@@ -190,28 +230,6 @@ impl Refs {
             crate::SeverityClass::B => self.class_b,
             crate::SeverityClass::C => self.class_c,
         }
-    }
-}
-
-/// Removes `val` from an occupancy array, compacting the remaining
-/// entries forward (the paper's position management after leave
-/// events).
-pub(crate) fn array_remove(arr: &mut [i64], val: i64) {
-    if let Some(pos) = arr.iter().position(|&x| x == val) {
-        for i in pos..arr.len() - 1 {
-            arr[i] = arr[i + 1];
-        }
-        if let Some(last) = arr.last_mut() {
-            *last = 0;
-        }
-    }
-}
-
-/// Appends `val` at the first free slot — "each time a vehicle joins a
-/// platoon it occupies the last position" (paper §3.2.3).
-pub(crate) fn array_append(arr: &mut [i64], val: i64) {
-    if let Some(slot) = arr.iter_mut().find(|x| **x == 0) {
-        *slot = val;
     }
 }
 
@@ -332,26 +350,74 @@ mod tests {
     use super::*;
     use crate::params::Params;
 
+    /// The places of `params`' model, one idle activity (a SAN needs
+    /// one), and the initial marking.
+    fn places_only(params: &Params) -> (Refs, Marking) {
+        let mut b = SanBuilder::new("places");
+        let (refs, _) = configuration::build_places(&mut b, params).unwrap();
+        b.timed_activity("idle", ahs_san::Delay::exponential(1.0))
+            .unwrap()
+            .build()
+            .unwrap();
+        let m = b.build().unwrap().initial_marking().clone();
+        (refs, m)
+    }
+
     #[test]
     fn array_remove_compacts() {
-        let mut a = [1, 2, 3, 0];
-        array_remove(&mut a, 2);
-        assert_eq!(a, [1, 3, 0, 0]);
-        array_remove(&mut a, 9); // absent: no-op
-        assert_eq!(a, [1, 3, 0, 0]);
-        array_remove(&mut a, 1);
-        array_remove(&mut a, 3);
-        assert_eq!(a, [0, 0, 0, 0]);
+        let (refs, mut m) = places_only(&Params::builder().n(4).build().unwrap());
+        refs.array_remove(&mut m, 1, 2);
+        assert_eq!(m.array(refs.array_place(1)), &[1, 3, 4, 0]);
+        refs.array_remove(&mut m, 1, 1);
+        refs.array_remove(&mut m, 1, 4);
+        assert_eq!(m.array(refs.array_place(1)), &[3, 0, 0, 0]);
+        refs.array_remove(&mut m, 1, 3);
+        assert_eq!(m.array(refs.array_place(1)), &[0, 0, 0, 0]);
     }
 
     #[test]
     fn array_append_takes_last_position() {
-        let mut a = [5, 0, 0];
-        array_append(&mut a, 7);
-        assert_eq!(a, [5, 7, 0]);
-        array_append(&mut a, 9);
-        array_append(&mut a, 11); // full: dropped
-        assert_eq!(a, [5, 7, 9]);
+        let (refs, mut m) = places_only(&Params::builder().n(3).build().unwrap());
+        refs.array_remove(&mut m, 2, 4);
+        refs.array_remove(&mut m, 2, 6);
+        assert_eq!(m.array(refs.array_place(2)), &[5, 0, 0]);
+        refs.array_append(&mut m, 2, 7);
+        assert_eq!(m.array(refs.array_place(2)), &[5, 7, 0]);
+        refs.array_append(&mut m, 2, 9);
+        assert_eq!(m.array(refs.array_place(2)), &[5, 7, 9]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "vehicle id 9 is not in platoon1")]
+    fn array_remove_of_an_absent_id_is_loud() {
+        let (refs, mut m) = places_only(&Params::builder().n(2).build().unwrap());
+        refs.array_remove(&mut m, 1, 9);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "platoon2 is full, cannot take vehicle id 9")]
+    fn array_append_to_a_full_array_is_loud() {
+        let (refs, mut m) = places_only(&Params::builder().n(2).build().unwrap());
+        refs.array_append(&mut m, 2, 9);
+    }
+
+    #[test]
+    fn platoon_queries_read_the_arrays() {
+        let (refs, mut m) = places_only(&Params::builder().n(3).platoons(3).build().unwrap());
+        assert_eq!(refs.open_platoons(&m), 0);
+        assert_eq!(refs.platoon_size(&m, 2), 3);
+        refs.array_remove(&mut m, 2, 5);
+        refs.array_remove(&mut m, 3, 7);
+        refs.array_remove(&mut m, 3, 8);
+        assert_eq!(refs.open_platoons(&m), 0b1100);
+        assert_eq!(
+            (1..=3)
+                .map(|k| refs.platoon_size(&m, k))
+                .collect::<Vec<_>>(),
+            [3, 2, 1]
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@ use ahs_san::{ActivityId, Delay, Marking, SanBuilder, SanError};
 use crate::failure::{
     class_of_maneuver, escalation_of, maneuver_priority, maneuver_slot, FailureMode, MANEUVERS,
 };
-use crate::model::{array_remove, Refs};
+use crate::model::Refs;
 use crate::params::Params;
 use crate::strategy::involved_vehicles;
 
@@ -271,7 +271,7 @@ fn release_platoon_slot(refs: &Refs, m: &mut Marking, v: usize) {
     let which = m.tokens(vp.platoon);
     let id = v as i64 + 1;
     if which >= 1 && which as usize <= refs.num_platoons() {
-        array_remove(m.array_mut(refs.array_place(which)), id);
+        refs.array_remove(m, which, id);
     }
     m.set_tokens(vp.platoon, 0);
 }

@@ -1,5 +1,5 @@
-//! Property-based invariants of the composed AHS SAN model, checked
-//! along random execution paths.
+//! Invariants of the composed AHS SAN model, checked along random
+//! execution paths and, at n ≤ 2, on every reachable stable marking.
 //!
 //! Invariants:
 //!
@@ -13,9 +13,18 @@
 //! 5. platoon sizes never exceed the capacity `n`;
 //! 6. `KO_total` is absorbing: once marked, no timed activity is
 //!    enabled.
+//!
+//! The `join_space` and `change_possible` gates read only the
+//! occupancy arrays (a platoon has room iff its array's last entry is
+//! empty), so they are correct only while invariant 3 holds. The
+//! exhaustive cases prove it on every reachable stable marking and
+//! check each `change`/`join` against its definition recomputed from
+//! the platoon indicators; the read-set pin keeps the gates from
+//! declaring every vehicle's indicator again.
 
-use ahs_core::{AhsModel, Params, SeverityClass, MANEUVERS};
-use ahs_san::Marking;
+use ahs_core::{AhsModel, Params, SeverityClass, Strategy, MANEUVERS};
+use ahs_ctmc::{SanMarkovModel, StateSpace};
+use ahs_san::{ActivityId, Marking};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -148,5 +157,139 @@ proptest! {
             check_invariants(&model, &m)
                 .map_err(|e| TestCaseError::fail(format!("step {step}: {e}")))?;
         }
+    }
+}
+
+/// Every vehicle's `(change, join)` activity.
+fn platoon_activities(model: &AhsModel) -> Vec<(ActivityId, ActivityId)> {
+    let san = model.san();
+    (0..model.handles().vehicles.len())
+        .map(|v| {
+            let find = |kind: &str| san.find_activity(&format!("vehicle[{v}].{kind}")).unwrap();
+            (find("change"), find("join"))
+        })
+        .collect()
+}
+
+/// Checks each `change`/`join` against its definition recomputed from
+/// the platoon indicators alone: platoon `k` has room iff fewer than
+/// `n` vehicles carry indicator `k`; `change` needs a present, idle
+/// vehicle with an adjacent platoon that has room; `join` needs a
+/// waiting vehicle and any platoon with room. Neither fires under KO.
+fn check_platoon_gates(
+    model: &AhsModel,
+    activities: &[(ActivityId, ActivityId)],
+    m: &Marking,
+) -> Result<(), String> {
+    let h = model.handles();
+    let n = model.params().n;
+    let platoons = h.platoon_arrays.len() as u64;
+    let has_room = |k: u64| {
+        (1..=platoons).contains(&k)
+            && h.vehicles
+                .iter()
+                .filter(|vp| m.tokens(vp.platoon) == k)
+                .count()
+                < n
+    };
+    let ko = m.is_marked(h.ko_total);
+    let any_room = (1..=platoons).any(has_room);
+    for (v, (vp, &(change, join))) in h.vehicles.iter().zip(activities).enumerate() {
+        let which = m.tokens(vp.platoon);
+        let idle = vp.maneuvers.iter().all(|&p| !m.is_marked(p));
+        let expect_change = !ko
+            && m.is_marked(vp.present)
+            && idle
+            && which > 0
+            && (has_room(which - 1) || has_room(which + 1));
+        let expect_join = !ko && m.is_marked(vp.out) && any_room;
+        for (kind, a, expect) in [
+            ("change", change, expect_change),
+            ("join", join, expect_join),
+        ] {
+            let got = model.san().is_enabled(a, m);
+            if got != expect {
+                return Err(format!(
+                    "vehicle {v} {kind}: enabled = {got}, indicator definition says {expect}"
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Explores every reachable stable marking of `params`' model and
+/// checks the invariants and the platoon gates on each.
+fn check_every_reachable_marking(params: Params) {
+    let model = AhsModel::build(&params).unwrap();
+    let activities = platoon_activities(&model);
+    let adapter = SanMarkovModel::new(model.san()).unwrap();
+    let space = StateSpace::explore(&adapter, 1 << 19).unwrap();
+    for (i, m) in space.states().iter().enumerate() {
+        check_invariants(&model, m)
+            .and_then(|()| check_platoon_gates(&model, &activities, m))
+            .unwrap_or_else(|e| panic!("state {i} of {}: {e}\n{m:?}", space.len()));
+    }
+}
+
+fn params(n: usize, strategy: Strategy, platoons: usize) -> Params {
+    Params::builder()
+        .n(n)
+        .strategy(strategy)
+        .platoons(platoons)
+        .build()
+        .unwrap()
+}
+
+#[test]
+fn every_reachable_marking_n1_dd() {
+    check_every_reachable_marking(params(1, Strategy::Dd, 2));
+}
+
+#[test]
+fn every_reachable_marking_n1_cc() {
+    check_every_reachable_marking(params(1, Strategy::Cc, 2));
+}
+
+#[test]
+fn every_reachable_marking_n1_three_platoons() {
+    check_every_reachable_marking(params(1, Strategy::Dd, 3));
+}
+
+/// At n = 1 every array has one slot, so only this case can tell a
+/// gate reading the last entry from one reading the first.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "97 917-state chain; run under --release (CI model-check job)"
+)]
+fn every_reachable_marking_n2_dd() {
+    check_every_reachable_marking(params(2, Strategy::Dd, 2));
+}
+
+/// At n = 8 the platoon gates read the occupancy arrays and the
+/// vehicle's own indicator, never another vehicle's, and the
+/// re-evaluation work per firing stays at its measured size.
+#[test]
+fn platoon_gate_read_sets_are_pinned() {
+    let model = AhsModel::build(&params(8, Strategy::Dd, 2)).unwrap();
+    let san = model.san();
+    let graph = san.dependency_graph();
+    let vehicles = &model.handles().vehicles;
+    for (v, &(change, join)) in platoon_activities(&model).iter().enumerate() {
+        for a in [change, join] {
+            let reads = graph.read_set(a);
+            for (u, other) in vehicles.iter().enumerate() {
+                assert!(
+                    u == v || !reads.contains(&other.platoon),
+                    "vehicle {v} {} reads vehicle {u}'s platoon indicator",
+                    san.activity(a).name()
+                );
+            }
+        }
+        let leave = san.find_activity(&format!("vehicle[{v}].leave")).unwrap();
+        assert_eq!(graph.affected_by(change).len(), 33, "vehicle {v} change");
+        assert_eq!(graph.affected_by(join).len(), 39, "vehicle {v} join");
+        assert_eq!(graph.affected_by(leave).len(), 39, "vehicle {v} leave");
     }
 }

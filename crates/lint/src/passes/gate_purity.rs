@@ -16,8 +16,9 @@
 //! markings), so they are traced in every sampled marking. Marking
 //! functions only ever run when an attached activity fires and may rely
 //! on that precondition — e.g. removing a token the enabling condition
-//! guarantees — so they are traced only in sampled markings from which
-//! such a firing can actually happen.
+//! guarantees, or appending to a platoon array the case probability
+//! guarantees has room — so they are traced only in sampled markings
+//! from which such a firing can actually happen.
 //!
 //! A predicate that reads nothing in any sampled marking is reported as
 //! a note: it is constant, so the gate either never matters or should
@@ -28,7 +29,7 @@ use std::collections::BTreeSet;
 use ahs_san::{trace, Marking, PlaceId, SanModel};
 
 use crate::diag::{Diagnostic, Severity};
-use crate::reach::ReachSet;
+use crate::reach::{can_take, ReachSet};
 use crate::LintConfig;
 
 /// Pass identifier.
@@ -53,7 +54,8 @@ pub(crate) fn run(model: &SanModel, reach: &ReachSet, cfg: &LintConfig) -> Vec<D
 
     for m in &samples {
         // Gates whose marking function could run from this marking:
-        // those attached to an activity that can fire here.
+        // those attached to an activity that can fire here, and for
+        // output gates, to a case it can take here.
         let fireable = if model.is_stable(m) {
             model.enabled_timed(m)
         } else {
@@ -66,9 +68,11 @@ pub(crate) fn run(model: &SanModel, reach: &ReachSet, cfg: &LintConfig) -> Vec<D
             for g in act.input_gates() {
                 ig_fires[g.index()] = true;
             }
-            for case in act.cases() {
-                for g in case.output_gates() {
-                    og_fires[g.index()] = true;
+            for (case, branch) in act.cases().iter().enumerate() {
+                if can_take(model, a, case, m) {
+                    for g in branch.output_gates() {
+                        og_fires[g.index()] = true;
+                    }
                 }
             }
         }

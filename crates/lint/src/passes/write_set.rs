@@ -12,9 +12,10 @@
 //! * **enablement reads** — `is_enabled` is traced in every sampled
 //!   reachable marking; a read outside the activity's declared read-set
 //!   is an error (enabledness could change without invalidation);
-//! * **firing writes** — every case of every fireable activity is fired
-//!   against a shadow marking; a write outside the declared write-set
-//!   is an error (downstream activities would never be re-checked).
+//! * **firing writes** — every case each fireable activity can take is
+//!   fired against a shadow marking; a write outside the declared
+//!   write-set is an error (downstream activities would never be
+//!   re-checked).
 //!
 //! Activities attached to a gate with *no* `touches` declaration are
 //! skipped: their sets are knowingly incomplete, the graph reports
@@ -27,7 +28,7 @@ use std::collections::BTreeSet;
 use ahs_san::{trace, ActivityId, Marking, PlaceId, SanModel};
 
 use crate::diag::{Diagnostic, Severity};
-use crate::reach::ReachSet;
+use crate::reach::{can_take, ReachSet};
 use crate::LintConfig;
 
 /// Pass identifier.
@@ -87,6 +88,9 @@ pub(crate) fn run(model: &SanModel, reach: &ReachSet, cfg: &LintConfig) -> Vec<D
             }
             let writes = graph.write_set(a);
             for case in 0..model.activity(a).cases().len() {
+                if !can_take(model, a, case, m) {
+                    continue;
+                }
                 let mut shadow = (*m).clone();
                 let (_, t) = trace::record(|| model.fire(a, case, &mut shadow));
                 write_violations[a.index()].extend(t.writes().filter(|p| !writes.contains(p)));

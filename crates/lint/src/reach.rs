@@ -13,7 +13,17 @@
 //! [`ahs_ctmc::StateSpace::explore_truncated`].
 
 use ahs_ctmc::{MarkovModel, StateSpace};
-use ahs_san::{Marking, SanModel};
+use ahs_san::{ActivityId, Marking, SanModel};
+
+/// Whether `case` of `a` can be taken in `m`. A case whose probability
+/// evaluates to exactly 0 cannot (matches `stable_successors`):
+/// exploring it, or running its output gates, would fabricate
+/// unreachable markings. Bad probabilities (negative, NaN) still count
+/// as takeable — the case-probability pass reports them, and
+/// suppressing their firings would hide further defects behind them.
+pub(crate) fn can_take(model: &SanModel, a: ActivityId, case: usize, m: &Marking) -> bool {
+    model.activity(a).cases()[case].probability(m) != 0.0
+}
 
 /// Unit-rate micro-step adapter: exposes a SAN's *marking graph*
 /// (stable and unstable markings alike) as a [`MarkovModel`] so the
@@ -39,14 +49,7 @@ impl MarkovModel for UnitRateSan<'_> {
         let mut next = m.clone();
         for a in enabled {
             for case in 0..self.model.activity(a).cases().len() {
-                // A case whose probability evaluates to exactly 0 in this
-                // marking cannot be taken (matches `stable_successors`);
-                // exploring it would fabricate unreachable states. Bad
-                // probabilities (negative, NaN) are still explored — the
-                // case-probability pass reports them, and suppressing the
-                // successors would hide further defects behind them.
-                let p = self.model.activity(a).cases()[case].probability(m);
-                if p == 0.0 {
+                if !can_take(self.model, a, case, m) {
                     continue;
                 }
                 next.clone_from(m);
