@@ -67,6 +67,15 @@ pub enum SimError {
         /// Why the step could not be taken.
         reason: String,
     },
+    /// A transient run was given an observation grid that is empty,
+    /// not finite and non-negative, or not strictly increasing.
+    InvalidGrid {
+        /// The first violation found.
+        reason: String,
+    },
+    /// An observer run was asked of a biased SSA executor: the observer
+    /// would see the biased measure with no likelihood ratio to undo it.
+    BiasedObserver,
     /// An internal engine invariant was violated. This indicates a bug
     /// in the simulator, not in the model; it is surfaced as a typed
     /// error instead of a panic so a multi-thousand-replication study
@@ -115,6 +124,12 @@ impl std::fmt::Display for SimError {
             } => write!(
                 f,
                 "forced schedule diverges at step {step} (activity `{activity}`): {reason}"
+            ),
+            SimError::InvalidGrid { reason } => write!(f, "invalid observation grid: {reason}"),
+            SimError::BiasedObserver => write!(
+                f,
+                "an observer run cannot carry an importance-sampling bias; \
+                 use an unbiased simulator"
             ),
             SimError::Internal { context } => {
                 write!(f, "internal simulator invariant violated: {context}")
@@ -169,8 +184,13 @@ mod tests {
             reason: "schema mismatch".into(),
         };
         assert!(e.to_string().contains("schema mismatch"), "{e}");
+        let e = SimError::InvalidGrid {
+            reason: "the grid is empty".into(),
+        };
+        assert!(e.to_string().contains("grid is empty"), "{e}");
+        assert!(SimError::BiasedObserver.to_string().contains("bias"));
         let e = SimError::Internal {
-            context: "peeked event vanished".into(),
+            context: "positive total rate with an empty rate table".into(),
         };
         assert!(e.to_string().contains("invariant"), "{e}");
         let e = SimError::Replay {

@@ -4,17 +4,15 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use ahs_obs::Metrics;
-use ahs_san::{ActivityId, EnablementCache, Marking, SanModel};
+use ahs_san::{EnablementCache, Marking, SanModel};
 use rand::Rng;
 
 use crate::error::SimError;
 use crate::event::EventQueue;
 use crate::observer::Observer;
+use crate::run::{FirstPassage, GridObservations, Observed, RunMode, RunTally, DEFAULT_MAX_EVENTS};
 use crate::ssa::RunOutcome;
 use crate::watchdog::Watchdog;
-
-/// Default per-replication event budget.
-const DEFAULT_MAX_EVENTS: u64 = 10_000_000;
 
 /// Classical discrete-event executor.
 ///
@@ -36,8 +34,6 @@ pub struct EventDrivenSimulator<'m> {
     // run methods `&self`; a run that panics simply loses its scratch
     // and the next run rebuilds it.
     scratch: Cell<Option<Box<EdScratch>>>,
-    // Diagnostics/testing: disable incremental enablement tracking.
-    full_rescan: bool,
     metrics: Option<Arc<Metrics>>,
     watchdog: Option<Watchdog>,
 }
@@ -53,16 +49,6 @@ pub(crate) struct EdScratch {
     changed: Vec<u32>,
 }
 
-/// Per-run tallies accumulated locally and flushed once per
-/// replication, so telemetry never adds per-event atomic traffic.
-#[derive(Default)]
-struct RunTally {
-    timed: u64,
-    instantaneous: u64,
-    cascaded: bool,
-    queue_depth_max: usize,
-}
-
 impl<'m> EventDrivenSimulator<'m> {
     /// Creates an executor for `model`.
     pub fn new(model: &'m SanModel) -> Self {
@@ -70,7 +56,6 @@ impl<'m> EventDrivenSimulator<'m> {
             model,
             max_events: DEFAULT_MAX_EVENTS,
             scratch: Cell::new(None),
-            full_rescan: false,
             metrics: None,
             watchdog: None,
         }
@@ -83,31 +68,14 @@ impl<'m> EventDrivenSimulator<'m> {
         self
     }
 
-    /// Disables (or re-enables) incremental enablement tracking: with
-    /// `true`, every firing reconciles every timed activity exactly
-    /// like the pre-cache executor. Results are bitwise identical
-    /// either way — this is a diagnostics/testing knob, exercised by
-    /// the equivalence test tier.
-    #[must_use]
-    pub fn with_full_rescan(mut self, on: bool) -> Self {
-        self.full_rescan = on;
-        // Any parked cache was built under the previous mode.
-        self.scratch = Cell::new(None);
-        self
-    }
-
     /// Retrieves the parked scratch or builds a fresh one (first run,
     /// or the previous run panicked mid-flight).
     pub(crate) fn take_scratch(&self) -> Box<EdScratch> {
         if let Some(s) = self.scratch.take() {
             return s;
         }
-        let mut cache = self.model.new_cache();
-        if self.full_rescan {
-            cache.force_full_rescan();
-        }
         Box::new(EdScratch {
-            cache,
+            cache: self.model.new_cache(),
             queue: EventQueue::new(self.model.timed_activities().len()),
             changed: Vec::new(),
         })
@@ -141,17 +109,34 @@ impl<'m> EventDrivenSimulator<'m> {
         self.model
     }
 
-    fn flush_run(&self, tally: &RunTally) {
-        if let Some(m) = &self.metrics {
-            m.record_run(tally.timed, tally.instantaneous, tally.cascaded);
-            m.record_weight(1.0);
-            m.record_queue_depth(tally.queue_depth_max);
+    /// Schedules timed slot `slot` (a position in
+    /// `model.timed_activities()`) if its activity is enabled but not
+    /// scheduled, or cancels it if it is scheduled but disabled.
+    #[inline]
+    fn reconcile_slot<R: Rng + ?Sized>(
+        &self,
+        slot: usize,
+        now: f64,
+        marking: &Marking,
+        cache: &EnablementCache,
+        queue: &mut EventQueue,
+        rng: &mut R,
+    ) {
+        let a = self.model.timed_activities()[slot];
+        let enabled = cache.is_enabled(a);
+        let scheduled = queue.is_scheduled(slot);
+        if enabled && !scheduled {
+            queue.schedule(
+                now + self.model.sample_delay_cached(a, marking, rng, cache),
+                slot,
+            );
+        } else if !enabled && scheduled {
+            queue.cancel(slot);
         }
     }
 
     /// Brings the event queue in line with the marking at time `now` by
-    /// scanning every timed slot. Queue slots are positions in
-    /// `model.timed_activities()`. Used for the initial schedule and in
+    /// visiting every timed slot. Used for the initial schedule and in
     /// full-rescan mode.
     fn reconcile_full<R: Rng + ?Sized>(
         &self,
@@ -161,17 +146,8 @@ impl<'m> EventDrivenSimulator<'m> {
         queue: &mut EventQueue,
         rng: &mut R,
     ) {
-        for (slot, &a) in self.model.timed_activities().iter().enumerate() {
-            let enabled = cache.is_enabled(a);
-            let scheduled = queue.is_scheduled(slot);
-            if enabled && !scheduled {
-                queue.schedule(
-                    now + self.model.sample_delay_cached(a, marking, rng, cache),
-                    slot,
-                );
-            } else if !enabled && scheduled {
-                queue.cancel(slot);
-            }
+        for slot in 0..self.model.timed_activities().len() {
+            self.reconcile_slot(slot, now, marking, cache, queue, rng);
         }
     }
 
@@ -190,30 +166,21 @@ impl<'m> EventDrivenSimulator<'m> {
         scratch: &mut EdScratch,
         rng: &mut R,
     ) {
-        if scratch.cache.is_full_rescan() {
-            self.reconcile_full(now, marking, &scratch.cache, &mut scratch.queue, rng);
-            scratch.cache.clear_changed_timed();
-            return;
-        }
-        scratch.changed.clear();
-        scratch
-            .changed
-            .extend_from_slice(scratch.cache.changed_timed_sorted());
-        scratch.cache.clear_changed_timed();
-        for &slot in &scratch.changed {
-            let slot = slot as usize;
-            let a = self.model.timed_activities()[slot];
-            let enabled = scratch.cache.is_enabled(a);
-            let scheduled = scratch.queue.is_scheduled(slot);
-            if enabled && !scheduled {
-                let delay = self
-                    .model
-                    .sample_delay_cached(a, marking, rng, &scratch.cache);
-                scratch.queue.schedule(now + delay, slot);
-            } else if !enabled && scheduled {
-                scratch.queue.cancel(slot);
+        let EdScratch {
+            cache,
+            queue,
+            changed,
+        } = scratch;
+        if cache.is_full_rescan() {
+            self.reconcile_full(now, marking, cache, queue, rng);
+        } else {
+            changed.clear();
+            changed.extend_from_slice(cache.changed_timed_sorted());
+            for &slot in changed.iter() {
+                self.reconcile_slot(slot as usize, now, marking, cache, queue, rng);
             }
         }
+        cache.clear_changed_timed();
     }
 
     /// Runs one replication to `horizon` (or until the observer stops
@@ -229,112 +196,13 @@ impl<'m> EventDrivenSimulator<'m> {
         R: Rng + ?Sized,
         O: Observer + ?Sized,
     {
-        let (end, tally) = self.run_tallied(horizon, rng, observer)?;
-        self.flush_run(&tally);
-        Ok(end)
+        self.run_mode(horizon, rng, &mut Observed(observer))
+            .map(|outcome| outcome.end_time)
     }
 
-    /// [`run`](EventDrivenSimulator::run) body returning the run's
-    /// tallies; callers flush them to the sink exactly once.
-    fn run_tallied<R, O>(
-        &self,
-        horizon: f64,
-        rng: &mut R,
-        observer: &mut O,
-    ) -> Result<(f64, RunTally), SimError>
-    where
-        R: Rng + ?Sized,
-        O: Observer + ?Sized,
-    {
-        let mut scratch = self.take_scratch();
-        let result = self.run_tallied_inner(horizon, rng, observer, &mut scratch);
-        self.scratch.set(Some(scratch));
-        result
-    }
-
-    fn run_tallied_inner<R, O>(
-        &self,
-        horizon: f64,
-        rng: &mut R,
-        observer: &mut O,
-        scratch: &mut EdScratch,
-    ) -> Result<(f64, RunTally), SimError>
-    where
-        R: Rng + ?Sized,
-        O: Observer + ?Sized,
-    {
-        let mut tally = RunTally::default();
-        let mut marking = self.model.initial_marking().clone();
-        self.model.prime_cache(&mut scratch.cache, &marking);
-        let fired = self
-            .model
-            .stabilize_cached(&mut marking, rng, &mut scratch.cache)?;
-        tally.instantaneous += fired as u64;
-        tally.cascaded |= fired >= 2;
-        observer.on_start(&marking);
-        for &a in scratch.cache.fired() {
-            observer.on_event(0.0, a, &marking);
-        }
-
-        scratch.queue.clear();
-        self.reconcile_full(0.0, &marking, &scratch.cache, &mut scratch.queue, rng);
-        scratch.cache.clear_changed_timed();
-        tally.queue_depth_max = scratch.queue.live();
-        let mut events = 0_u64;
-        let mut t = 0.0_f64;
-        let watchdog = self.watchdog.map(|w| w.start());
-
-        loop {
-            if observer.should_stop(t, &marking) {
-                observer.on_end(t, &marking);
-                return Ok((t, tally));
-            }
-            let Some(ev) = scratch.queue.pop() else {
-                observer.on_end(horizon, &marking);
-                return Ok((horizon, tally));
-            };
-            if ev.time > horizon {
-                observer.on_end(horizon, &marking);
-                return Ok((horizon, tally));
-            }
-            t = ev.time;
-            let a = self.model.timed_activities()[ev.activity];
-            // The popped slot is no longer scheduled, which the marking
-            // alone cannot reveal — flag it for reconciliation.
-            scratch.cache.note_timed_changed(ev.activity);
-            let case = self
-                .model
-                .select_case_cached(a, &marking, rng, &mut scratch.cache)?;
-            self.model
-                .fire_cached(a, case, &mut marking, &mut scratch.cache);
-            observer.on_event(t, a, &marking);
-            let fired = self
-                .model
-                .stabilize_cached(&mut marking, rng, &mut scratch.cache)?;
-            tally.instantaneous += fired as u64;
-            tally.cascaded |= fired >= 2;
-            for &ia in scratch.cache.fired() {
-                observer.on_event(t, ia, &marking);
-            }
-            self.reconcile_step(t, &marking, scratch, rng);
-            tally.queue_depth_max = tally.queue_depth_max.max(scratch.queue.live());
-            events += 1;
-            crate::watchdog::sim_step_failpoint();
-            tally.timed = events;
-            if events > self.max_events {
-                return Err(SimError::EventBudgetExceeded {
-                    budget: self.max_events,
-                });
-            }
-            if let Some(wd) = &watchdog {
-                wd.check(events)?;
-            }
-        }
-    }
-
-    /// Runs one replication until `target` first holds or `horizon` is
-    /// reached; weights in the outcome are always `1.0` (no importance
-    /// sampling on this backend).
+    /// Runs one replication until `target` first holds in a stable
+    /// marking or `horizon` is reached; weights in the outcome are
+    /// always `1.0` (no importance sampling on this backend).
     ///
     /// # Errors
     ///
@@ -349,43 +217,17 @@ impl<'m> EventDrivenSimulator<'m> {
         R: Rng + ?Sized,
         F: Fn(&Marking) -> bool,
     {
-        struct Fp<F> {
-            target: F,
-            hit: Option<f64>,
-        }
-        impl<F: Fn(&Marking) -> bool> Observer for Fp<F> {
-            fn on_start(&mut self, marking: &Marking) {
-                if (self.target)(marking) {
-                    self.hit = Some(0.0);
-                }
-            }
-            fn on_event(&mut self, time: f64, _a: ActivityId, marking: &Marking) {
-                if self.hit.is_none() && (self.target)(marking) {
-                    self.hit = Some(time);
-                }
-            }
-            fn should_stop(&mut self, _time: f64, _marking: &Marking) -> bool {
-                self.hit.is_some()
-            }
-        }
-        let mut fp = Fp { target, hit: None };
-        let (end, tally) = self.run_tallied(horizon, rng, &mut fp)?;
-        self.flush_run(&tally);
-        Ok(RunOutcome {
-            hit_time: fp.hit,
-            hit_weight: if fp.hit.is_some() { 1.0 } else { 0.0 },
-            end_time: end,
-            final_weight: 1.0,
-            events: tally.timed,
-        })
+        self.run_mode(horizon, rng, &mut FirstPassage(target))
     }
 
     /// Runs one replication observing `pred` at each grid instant;
-    /// weights are always `1.0`. The grid must be strictly increasing.
+    /// weights are always `1.0`. The run ends at the last instant.
     ///
     /// # Errors
     ///
-    /// Same failure modes as [`run`](EventDrivenSimulator::run).
+    /// Returns [`SimError::InvalidGrid`] unless the grid is non-empty,
+    /// finite, non-negative and strictly increasing; otherwise the same
+    /// failure modes as [`run`](EventDrivenSimulator::run).
     pub fn run_transient<R, F>(
         &self,
         pred: F,
@@ -396,98 +238,108 @@ impl<'m> EventDrivenSimulator<'m> {
         R: Rng + ?Sized,
         F: Fn(&Marking) -> bool,
     {
+        let mut obs = GridObservations::new(pred, grid)?;
+        self.run_mode(obs.horizon(), rng, &mut obs)?;
+        Ok(obs.into_observations())
+    }
+
+    /// Runs [`run_loop`](EventDrivenSimulator::run_loop) on the parked
+    /// scratch.
+    fn run_mode<R, M>(
+        &self,
+        horizon: f64,
+        rng: &mut R,
+        mode: &mut M,
+    ) -> Result<RunOutcome, SimError>
+    where
+        R: Rng + ?Sized,
+        M: RunMode,
+    {
         let mut scratch = self.take_scratch();
-        let result = self.transient_inner(pred, grid, rng, &mut scratch);
+        let result = self.run_loop(horizon, rng, mode, &mut scratch);
         self.scratch.set(Some(scratch));
         result
     }
 
-    fn transient_inner<R, F>(
+    /// The event loop every mode runs: stabilize and schedule, then per
+    /// step pop the earliest event, let the mode observe up to it,
+    /// select its case, fire, stabilize and reconcile the schedule.
+    fn run_loop<R, M>(
         &self,
-        pred: F,
-        grid: &[f64],
+        horizon: f64,
         rng: &mut R,
+        mode: &mut M,
         scratch: &mut EdScratch,
-    ) -> Result<Vec<(f64, f64)>, SimError>
+    ) -> Result<RunOutcome, SimError>
     where
         R: Rng + ?Sized,
-        F: Fn(&Marking) -> bool,
+        M: RunMode,
     {
-        let Some(&horizon) = grid.last() else {
-            return Err(SimError::Internal {
-                context: "run_transient called with an empty grid".to_owned(),
-            });
-        };
-        let mut out = Vec::with_capacity(grid.len());
-        let mut next = 0_usize;
-
-        let mut tally = RunTally::default();
         let mut marking = self.model.initial_marking().clone();
         self.model.prime_cache(&mut scratch.cache, &marking);
         let fired = self
             .model
             .stabilize_cached(&mut marking, rng, &mut scratch.cache)?;
-        tally.instantaneous += fired as u64;
-        tally.cascaded |= fired >= 2;
+        let mut tally = RunTally::new(self.max_events, self.watchdog);
+        tally.cascade(fired);
+        mode.start(&marking);
+        for &a in scratch.cache.fired() {
+            mode.on_event(0.0, a, &marking);
+        }
         scratch.queue.clear();
         self.reconcile_full(0.0, &marking, &scratch.cache, &mut scratch.queue, rng);
         scratch.cache.clear_changed_timed();
-        tally.queue_depth_max = scratch.queue.live();
-        let mut events = 0_u64;
-        let watchdog = self.watchdog.map(|w| w.start());
+        let mut queue_depth_max = scratch.queue.live();
+        let mut t = 0.0_f64;
 
-        while next < grid.len() {
-            let t_next = scratch.queue.peek_time().unwrap_or(f64::INFINITY);
-            // Grid instants strictly before the next event see the
-            // current marking; an instant tied with an event is also
-            // observed pre-fire (right-continuous convention).
-            while next < grid.len() && grid[next] <= t_next.min(horizon) {
-                out.push((f64::from(u8::from(pred(&marking))), 1.0));
-                next += 1;
+        let stopped = loop {
+            if mode.stop(t, &marking) {
+                break true;
             }
-            if next >= grid.len() || t_next > horizon {
-                break;
-            }
-            let Some(ev) = scratch.queue.pop() else {
-                return Err(SimError::Internal {
-                    context: "peeked event vanished from the queue".to_owned(),
-                });
+            // Popping draws no randomness; an event past the horizon
+            // is dropped with the rest of the run's schedule.
+            let ev = scratch.queue.pop();
+            let t_next = ev.map_or(f64::INFINITY, |ev| ev.time);
+            let done = mode.before_event(t_next.min(horizon), &marking, |_| 1.0);
+            let Some(ev) = ev.filter(|_| !done && t_next <= horizon) else {
+                break false;
             };
+            t = ev.time;
             let a = self.model.timed_activities()[ev.activity];
+            // The popped slot is no longer scheduled, which the marking
+            // alone cannot reveal — flag it for reconciliation.
             scratch.cache.note_timed_changed(ev.activity);
             let case = self
                 .model
                 .select_case_cached(a, &marking, rng, &mut scratch.cache)?;
             self.model
                 .fire_cached(a, case, &mut marking, &mut scratch.cache);
+            mode.on_event(t, a, &marking);
             let fired = self
                 .model
                 .stabilize_cached(&mut marking, rng, &mut scratch.cache)?;
-            tally.instantaneous += fired as u64;
-            tally.cascaded |= fired >= 2;
-            self.reconcile_step(ev.time, &marking, scratch, rng);
-            tally.queue_depth_max = tally.queue_depth_max.max(scratch.queue.live());
-            events += 1;
-            crate::watchdog::sim_step_failpoint();
-            tally.timed = events;
-            if events > self.max_events {
-                return Err(SimError::EventBudgetExceeded {
-                    budget: self.max_events,
-                });
+            tally.cascade(fired);
+            for &ia in scratch.cache.fired() {
+                mode.on_event(t, ia, &marking);
             }
-            if let Some(wd) = &watchdog {
-                wd.check(events)?;
-            }
+            self.reconcile_step(t, &marking, scratch, rng);
+            queue_depth_max = queue_depth_max.max(scratch.queue.live());
+            tally.step()?;
+        };
+
+        let end_time = if stopped { t } else { horizon };
+        mode.end(end_time, &marking);
+        tally.flush(self.metrics.as_deref(), 1.0);
+        if let Some(m) = &self.metrics {
+            m.record_queue_depth(queue_depth_max);
         }
-        // Deadlock before the horizon: remaining instants see the final
-        // marking.
-        while next < grid.len() {
-            out.push((f64::from(u8::from(pred(&marking))), 1.0));
-            next += 1;
-        }
-        debug_assert_eq!(out.len(), grid.len());
-        self.flush_run(&tally);
-        Ok(out)
+        Ok(RunOutcome {
+            hit_time: stopped.then_some(t),
+            hit_weight: if stopped { 1.0 } else { 0.0 },
+            end_time,
+            final_weight: 1.0,
+            events: tally.events,
+        })
     }
 }
 
@@ -589,6 +441,22 @@ mod tests {
             let p_hat = sums[i] / f64::from(n);
             let p = 1.0 - (-g).exp();
             assert!((p_hat - p).abs() < 0.02, "t={g}: {p_hat} vs {p}");
+        }
+    }
+
+    #[test]
+    fn bad_grid_is_a_typed_error() {
+        let (model, down) = single_failure(1.0);
+        let sim = EventDrivenSimulator::new(&model);
+        let mut rng = SmallRng::seed_from_u64(12);
+        for grid in crate::run::BAD_GRIDS {
+            assert!(
+                matches!(
+                    sim.run_transient(|m| m.is_marked(down), grid, &mut rng),
+                    Err(SimError::InvalidGrid { .. })
+                ),
+                "{grid:?}"
+            );
         }
     }
 

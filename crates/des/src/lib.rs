@@ -57,6 +57,7 @@ mod replay;
 mod replication;
 mod reward;
 mod rng;
+mod run;
 mod splitting;
 mod ssa;
 mod watchdog;

@@ -11,10 +11,8 @@ use rand::Rng;
 use crate::bias::BiasScheme;
 use crate::error::SimError;
 use crate::observer::Observer;
+use crate::run::{FirstPassage, GridObservations, Observed, RunMode, RunTally, DEFAULT_MAX_EVENTS};
 use crate::watchdog::Watchdog;
-
-/// Default per-replication event budget.
-const DEFAULT_MAX_EVENTS: u64 = 10_000_000;
 
 /// Outcome of one first-passage replication.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,8 +61,6 @@ pub struct MarkovSimulator<'m> {
     // run methods `&self`; a run that panics simply loses its scratch
     // and the next run rebuilds it.
     scratch: Cell<Option<Box<SsaScratch>>>,
-    // Diagnostics/testing: disable incremental enablement tracking.
-    full_rescan: bool,
     metrics: Option<Arc<Metrics>>,
     watchdog: Option<Watchdog>,
 }
@@ -128,7 +124,6 @@ impl<'m> MarkovSimulator<'m> {
             slot_rates,
             bias_mult: vec![None; model.timed_activities().len()],
             scratch: Cell::new(None),
-            full_rescan: false,
             metrics: None,
             watchdog: None,
         })
@@ -146,19 +141,6 @@ impl<'m> MarkovSimulator<'m> {
                 .collect(),
             None => vec![None; self.timed.len()],
         };
-        self
-    }
-
-    /// Disables (or re-enables) incremental enablement tracking: with
-    /// `true`, every step re-evaluates every timed activity exactly
-    /// like the pre-cache executor. Results are bitwise identical
-    /// either way — this is a diagnostics/testing knob, exercised by
-    /// the equivalence test tier.
-    #[must_use]
-    pub fn with_full_rescan(mut self, on: bool) -> Self {
-        self.full_rescan = on;
-        // Any parked cache was built under the previous mode.
-        self.scratch = Cell::new(None);
         self
     }
 
@@ -192,26 +174,14 @@ impl<'m> MarkovSimulator<'m> {
         self.model
     }
 
-    /// Flushes one run's local tallies into the attached sink, if any.
-    fn flush_run(&self, timed: u64, instantaneous: u64, cascaded: bool, weight: f64) {
-        if let Some(m) = &self.metrics {
-            m.record_run(timed, instantaneous, cascaded);
-            m.record_weight(weight);
-        }
-    }
-
     /// Retrieves the parked scratch or builds a fresh one (first run,
     /// or the previous run panicked mid-flight).
     fn take_scratch(&self) -> Box<SsaScratch> {
         if let Some(s) = self.scratch.take() {
             return s;
         }
-        let mut cache = self.model.new_cache();
-        if self.full_rescan {
-            cache.force_full_rescan();
-        }
         Box::new(SsaScratch {
-            cache,
+            cache: self.model.new_cache(),
             rates: Vec::with_capacity(self.timed.len()),
             group_rates: vec![0.0; self.model.rate_groups().len()],
         })
@@ -291,140 +261,22 @@ impl<'m> MarkovSimulator<'m> {
         R: Rng + ?Sized,
         F: Fn(&Marking) -> bool,
     {
-        let mut scratch = self.take_scratch();
-        let result = self.first_passage_inner(start, t0, target, horizon, rng, &mut scratch);
-        self.scratch.set(Some(scratch));
-        result
-    }
-
-    fn first_passage_inner<R, F>(
-        &self,
-        start: Marking,
-        t0: f64,
-        target: F,
-        horizon: f64,
-        rng: &mut R,
-        scratch: &mut SsaScratch,
-    ) -> Result<(RunOutcome, Marking), SimError>
-    where
-        R: Rng + ?Sized,
-        F: Fn(&Marking) -> bool,
-    {
         assert!(
             t0.is_finite() && t0 >= 0.0 && t0 <= horizon,
             "start time {t0} must lie in [0, {horizon}]"
         );
-        let mut marking = start;
-        self.model.prime_cache(&mut scratch.cache, &marking);
-        let mut instantaneous =
-            self.model
-                .stabilize_cached(&mut marking, rng, &mut scratch.cache)? as u64;
-        let mut cascaded = instantaneous >= 2;
-        let mut t = t0;
-        let mut log_lr = 0.0_f64;
-        let mut events = 0_u64;
-        let watchdog = self.watchdog.map(|w| w.start());
-
-        if target(&marking) {
-            self.flush_run(0, instantaneous, cascaded, 1.0);
-            return Ok((
-                RunOutcome {
-                    hit_time: Some(t0),
-                    hit_weight: 1.0,
-                    end_time: t0,
-                    final_weight: 1.0,
-                    events: 0,
-                },
-                marking,
-            ));
-        }
-
-        loop {
-            let (total_true, total_biased) = self.enabled_rates(&marking, scratch)?;
-            if total_biased <= 0.0 {
-                // Deadlock: nothing can ever happen again.
-                let w = log_lr.exp();
-                self.flush_run(events, instantaneous, cascaded, w);
-                return Ok((
-                    RunOutcome {
-                        hit_time: None,
-                        hit_weight: 0.0,
-                        end_time: horizon,
-                        final_weight: w,
-                        events,
-                    },
-                    marking,
-                ));
-            }
-            let tau = sample_exp(total_biased, rng);
-            if t + tau > horizon {
-                // Survival of the final interval under both measures.
-                log_lr -= (total_true - total_biased) * (horizon - t);
-                let w = log_lr.exp();
-                self.flush_run(events, instantaneous, cascaded, w);
-                return Ok((
-                    RunOutcome {
-                        hit_time: None,
-                        hit_weight: 0.0,
-                        end_time: horizon,
-                        final_weight: w,
-                        events,
-                    },
-                    marking,
-                ));
-            }
-            let (a, r_true, r_biased) =
-                pick_weighted(&scratch.rates, total_biased, rng).ok_or_else(empty_rate_table)?;
-            log_lr += (r_true / r_biased).ln() - (total_true - total_biased) * tau;
-            t += tau;
-
-            let case = self
-                .model
-                .select_case_cached(a, &marking, rng, &mut scratch.cache)?;
-            self.model
-                .fire_cached(a, case, &mut marking, &mut scratch.cache);
-            let fired = self
-                .model
-                .stabilize_cached(&mut marking, rng, &mut scratch.cache)?;
-            instantaneous += fired as u64;
-            cascaded |= fired >= 2;
-            events += 1;
-            crate::watchdog::sim_step_failpoint();
-            if events > self.max_events {
-                return Err(SimError::EventBudgetExceeded {
-                    budget: self.max_events,
-                });
-            }
-            if let Some(wd) = &watchdog {
-                wd.check(events)?;
-            }
-            if target(&marking) {
-                let w = log_lr.exp();
-                self.flush_run(events, instantaneous, cascaded, w);
-                return Ok((
-                    RunOutcome {
-                        hit_time: Some(t),
-                        hit_weight: w,
-                        end_time: t,
-                        final_weight: w,
-                        events,
-                    },
-                    marking,
-                ));
-            }
-        }
+        self.run_mode(start, t0, horizon, rng, &mut FirstPassage(target))
     }
 
     /// Runs one replication observing `pred` at each grid instant,
     /// returning per-instant `(indicator, likelihood ratio at that
-    /// instant)` pairs.
-    ///
-    /// The grid must be strictly increasing; the run ends at the last
-    /// instant.
+    /// instant)` pairs. The run ends at the last instant.
     ///
     /// # Errors
     ///
-    /// Same failure modes as
+    /// Returns [`SimError::InvalidGrid`] unless the grid is non-empty,
+    /// finite, non-negative and strictly increasing; otherwise the same
+    /// failure modes as
     /// [`run_first_passage`](MarkovSimulator::run_first_passage).
     pub fn run_transient<R, F>(
         &self,
@@ -436,107 +288,21 @@ impl<'m> MarkovSimulator<'m> {
         R: Rng + ?Sized,
         F: Fn(&Marking) -> bool,
     {
-        let mut scratch = self.take_scratch();
-        let result = self.transient_inner(pred, grid, rng, &mut scratch);
-        self.scratch.set(Some(scratch));
-        result
+        let mut obs = GridObservations::new(pred, grid)?;
+        let start = self.model.initial_marking().clone();
+        self.run_mode(start, 0.0, obs.horizon(), rng, &mut obs)?;
+        Ok(obs.into_observations())
     }
 
-    fn transient_inner<R, F>(
-        &self,
-        pred: F,
-        grid: &[f64],
-        rng: &mut R,
-        scratch: &mut SsaScratch,
-    ) -> Result<Vec<(f64, f64)>, SimError>
-    where
-        R: Rng + ?Sized,
-        F: Fn(&Marking) -> bool,
-    {
-        let Some(&horizon) = grid.last() else {
-            return Err(SimError::Internal {
-                context: "run_transient called with an empty grid".to_owned(),
-            });
-        };
-        let mut out = Vec::with_capacity(grid.len());
-        let mut next = 0_usize;
-
-        let mut marking = self.model.initial_marking().clone();
-        self.model.prime_cache(&mut scratch.cache, &marking);
-        let mut instantaneous =
-            self.model
-                .stabilize_cached(&mut marking, rng, &mut scratch.cache)? as u64;
-        let mut cascaded = instantaneous >= 2;
-        let mut t = 0.0_f64;
-        let mut log_lr = 0.0_f64;
-        let mut events = 0_u64;
-        let watchdog = self.watchdog.map(|w| w.start());
-
-        while next < grid.len() {
-            let (total_true, total_biased) = self.enabled_rates(&marking, scratch)?;
-            let t_next_event = if total_biased > 0.0 {
-                t + sample_exp(total_biased, rng)
-            } else {
-                f64::INFINITY
-            };
-
-            // Emit every grid instant strictly before the next event.
-            while next < grid.len() && grid[next] <= t_next_event.min(horizon) {
-                let g = grid[next];
-                let lr_at_g = log_lr - (total_true - total_biased) * (g - t);
-                out.push((f64::from(u8::from(pred(&marking))), lr_at_g.exp()));
-                next += 1;
-            }
-            if next >= grid.len() || t_next_event > horizon {
-                break;
-            }
-
-            let (a, r_true, r_biased) =
-                pick_weighted(&scratch.rates, total_biased, rng).ok_or_else(empty_rate_table)?;
-            let tau = t_next_event - t;
-            log_lr += (r_true / r_biased).ln() - (total_true - total_biased) * tau;
-            t = t_next_event;
-
-            let case = self
-                .model
-                .select_case_cached(a, &marking, rng, &mut scratch.cache)?;
-            self.model
-                .fire_cached(a, case, &mut marking, &mut scratch.cache);
-            let fired = self
-                .model
-                .stabilize_cached(&mut marking, rng, &mut scratch.cache)?;
-            instantaneous += fired as u64;
-            cascaded |= fired >= 2;
-            events += 1;
-            crate::watchdog::sim_step_failpoint();
-            if events > self.max_events {
-                return Err(SimError::EventBudgetExceeded {
-                    budget: self.max_events,
-                });
-            }
-            if let Some(wd) = &watchdog {
-                wd.check(events)?;
-            }
-        }
-        debug_assert_eq!(out.len(), grid.len());
-        // The weight at the final grid instant is the run's
-        // likelihood-ratio diagnostic (its mean over replications is 1).
-        self.flush_run(
-            events,
-            instantaneous,
-            cascaded,
-            out.last().map_or(1.0, |&(_, w)| w),
-        );
-        Ok(out)
-    }
-
-    /// Runs one (unbiased) replication to `horizon`, reporting every
+    /// Runs one unbiased replication to `horizon`, reporting every
     /// event to `observer`. Ends early if the observer requests a stop
     /// or the model deadlocks.
     ///
     /// # Errors
     ///
-    /// Same failure modes as
+    /// Returns [`SimError::BiasedObserver`] if a bias is attached: the
+    /// observer would see the biased measure with no likelihood ratio.
+    /// Otherwise the same failure modes as
     /// [`run_first_passage`](MarkovSimulator::run_first_passage).
     pub fn run_with_observer<R, O>(
         &self,
@@ -548,84 +314,125 @@ impl<'m> MarkovSimulator<'m> {
         R: Rng + ?Sized,
         O: Observer + ?Sized,
     {
+        if self.bias.is_some() {
+            return Err(SimError::BiasedObserver);
+        }
+        let start = self.model.initial_marking().clone();
+        let (outcome, _) = self.run_mode(start, 0.0, horizon, rng, &mut Observed(observer))?;
+        Ok(outcome.end_time)
+    }
+
+    /// Runs [`run_loop`](MarkovSimulator::run_loop) on the parked
+    /// scratch.
+    fn run_mode<R, M>(
+        &self,
+        start: Marking,
+        t0: f64,
+        horizon: f64,
+        rng: &mut R,
+        mode: &mut M,
+    ) -> Result<(RunOutcome, Marking), SimError>
+    where
+        R: Rng + ?Sized,
+        M: RunMode,
+    {
         let mut scratch = self.take_scratch();
-        let result = self.observer_inner(horizon, rng, observer, &mut scratch);
+        let result = self.run_loop(start, t0, horizon, rng, mode, &mut scratch);
         self.scratch.set(Some(scratch));
         result
     }
 
-    fn observer_inner<R, O>(
+    /// The SSA loop every mode runs: stabilize, then per step sum the
+    /// enabled rates, sample the sojourn, let the mode observe up to
+    /// the next event, pick the winner, select its case, fire and
+    /// stabilize. The likelihood ratio takes each sojourn as the
+    /// sampled `tau`, plus the survival factor of the final interval.
+    fn run_loop<R, M>(
         &self,
+        mut marking: Marking,
+        t0: f64,
         horizon: f64,
         rng: &mut R,
-        observer: &mut O,
+        mode: &mut M,
         scratch: &mut SsaScratch,
-    ) -> Result<f64, SimError>
+    ) -> Result<(RunOutcome, Marking), SimError>
     where
         R: Rng + ?Sized,
-        O: Observer + ?Sized,
+        M: RunMode,
     {
-        let mut marking = self.model.initial_marking().clone();
         self.model.prime_cache(&mut scratch.cache, &marking);
         let fired = self
             .model
             .stabilize_cached(&mut marking, rng, &mut scratch.cache)?;
-        let mut instantaneous = fired as u64;
-        let mut cascaded = fired >= 2;
-        observer.on_start(&marking);
+        let mut tally = RunTally::new(self.max_events, self.watchdog);
+        tally.cascade(fired);
+        mode.start(&marking);
         for &a in scratch.cache.fired() {
-            observer.on_event(0.0, a, &marking);
+            mode.on_event(t0, a, &marking);
         }
-        let mut t = 0.0_f64;
-        let mut events = 0_u64;
-        let watchdog = self.watchdog.map(|w| w.start());
+        let mut t = t0;
+        let mut log_lr = 0.0_f64;
 
-        loop {
-            if observer.should_stop(t, &marking) {
-                observer.on_end(t, &marking);
-                self.flush_run(events, instantaneous, cascaded, 1.0);
-                return Ok(t);
+        let stopped = loop {
+            if mode.stop(t, &marking) {
+                break true;
             }
-            let (_, total) = self.enabled_rates(&marking, scratch)?;
-            if total <= 0.0 {
-                observer.on_end(horizon, &marking);
-                self.flush_run(events, instantaneous, cascaded, 1.0);
-                return Ok(horizon);
+            let (total_true, total_biased) = self.enabled_rates(&marking, scratch)?;
+            let excess = total_true - total_biased;
+            let deadlock = total_biased <= 0.0;
+            let tau = if deadlock {
+                f64::INFINITY
+            } else {
+                sample_exp(total_biased, rng)
+            };
+            let t_next = t + tau;
+            let done = mode.before_event(t_next.min(horizon), &marking, |g| {
+                (log_lr - excess * (g - t)).exp()
+            });
+            if deadlock {
+                // Nothing can ever happen again.
+                break false;
             }
-            let tau = sample_exp(total, rng);
-            if t + tau > horizon {
-                observer.on_end(horizon, &marking);
-                self.flush_run(events, instantaneous, cascaded, 1.0);
-                return Ok(horizon);
+            if done || t_next > horizon {
+                // Survival of the final interval under both measures.
+                log_lr -= excess * (horizon - t);
+                break false;
             }
-            t += tau;
-            let (a, _, _) =
-                pick_weighted(&scratch.rates, total, rng).ok_or_else(empty_rate_table)?;
+            let (a, r_true, r_biased) =
+                pick_weighted(&scratch.rates, total_biased, rng).ok_or_else(empty_rate_table)?;
+            log_lr += (r_true / r_biased).ln() - excess * tau;
+            t = t_next;
+
             let case = self
                 .model
                 .select_case_cached(a, &marking, rng, &mut scratch.cache)?;
             self.model
                 .fire_cached(a, case, &mut marking, &mut scratch.cache);
-            observer.on_event(t, a, &marking);
+            mode.on_event(t, a, &marking);
             let fired = self
                 .model
                 .stabilize_cached(&mut marking, rng, &mut scratch.cache)?;
-            instantaneous += fired as u64;
-            cascaded |= fired >= 2;
+            tally.cascade(fired);
             for &ia in scratch.cache.fired() {
-                observer.on_event(t, ia, &marking);
+                mode.on_event(t, ia, &marking);
             }
-            events += 1;
-            crate::watchdog::sim_step_failpoint();
-            if events > self.max_events {
-                return Err(SimError::EventBudgetExceeded {
-                    budget: self.max_events,
-                });
-            }
-            if let Some(wd) = &watchdog {
-                wd.check(events)?;
-            }
-        }
+            tally.step()?;
+        };
+
+        let end_time = if stopped { t } else { horizon };
+        let weight = log_lr.exp();
+        mode.end(end_time, &marking);
+        tally.flush(self.metrics.as_deref(), weight);
+        Ok((
+            RunOutcome {
+                hit_time: stopped.then_some(t),
+                hit_weight: if stopped { weight } else { 0.0 },
+                end_time,
+                final_weight: weight,
+                events: tally.events,
+            },
+            marking,
+        ))
     }
 
     /// Collects `(activity, true rate, biased rate)` for all enabled
@@ -926,6 +733,36 @@ mod tests {
             sim.run_first_passage(|_| false, 1e9, &mut rng),
             Err(SimError::EventBudgetExceeded { budget: 100 })
         ));
+    }
+
+    #[test]
+    fn bad_grid_is_a_typed_error() {
+        let (model, down) = single_failure(1.0);
+        let sim = MarkovSimulator::new(&model).unwrap();
+        let mut rng = SmallRng::seed_from_u64(9);
+        for grid in crate::run::BAD_GRIDS {
+            assert!(
+                matches!(
+                    sim.run_transient(|m| m.is_marked(down), grid, &mut rng),
+                    Err(SimError::InvalidGrid { .. })
+                ),
+                "{grid:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn biased_observer_run_is_a_typed_error() {
+        let (model, _) = single_failure(1.0);
+        let fail = model.find_activity("fail").unwrap();
+        let sim = MarkovSimulator::new(&model)
+            .unwrap()
+            .with_bias(BiasScheme::new().with_multiplier(fail, 10.0));
+        let mut rng = SmallRng::seed_from_u64(10);
+        assert_eq!(
+            sim.run_with_observer(1.0, &mut rng, &mut crate::NullObserver),
+            Err(SimError::BiasedObserver)
+        );
     }
 
     #[test]

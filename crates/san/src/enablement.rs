@@ -17,8 +17,10 @@
 //! ## Fallback semantics
 //!
 //! If the model's dependency graph is unsound (some gate lacks a
-//! `touches` declaration) — or a caller forces it — the cache runs in
-//! *full-rescan* mode: every firing re-evaluates every activity. The
+//! `touches` declaration), the cache runs in *full-rescan* mode: every
+//! firing re-evaluates every activity. The model alone selects this;
+//! [`EnablementCache::force_full_rescan`] forces one cache into it, as
+//! the reference the lock-step tests drive a second cache against. The
 //! flags end up identical either way; only the amount of predicate
 //! work differs. Results are **bitwise identical** across modes because
 //! enablement evaluation consumes no randomness and the cached
@@ -30,8 +32,6 @@
 //! declaration that slipped past the linter aborts loudly instead of
 //! corrupting a study.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
 use rand::Rng;
 
 use crate::activity::{ActivityId, Timing};
@@ -39,23 +39,6 @@ use crate::delay::{sample_exponential, Delay, RateGroupId};
 use crate::error::SanError;
 use crate::marking::Marking;
 use crate::model::{SanModel, MAX_INSTANT_FIRINGS};
-
-/// Process-global override forcing every subsequently created
-/// [`EnablementCache`] into full-rescan mode. A diagnostics/test knob:
-/// the equivalence tiers run identical studies with the cache on and
-/// forced off and require bitwise-identical estimates.
-static FORCE_FULL_RESCAN: AtomicBool = AtomicBool::new(false);
-
-/// Globally forces (or stops forcing) full-rescan mode for caches
-/// created after the call. Intended for tests and A/B diagnostics.
-pub fn set_force_full_rescan(on: bool) {
-    FORCE_FULL_RESCAN.store(on, Ordering::SeqCst);
-}
-
-/// Whether the global full-rescan override is currently set.
-pub fn force_full_rescan_enabled() -> bool {
-    FORCE_FULL_RESCAN.load(Ordering::SeqCst)
-}
 
 /// Per-simulator enablement state plus the hot-loop scratch buffers.
 ///
@@ -85,7 +68,7 @@ pub struct EnablementCache {
     weights: Vec<f64>,
     /// Scratch: enabled instantaneous candidates.
     inst: Vec<ActivityId>,
-    /// Full-rescan mode (unsound graph, global override, or forced).
+    /// Full-rescan mode (unsound graph, or forced).
     rescan: bool,
     /// Whether `enabled` reflects some marking yet.
     primed: bool,
@@ -117,7 +100,7 @@ impl EnablementCache {
             probs: Vec::new(),
             weights: Vec::new(),
             inst: Vec::new(),
-            rescan: !model.dependency_graph().is_sound() || force_full_rescan_enabled(),
+            rescan: !model.dependency_graph().is_sound(),
             primed: false,
         }
     }
@@ -620,15 +603,5 @@ mod tests {
             assert_eq!(cache.enabled_timed_words(), &[0b1100]);
             assert_eq!(cache.group_enabled(g), m.group_enabled_count(g, &marking));
         }
-    }
-
-    #[test]
-    fn global_override_forces_new_caches_into_rescan() {
-        let m = model();
-        set_force_full_rescan(true);
-        let cache = m.new_cache();
-        set_force_full_rescan(false);
-        assert!(cache.is_full_rescan());
-        assert!(!m.new_cache().is_full_rescan());
     }
 }

@@ -72,7 +72,7 @@ pub use analysis::{ConservationViolation, StructuralReport};
 pub use builder::{ActivityBuilder, SanBuilder};
 pub use delay::{Delay, RateFn, RateGroup, RateGroupId};
 pub use depgraph::DependencyGraph;
-pub use enablement::{force_full_rescan_enabled, set_force_full_rescan, EnablementCache};
+pub use enablement::EnablementCache;
 pub use error::SanError;
 pub use gate::{InputGate, InputGateId, OutputGate, OutputGateId};
 pub use marking::{Marking, PlaceValue};
