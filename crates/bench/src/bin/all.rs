@@ -1,11 +1,12 @@
-//! Runs every table and figure reproduction, printing Markdown and
-//! writing CSVs plus run manifests under results/.
+//! Runs every table and figure reproduction, the platoon-count
+//! extension and the calibration-sensitivity sweep, printing Markdown
+//! and writing CSVs plus run manifests under results/.
 //! Flags: --paper --reps N --seed S --threads T --telemetry PATH --progress
 //! --checkpoint-dir DIR --checkpoint-every N (exit code 75 = interrupted, resumable).
 
 use ahs_bench::{
     ext_platoons, fig10, fig11, fig12, fig13, fig14, fig15, figure_to_markdown, maneuver_durations,
-    run_exit_code, tables, write_manifest, write_results, RunConfig,
+    run_exit_code, sensitivity, tables, write_manifest, write_results, RunConfig,
 };
 use ahs_stats::format_markdown;
 
@@ -27,7 +28,7 @@ fn main() -> std::process::ExitCode {
     println!();
 
     type FigFn = fn(&RunConfig) -> Result<ahs_bench::FigureRun, ahs_core::AhsError>;
-    let figs: [(&str, FigFn); 7] = [
+    let figs: [(&str, FigFn); 8] = [
         ("fig10", fig10),
         ("fig11", fig11),
         ("fig12", fig12),
@@ -35,6 +36,7 @@ fn main() -> std::process::ExitCode {
         ("fig14", fig14),
         ("fig15", fig15),
         ("ext_platoons", ext_platoons),
+        ("sensitivity", sensitivity),
     ];
     for (name, f) in figs {
         eprintln!("running {name}...");

@@ -1,7 +1,7 @@
-//! Simulator throughput baseline: fixed-seed SSA / event-driven
-//! campaigns on the paper's models, timed and written to a
-//! machine-readable `BENCH_ssa.json` so successive PRs can track the
-//! trajectory (see `docs/performance.md`).
+//! Simulator throughput baseline: fixed-seed biased-SSA campaigns on
+//! the paper's models, timed and written to a machine-readable
+//! `BENCH_ssa.json` so successive changes can track the trajectory
+//! (see `docs/performance.md`).
 //!
 //! Flags:
 //!   --quick                 small campaign for CI smoke runs
@@ -19,41 +19,30 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use ahs_core::{AhsModel, Params, Strategy};
-use ahs_des::{replication_rng, BiasScheme, EventDrivenSimulator, MarkovSimulator};
+use ahs_des::{replication_rng, BiasScheme, MarkovSimulator};
 use ahs_obs::Json;
 
 /// Fixed seed for every campaign; chosen once, never changed, so the
 /// numbers in `BENCH_ssa.json` stay comparable across PRs.
 const SEED: u64 = 20_090_629;
 
+/// Importance-sampling boost on every failure activity.
+const BOOST: f64 = 600.0;
+
 struct Campaign {
     /// Stable identifier (key in `BENCH_ssa.json`).
     name: &'static str,
     strategy: Strategy,
-    /// Importance-sampling boost on failure activities; 1.0 = unbiased.
-    boost: f64,
-    /// Simulator backend: SSA (Markov) or the event-driven executor.
-    event_driven: bool,
 }
 
-const CAMPAIGNS: [Campaign; 3] = [
+const CAMPAIGNS: [Campaign; 2] = [
     Campaign {
         name: "dd2_ssa",
         strategy: Strategy::Dd,
-        boost: 600.0,
-        event_driven: false,
     },
     Campaign {
         name: "cc2_ssa",
         strategy: Strategy::Cc,
-        boost: 600.0,
-        event_driven: false,
-    },
-    Campaign {
-        name: "dd2_event",
-        strategy: Strategy::Dd,
-        boost: 1.0,
-        event_driven: true,
     },
 ];
 
@@ -64,34 +53,20 @@ struct Sample {
 
 /// One timing sample: `reps` fixed-seed replications, returning the
 /// total timed-event count and the elapsed wall-clock.
-fn run_once(model: &AhsModel, campaign: &Campaign, reps: u64, horizon: f64) -> Sample {
+fn run_once(model: &AhsModel, reps: u64, horizon: f64) -> Sample {
     let h = model.handles();
     let san = model.san();
     let start = Instant::now();
     let mut steps = 0_u64;
-    if campaign.event_driven {
-        let sim = EventDrivenSimulator::new(san);
-        for rep in 0..reps {
-            let mut rng = replication_rng(SEED, rep);
-            let out = sim
-                .run_first_passage(|m| m.is_marked(h.ko_total), horizon, &mut rng)
-                .expect("perf replication failed");
-            steps += out.events;
-        }
-    } else {
-        let mut sim = MarkovSimulator::new(san).expect("paper models are Markovian");
-        if campaign.boost != 1.0 {
-            let scheme = BiasScheme::new()
-                .with_multipliers(h.failure_activities.iter().copied(), campaign.boost);
-            sim = sim.with_bias(scheme);
-        }
-        for rep in 0..reps {
-            let mut rng = replication_rng(SEED, rep);
-            let out = sim
-                .run_first_passage(|m| m.is_marked(h.ko_total), horizon, &mut rng)
-                .expect("perf replication failed");
-            steps += out.events;
-        }
+    let sim = MarkovSimulator::new(san)
+        .expect("paper models build an SSA")
+        .with_bias(BiasScheme::new().with_multipliers(h.failure_activities.iter().copied(), BOOST));
+    for rep in 0..reps {
+        let mut rng = replication_rng(SEED, rep);
+        let out = sim
+            .run_first_passage(|m| m.is_marked(h.ko_total), horizon, &mut rng)
+            .expect("perf replication failed");
+        steps += out.events;
     }
     Sample {
         steps,
@@ -170,11 +145,11 @@ fn main() {
         let model = AhsModel::build(&params).expect("paper model builds");
 
         // Warmup: populate caches, page in the model, settle the clock.
-        let warm = run_once(&model, campaign, reps.min(200), horizon);
+        let warm = run_once(&model, reps.min(200), horizon);
         let mut throughput = Vec::with_capacity(repeats);
         let mut steps = warm.steps;
         for _ in 0..repeats {
-            let s = run_once(&model, campaign, reps, horizon);
+            let s = run_once(&model, reps, horizon);
             throughput.push(s.steps as f64 / s.seconds);
             steps = s.steps;
         }

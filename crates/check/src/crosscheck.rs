@@ -59,7 +59,7 @@ impl CrossCheck {
 /// Returns [`CheckError::IncompleteGraph`] when the graph was
 /// truncated (set comparison would be meaningless) and
 /// [`CheckError::Ctmc`] when the CTMC side cannot explore the model
-/// (non-Markovian delays, budget exceeded, invalid rates).
+/// (budget exceeded, invalid rates).
 pub fn cross_validate(
     model: &SanModel,
     graph: &StateGraph,

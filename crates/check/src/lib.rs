@@ -13,8 +13,8 @@
 //! 4. **boundedness**: simple places stay within a token capacity.
 //!
 //! When a property fails, the checker emits the shortest firing trace
-//! from the initial marking and replays it through the DES executor's
-//! forced-schedule hook ([`ahs_des::EventDrivenSimulator::run_forced_schedule`]),
+//! from the initial marking and replays it through the SSA executor's
+//! forced-schedule hook ([`ahs_des::MarkovSimulator::run_forced_schedule`]),
 //! confirming that the counterexample is real executable behaviour and
 //! not an artifact of the explorer.
 //!
@@ -40,7 +40,7 @@
 
 use std::sync::atomic::AtomicBool;
 
-use ahs_des::{EventDrivenSimulator, ReplayStep};
+use ahs_des::{MarkovSimulator, ReplayStep};
 use ahs_san::SanModel;
 
 mod crosscheck;
@@ -221,7 +221,7 @@ impl CheckOutcome {
 }
 
 /// Replays the counterexample trace of a state-anchored violation
-/// through the DES executor's forced-schedule hook and reports whether
+/// through the SSA executor's forced-schedule hook and reports whether
 /// the executor reaches the same violating marking.
 ///
 /// Returns `None` when the violation carries no state anchor (nothing
@@ -240,8 +240,9 @@ pub fn replay_counterexample(
             case: s.case,
         })
         .collect();
-    let sim = EventDrivenSimulator::new(model);
-    match sim.run_forced_schedule(&schedule, REPLAY_SEED) {
+    let replayed =
+        MarkovSimulator::new(model).and_then(|sim| sim.run_forced_schedule(&schedule, REPLAY_SEED));
+    match replayed {
         Ok(outcome) => Some(&outcome.final_marking == graph.marking(state)),
         Err(_) => Some(false),
     }

@@ -430,7 +430,6 @@ mod tests {
         assert_eq!(model.san().num_activities(), total * 17 + 1);
         assert_eq!(model.handles().failure_activities.len(), total * 6);
         assert_eq!(model.handles().maneuver_activities.len(), total * 6);
-        assert!(model.san().is_markovian());
     }
 
     #[test]

@@ -12,12 +12,6 @@ pub enum CtmcError {
         /// The budget that was exceeded.
         budget: usize,
     },
-    /// The SAN adapter was given a model with non-exponential timed
-    /// activities.
-    NonMarkovian {
-        /// Name of the offending activity.
-        activity: String,
-    },
     /// A transition rate was negative or non-finite.
     InvalidRate {
         /// The offending rate.
@@ -40,10 +34,6 @@ impl std::fmt::Display for CtmcError {
             CtmcError::StateSpaceTooLarge { budget } => {
                 write!(f, "state space exceeds the budget of {budget} states")
             }
-            CtmcError::NonMarkovian { activity } => write!(
-                f,
-                "activity `{activity}` has a non-exponential delay; CTMC solution requires a Markovian model"
-            ),
             CtmcError::InvalidRate { rate } => write!(f, "invalid transition rate {rate}"),
             CtmcError::NotConverged {
                 iterations,

@@ -2,7 +2,7 @@
 //!
 //! The paper solves its SAN models by simulation only; this crate adds a
 //! numerical path — state-space exploration plus uniformization — used
-//! throughout the workspace to *validate* the simulation engines on
+//! throughout the workspace to *validate* the simulation engine on
 //! models small enough to enumerate (the full 2n-vehicle AHS model is
 //! far too large, which is exactly why the paper simulates).
 //!

@@ -50,19 +50,10 @@ impl<'m> SanMarkovModel<'m> {
     ///
     /// # Errors
     ///
-    /// Returns [`CtmcError::NonMarkovian`] if any timed activity has a
-    /// non-exponential delay.
+    /// None today: every timed activity is exponential by
+    /// construction. The `Result` keeps the constructor's signature
+    /// stable for callers that propagate it.
     pub fn new(model: &'m SanModel) -> Result<Self, CtmcError> {
-        for &a in model.timed_activities() {
-            if !matches!(
-                model.activity(a).timing(),
-                ahs_san::Timing::Timed(d) if d.is_exponential()
-            ) {
-                return Err(CtmcError::NonMarkovian {
-                    activity: model.activity(a).name().to_owned(),
-                });
-            }
-        }
         Ok(SanMarkovModel { model })
     }
 
@@ -146,22 +137,6 @@ mod tests {
     use crate::transient_distribution;
     use crate::StateSpace;
     use ahs_san::{Delay, SanBuilder};
-
-    #[test]
-    fn rejects_non_markovian() {
-        let mut b = SanBuilder::new("det");
-        let p = b.place_with_tokens("p", 1).unwrap();
-        b.timed_activity("d", Delay::Deterministic(1.0))
-            .unwrap()
-            .input_place(p)
-            .build()
-            .unwrap();
-        let model = b.build().unwrap();
-        assert!(matches!(
-            SanMarkovModel::new(&model),
-            Err(CtmcError::NonMarkovian { .. })
-        ));
-    }
 
     #[test]
     fn instantaneous_cascades_fold_into_rates() {

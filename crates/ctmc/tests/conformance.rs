@@ -101,16 +101,6 @@ fn transient_markov_backend_matches_uniformization_at_99() {
 }
 
 #[test]
-fn transient_event_driven_backend_matches_uniformization_at_99() {
-    let (model, downs) = repairable_pair();
-    let grid = TimeGrid::new(vec![0.5, 2.0, 6.0]);
-    let d1 = downs[1];
-    let numeric = numeric_transient(&model, &grid, |m| m.is_marked(d1));
-    let simulated = simulate_transient(model, &downs, &grid, 1, Backend::EventDriven, 0xC1_99);
-    assert_conformance(&simulated, &numeric);
-}
-
-#[test]
 fn transient_joint_condition_matches_uniformization_at_99() {
     // Joint condition over both components: exercises the product state
     // space rather than a single marginal.

@@ -1,6 +1,5 @@
-//! Cross-validation: the uniformization solver against both simulation
-//! backends (plain and importance-sampled) on models small enough to
-//! enumerate. This is validation step 2 of DESIGN.md.
+//! Cross-validation: the uniformization solver against the SSA, plain
+//! and importance-sampled, on models small enough to enumerate. This is validation step 2 of DESIGN.md.
 
 use ahs_ctmc::{transient_distribution, SanMarkovModel, StateSpace};
 use ahs_des::{Backend, BiasScheme, Study};
@@ -111,30 +110,6 @@ fn ctmc_matches_importance_sampling_in_rare_regime() {
     assert!(
         rel < 0.25 || (pt.y - numeric).abs() <= pt.half_width,
         "IS {} vs numeric {numeric} (rel {rel})",
-        pt.y
-    );
-}
-
-#[test]
-fn event_driven_backend_matches_ctmc_too() {
-    let (model, _, ko) = triple_system(1.0, 1.5);
-    let adapter = SanMarkovModel::new(&model).unwrap();
-    let space = StateSpace::explore(&adapter, 1000).unwrap();
-    let grid = TimeGrid::new(vec![1.0]);
-    let pi = transient_distribution(&space, 1.0, 1e-12);
-    let numeric = space.probability(&pi, |m| m.is_marked(ko));
-
-    let study = Study::new(model)
-        .with_seed(303)
-        .with_fixed_replications(40_000)
-        .with_threads(4);
-    let est = study
-        .first_passage(move |m| m.is_marked(ko), &grid, Backend::EventDriven)
-        .unwrap();
-    let pt = &est.curve.points(0.999)[0];
-    assert!(
-        (pt.y - numeric).abs() <= pt.half_width.max(3e-3),
-        "event-driven {} vs numeric {numeric}",
         pt.y
     );
 }

@@ -6,12 +6,6 @@ use ahs_san::SanError;
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum SimError {
-    /// The Markov (SSA) backend was asked to run a model containing a
-    /// non-exponential timed activity.
-    NonMarkovian {
-        /// Name of the offending activity.
-        activity: String,
-    },
     /// A single replication exceeded the event budget — almost always a
     /// model with an unintended self-sustaining loop.
     EventBudgetExceeded {
@@ -89,10 +83,6 @@ pub enum SimError {
 impl std::fmt::Display for SimError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SimError::NonMarkovian { activity } => write!(
-                f,
-                "activity `{activity}` has a non-exponential delay; use the event-driven backend"
-            ),
             SimError::EventBudgetExceeded { budget } => {
                 write!(f, "replication exceeded the event budget of {budget}")
             }

@@ -1,16 +1,14 @@
-//! Simulation engines for stochastic activity networks.
+//! Simulation engine for stochastic activity networks.
 //!
-//! Two execution backends, both operating on [`ahs_san::SanModel`]s:
+//! One executor runs [`ahs_san::SanModel`]s, whose timed activities are
+//! all exponential: [`MarkovSimulator`], a Gillespie/SSA executor. It
+//! supports **importance sampling** through [`BiasScheme`] rate
+//! multipliers with exact likelihood-ratio accounting, which is what
+//! makes the paper's rare unsafety levels (down to ~1e-13) estimable at
+//! all, and replays a model checker's counterexample step by step
+//! ([`MarkovSimulator::run_forced_schedule`]).
 //!
-//! * [`EventDrivenSimulator`] — a classical discrete-event executor with
-//!   a cancellable event queue; supports every delay distribution.
-//! * [`MarkovSimulator`] — a Gillespie/SSA executor for all-exponential
-//!   (Markovian) models; supports **importance sampling** through
-//!   [`BiasScheme`] rate multipliers with exact likelihood-ratio
-//!   accounting, which is what makes the paper's rare unsafety levels
-//!   (down to ~1e-13) estimable at all.
-//!
-//! On top of the executors, [`Study`] runs independent replications —
+//! On top of the executor, [`Study`] runs independent replications —
 //! optionally in parallel — until a [`StoppingRule`](ahs_stats::StoppingRule)
 //! is satisfied, producing first-passage probability curves such as the
 //! paper's unsafety `S(t)`, transient curves, and the expected totals of
@@ -50,8 +48,6 @@
 mod bias;
 mod checkpoint;
 mod error;
-mod event;
-mod executor;
 mod observer;
 mod replay;
 mod replication;
@@ -67,8 +63,6 @@ pub use checkpoint::{
     generation_path, model_fingerprint, QuarantinedRep, StudyCheckpoint, CHECKPOINT_SCHEMA,
 };
 pub use error::SimError;
-pub use event::{EventQueue, ScheduledEvent};
-pub use executor::EventDrivenSimulator;
 pub use observer::{NullObserver, Observer, TraceObserver};
 pub use replay::{ReplayOutcome, ReplayStep};
 pub use replication::{Backend, CurveEstimate, Study};

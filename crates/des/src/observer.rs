@@ -2,9 +2,9 @@
 
 use ahs_san::{ActivityId, Marking, SanModel};
 
-/// Callbacks invoked by the executors during a single run.
+/// Callbacks invoked by the executor during a single run.
 ///
-/// All executors call `on_start` once, `on_event` after every completed
+/// The executor calls `on_start` once, `on_event` after every completed
 /// activity (timed and instantaneous) with the post-firing marking, and
 /// `on_end` when the run terminates (horizon reached, deadlock, or an
 /// observer requested the stop).
@@ -37,7 +37,7 @@ impl Observer for NullObserver {}
 /// # Example
 ///
 /// ```
-/// use ahs_des::{EventDrivenSimulator, TraceObserver};
+/// use ahs_des::{MarkovSimulator, TraceObserver};
 /// use ahs_san::{Delay, SanBuilder};
 /// use rand::rngs::SmallRng;
 /// use rand::SeedableRng;
@@ -45,16 +45,16 @@ impl Observer for NullObserver {}
 /// let mut b = SanBuilder::new("m");
 /// let p = b.place_with_tokens("p", 1)?;
 /// let q = b.place("q")?;
-/// b.timed_activity("move", Delay::Deterministic(2.0))?
+/// b.timed_activity("move", Delay::exponential(2.0))?
 ///     .input_place(p)
 ///     .output_place(q)
 ///     .build()?;
 /// let model = b.build()?;
 ///
 /// let mut trace = TraceObserver::new(&model);
-/// let sim = EventDrivenSimulator::new(&model);
+/// let sim = MarkovSimulator::new(&model)?;
 /// let mut rng = SmallRng::seed_from_u64(0);
-/// sim.run(10.0, &mut rng, &mut trace)?;
+/// sim.run_with_observer(100.0, &mut rng, &mut trace)?;
 /// assert_eq!(trace.events().len(), 1);
 /// assert_eq!(trace.events()[0].1, "move");
 /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -94,7 +94,7 @@ impl Observer for TraceObserver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::EventDrivenSimulator;
+    use crate::ssa::MarkovSimulator;
     use ahs_san::{Delay, SanBuilder};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -132,9 +132,9 @@ mod tests {
     fn trace_times_are_non_decreasing() {
         let model = chain_with_instant();
         let mut trace = TraceObserver::new(&model);
-        let sim = EventDrivenSimulator::new(&model);
+        let sim = MarkovSimulator::new(&model).unwrap();
         let mut rng = SmallRng::seed_from_u64(7);
-        sim.run(100.0, &mut rng, &mut trace).unwrap();
+        sim.run_with_observer(100.0, &mut rng, &mut trace).unwrap();
         let events = trace.events();
         assert!(!events.is_empty());
         for w in events.windows(2) {
@@ -152,9 +152,9 @@ mod tests {
         // enabled it, immediately after it in the trace.
         let model = chain_with_instant();
         let mut trace = TraceObserver::new(&model);
-        let sim = EventDrivenSimulator::new(&model);
+        let sim = MarkovSimulator::new(&model).unwrap();
         let mut rng = SmallRng::seed_from_u64(11);
-        sim.run(100.0, &mut rng, &mut trace).unwrap();
+        sim.run_with_observer(100.0, &mut rng, &mut trace).unwrap();
         let events = trace.events();
         let a_pos = events.iter().position(|(_, n)| n == "a").expect("a fired");
         assert_eq!(events[a_pos + 1].1, "boom");
@@ -169,9 +169,9 @@ mod tests {
     fn trace_records_every_activity_in_the_chain() {
         let model = chain_with_instant();
         let mut trace = TraceObserver::new(&model);
-        let sim = EventDrivenSimulator::new(&model);
+        let sim = MarkovSimulator::new(&model).unwrap();
         let mut rng = SmallRng::seed_from_u64(3);
-        sim.run(1000.0, &mut rng, &mut trace).unwrap();
+        sim.run_with_observer(1000.0, &mut rng, &mut trace).unwrap();
         let names: Vec<&str> = trace.events().iter().map(|(_, n)| n.as_str()).collect();
         assert_eq!(names, ["a", "boom", "b"]);
     }

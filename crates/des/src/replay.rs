@@ -1,10 +1,10 @@
 //! Forced-schedule replay: deterministic re-execution of an explicit
-//! firing trace through the event-driven executor.
+//! firing trace on the SSA executor's enablement cache.
 //!
 //! The model checker (`ahs-check`) proves properties over the marking
 //! graph and, on a violation, emits a counterexample as an ordered list
 //! of `(activity, case)` firings. This module is the dynamic half of
-//! that story: [`EventDrivenSimulator::run_forced_schedule`] replays
+//! that story: [`MarkovSimulator::run_forced_schedule`] replays
 //! such a trace step by step — validating at every step that the firing
 //! is genuinely possible under the executor's own enabling semantics
 //! (shared [`EnablementCache`](ahs_san::EnablementCache) state, same
@@ -15,13 +15,14 @@
 //! Timed steps advance the clock by a delay sampled from a seeded RNG
 //! (the *seeded* forced schedule): the path through state space is
 //! forced, the timestamps are a plausible sample, and the whole run is
-//! reproducible from the seed.
+//! reproducible from the seed. Delays come from the model's own rates;
+//! a bias attached to the simulator plays no part.
 
-use ahs_san::{ActivityId, Marking, Timing};
+use ahs_san::{ActivityId, EnablementCache, Marking, Timing};
 
 use crate::error::SimError;
-use crate::executor::{EdScratch, EventDrivenSimulator};
 use crate::rng::replication_rng;
+use crate::ssa::MarkovSimulator;
 
 /// One forced firing: an activity and the case branch to take.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,7 +50,7 @@ pub struct ReplayOutcome {
     pub trail: Vec<Marking>,
 }
 
-impl EventDrivenSimulator<'_> {
+impl MarkovSimulator<'_> {
     /// Replays an explicit firing schedule from the initial marking,
     /// validating each step against the executor's enabling semantics:
     /// a timed step requires a stable marking and the activity enabled
@@ -72,7 +73,7 @@ impl EventDrivenSimulator<'_> {
         seed: u64,
     ) -> Result<ReplayOutcome, SimError> {
         let mut scratch = self.take_scratch();
-        let result = self.forced_inner(schedule, seed, &mut scratch);
+        let result = self.forced_inner(schedule, seed, &mut scratch.cache);
         self.park_scratch(scratch);
         result
     }
@@ -81,12 +82,12 @@ impl EventDrivenSimulator<'_> {
         &self,
         schedule: &[ReplayStep],
         seed: u64,
-        scratch: &mut EdScratch,
+        cache: &mut EnablementCache,
     ) -> Result<ReplayOutcome, SimError> {
         let model = self.model();
         let mut rng = replication_rng(seed, 0);
         let mut marking = model.initial_marking().clone();
-        model.prime_cache(&mut scratch.cache, &marking);
+        model.prime_cache(cache, &marking);
 
         let mut t = 0.0_f64;
         let mut timed = 0_u64;
@@ -110,7 +111,7 @@ impl EventDrivenSimulator<'_> {
                                 .to_owned(),
                         ));
                     }
-                    if !scratch.cache.is_enabled(step.activity) {
+                    if !cache.is_enabled(step.activity) {
                         return Err(fail("activity is not enabled".to_owned()));
                     }
                 }
@@ -145,12 +146,12 @@ impl EventDrivenSimulator<'_> {
             }
 
             if matches!(act.timing(), Timing::Timed(_)) {
-                t += model.sample_delay_cached(step.activity, &marking, &mut rng, &scratch.cache);
+                t += model.sample_delay_cached(step.activity, &marking, &mut rng, cache);
                 timed += 1;
             } else {
                 instantaneous += 1;
             }
-            model.fire_cached(step.activity, step.case, &mut marking, &mut scratch.cache);
+            model.fire_cached(step.activity, step.case, &mut marking, cache);
             trail.push(marking.clone());
         }
 
@@ -197,7 +198,7 @@ mod tests {
     #[test]
     fn replays_a_valid_trace_to_its_final_marking() {
         let (model, [p0, p1, p2]) = chain();
-        let sim = EventDrivenSimulator::new(&model);
+        let sim = MarkovSimulator::new(&model).unwrap();
         let schedule = [
             ReplayStep {
                 activity: activity_id(&model, "t"),
@@ -222,7 +223,7 @@ mod tests {
     #[test]
     fn same_seed_reproduces_the_clock() {
         let (model, _) = chain();
-        let sim = EventDrivenSimulator::new(&model);
+        let sim = MarkovSimulator::new(&model).unwrap();
         let schedule = [ReplayStep {
             activity: activity_id(&model, "t"),
             case: 0,
@@ -237,7 +238,7 @@ mod tests {
     #[test]
     fn rejects_a_disabled_instantaneous_step() {
         let (model, _) = chain();
-        let sim = EventDrivenSimulator::new(&model);
+        let sim = MarkovSimulator::new(&model).unwrap();
         let schedule = [ReplayStep {
             activity: activity_id(&model, "i"),
             case: 0,
@@ -273,7 +274,7 @@ mod tests {
             .build()
             .unwrap();
         let model = b.build().unwrap();
-        let sim = EventDrivenSimulator::new(&model);
+        let sim = MarkovSimulator::new(&model).unwrap();
         let t = activity_id(&model, "t");
         let schedule = [
             ReplayStep {
@@ -298,7 +299,7 @@ mod tests {
     #[test]
     fn rejects_an_out_of_range_case() {
         let (model, _) = chain();
-        let sim = EventDrivenSimulator::new(&model);
+        let sim = MarkovSimulator::new(&model).unwrap();
         let schedule = [ReplayStep {
             activity: activity_id(&model, "t"),
             case: 5,
@@ -312,10 +313,82 @@ mod tests {
         }
     }
 
+    /// Two components whose failures share one group rate, a constant
+    /// repair, a marking-dependent restart and an instantaneous latch.
+    fn shared_rate_fixture() -> SanModel {
+        let mut b = SanBuilder::new("replay-pin");
+        let group = b.shared_rate_group("fail", 1.5).unwrap();
+        let ups = [
+            b.place_with_tokens("up0", 1).unwrap(),
+            b.place_with_tokens("up1", 1).unwrap(),
+        ];
+        let dns = [b.place("dn0").unwrap(), b.place("dn1").unwrap()];
+        let ko = b.place("ko").unwrap();
+        for i in 0..2 {
+            b.timed_activity(&format!("fail{i}"), Delay::shared(group))
+                .unwrap()
+                .input_place(ups[i])
+                .output_place(dns[i])
+                .build()
+                .unwrap();
+        }
+        b.timed_activity("repair0", Delay::exponential(2.0))
+            .unwrap()
+            .input_place(dns[0])
+            .output_place(ups[0])
+            .build()
+            .unwrap();
+        let all_down = b.predicate_gate_touching("all_down", vec![dns[0], dns[1], ko], move |m| {
+            dns.iter().all(|&p| m.is_marked(p)) && !m.is_marked(ko)
+        });
+        b.instant_activity("latch", 0, 1.0)
+            .unwrap()
+            .input_gate(all_down)
+            .output_place(ko)
+            .build()
+            .unwrap();
+        b.timed_activity(
+            "restart",
+            Delay::exponential_fn(move |m| 0.25 + m.tokens(dns[1]) as f64),
+        )
+        .unwrap()
+        .input_place(ko)
+        .output_place(ups[0])
+        .build()
+        .unwrap();
+        b.build().unwrap()
+    }
+
+    /// The clock and final marking of a fixed replay are pinned to the
+    /// bit: the sampled delays of shared-rate, constant and
+    /// marking-dependent steps must not drift.
+    #[test]
+    fn replay_reproduces_its_pinned_clock_and_marking() {
+        let model = shared_rate_fixture();
+        let sim = MarkovSimulator::new(&model).unwrap();
+        let schedule: Vec<ReplayStep> = ["fail0", "repair0", "fail1", "fail0", "latch", "restart"]
+            .iter()
+            .map(|name| ReplayStep {
+                activity: activity_id(&model, name),
+                case: 0,
+            })
+            .collect();
+        let out = sim.run_forced_schedule(&schedule, 0x5EED).unwrap();
+        assert_eq!(out.timed_firings, 5);
+        assert_eq!(out.instantaneous_firings, 1);
+        let tokens: Vec<u64> = model
+            .place_ids()
+            .map(|p| out.final_marking.tokens(p))
+            .collect();
+        assert_eq!(out.end_time.to_bits(), 0x4009_a07d_a52e_52fd);
+        assert_eq!(tokens, [1, 0, 1, 1, 0]);
+        assert_eq!(out.final_marking.fingerprint(), 0x5f41_99cb_42dc_587b);
+    }
+
     #[test]
     fn empty_schedule_ends_at_the_initial_marking() {
         let (model, [p0, ..]) = chain();
-        let sim = EventDrivenSimulator::new(&model);
+        let sim = MarkovSimulator::new(&model).unwrap();
         let out = sim.run_forced_schedule(&[], 0).unwrap();
         assert!(out.final_marking.is_marked(p0));
         assert_eq!(out.end_time, 0.0);

@@ -31,7 +31,6 @@ use ahs_stats::{Curve, StoppingRule, TimeGrid};
 use crate::bias::BiasScheme;
 use crate::checkpoint::{model_fingerprint, QuarantinedRep, StudyCheckpoint};
 use crate::error::SimError;
-use crate::executor::EventDrivenSimulator;
 use crate::reward::{RewardObserver, RewardSpec};
 use crate::rng::replication_rng;
 use crate::ssa::MarkovSimulator;
@@ -49,15 +48,12 @@ fn into_inner<T>(m: Mutex<T>) -> T {
     m.into_inner().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Which executor a study uses.
+/// How a study's SSA executor samples paths.
 #[derive(Debug, Clone)]
 pub enum Backend {
-    /// Event-queue executor; any delay distribution, no importance
-    /// sampling.
-    EventDriven,
-    /// SSA executor for all-exponential models.
+    /// Plain Monte Carlo.
     Markov,
-    /// SSA executor with importance sampling.
+    /// Importance sampling with the given rate multipliers.
     BiasedMarkov(BiasScheme),
 }
 
@@ -341,10 +337,10 @@ impl Study {
     /// # Errors
     ///
     /// Returns the first [`SimError`] raised by any replication
-    /// (non-Markovian model on an SSA backend, event-budget exhaustion,
-    /// watchdog violations, invalid rates, SAN-level errors), a
-    /// checkpoint failure, or [`SimError::QuarantineOverflow`] when
-    /// more replications panic than the quarantine budget allows.
+    /// (event-budget exhaustion, watchdog violations, invalid rates,
+    /// SAN-level errors), a checkpoint failure, or
+    /// [`SimError::QuarantineOverflow`] when more replications panic
+    /// than the quarantine budget allows.
     pub fn first_passage<F>(
         &self,
         target: F,
@@ -355,11 +351,8 @@ impl Study {
         F: Fn(&Marking) -> bool + Send + Sync,
     {
         let horizon = grid.horizon();
-        self.run_study(grid, backend, |engine, rng| {
-            let outcome = match engine {
-                Engine::Event(sim) => sim.run_first_passage(&target, horizon, rng)?,
-                Engine::Markov(sim) => sim.run_first_passage(&target, horizon, rng)?,
-            };
+        self.run_study(grid, backend, |sim, rng| {
+            let outcome = sim.run_first_passage(&target, horizon, rng)?;
             let weight = if outcome.hit_time.is_some() {
                 outcome.hit_weight
             } else {
@@ -384,11 +377,8 @@ impl Study {
     where
         F: Fn(&Marking) -> bool + Send + Sync,
     {
-        self.run_study(grid, backend, |engine, rng| {
-            let obs = match engine {
-                Engine::Event(sim) => sim.run_transient(&pred, grid.points(), rng)?,
-                Engine::Markov(sim) => sim.run_transient(&pred, grid.points(), rng)?,
-            };
+        self.run_study(grid, backend, |sim, rng| {
+            let obs = sim.run_transient(&pred, grid.points(), rng)?;
             Ok(RepOutcome::Weighted(obs))
         })
     }
@@ -418,12 +408,9 @@ impl Study {
             "reward estimation requires an unbiased backend"
         );
         let grid = TimeGrid::new(vec![horizon]);
-        self.run_study(&grid, backend, |engine, rng| {
+        self.run_study(&grid, backend, |sim, rng| {
             let mut obs = RewardObserver::new(spec);
-            match engine {
-                Engine::Event(sim) => sim.run(horizon, rng, &mut obs)?,
-                Engine::Markov(sim) => sim.run_with_observer(horizon, rng, &mut obs)?,
-            };
+            sim.run_with_observer(horizon, rng, &mut obs)?;
             Ok(RepOutcome::Weighted(vec![(obs.total, 1.0)]))
         })
     }
@@ -516,7 +503,9 @@ impl Study {
         work: W,
     ) -> Result<CurveEstimate, SimError>
     where
-        W: Fn(&Engine<'_>, &mut rand::rngs::SmallRng) -> Result<RepOutcome, SimError> + Send + Sync,
+        W: Fn(&MarkovSimulator<'_>, &mut rand::rngs::SmallRng) -> Result<RepOutcome, SimError>
+            + Send
+            + Sync,
     {
         // Only checkpointing and resume need the fingerprint; skip the
         // structural dump on plain runs.
@@ -601,49 +590,22 @@ impl Study {
         let run_worker = || {
             let worker_clock = Instant::now();
             let mut worker_reps = 0_u64;
-            let engine = match &backend {
-                Backend::EventDriven => {
-                    let mut sim = EventDrivenSimulator::new(&self.model);
-                    if let Some(m) = &self.metrics {
-                        sim = sim.with_metrics(m.clone());
-                    }
-                    if let Some(w) = &self.watchdog {
-                        sim = sim.with_watchdog(*w);
-                    }
-                    Engine::Event(sim)
+            let mut sim = match MarkovSimulator::new(&self.model) {
+                Ok(sim) => sim,
+                Err(e) => {
+                    fail(e);
+                    return;
                 }
-                Backend::Markov => match MarkovSimulator::new(&self.model) {
-                    Ok(mut sim) => {
-                        if let Some(m) = &self.metrics {
-                            sim = sim.with_metrics(m.clone());
-                        }
-                        if let Some(w) = &self.watchdog {
-                            sim = sim.with_watchdog(*w);
-                        }
-                        Engine::Markov(sim)
-                    }
-                    Err(e) => {
-                        fail(e);
-                        return;
-                    }
-                },
-                Backend::BiasedMarkov(bias) => match MarkovSimulator::new(&self.model) {
-                    Ok(mut sim) => {
-                        sim = sim.with_bias(bias.clone());
-                        if let Some(m) = &self.metrics {
-                            sim = sim.with_metrics(m.clone());
-                        }
-                        if let Some(w) = &self.watchdog {
-                            sim = sim.with_watchdog(*w);
-                        }
-                        Engine::Markov(sim)
-                    }
-                    Err(e) => {
-                        fail(e);
-                        return;
-                    }
-                },
             };
+            if let Backend::BiasedMarkov(bias) = &backend {
+                sim = sim.with_bias(bias.clone());
+            }
+            if let Some(m) = &self.metrics {
+                sim = sim.with_metrics(m.clone());
+            }
+            if let Some(w) = &self.watchdog {
+                sim = sim.with_watchdog(*w);
+            }
             while !done.load(Ordering::SeqCst) {
                 // Chaos hook: `raise-interrupt` simulates SIGINT landing
                 // at this chunk boundary, `delay` a stalled worker.
@@ -681,10 +643,10 @@ impl Study {
                 let mut chunk_quarantined = 0_u64;
                 for rep in start..end {
                     let mut rng = replication_rng(self.seed, rep);
-                    // The engine holds configuration plus a parked
-                    // scratch buffer (enablement cache, rate/queue
-                    // storage) that each `run_*` call takes at entry
-                    // and re-parks on exit. Unwinding out of a
+                    // The simulator holds configuration plus a parked
+                    // scratch buffer (enablement cache, rate table)
+                    // that each `run_*` call takes at entry and
+                    // re-parks on exit. Unwinding out of a
                     // replication at worst *loses* the scratch — the
                     // next run transparently allocates a fresh one —
                     // and never leaves stale state behind, because a
@@ -711,7 +673,7 @@ impl Study {
                             }
                             _ => {}
                         }
-                        work(&engine, &mut rng)
+                        work(&sim, &mut rng)
                     }));
                     match result {
                         Ok(Ok(outcome)) => {
@@ -994,11 +956,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-enum Engine<'m> {
-    Event(EventDrivenSimulator<'m>),
-    Markov(MarkovSimulator<'m>),
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1059,26 +1016,6 @@ mod tests {
         let ci = est.curve.interval(0, 0.95);
         assert!(ci.relative_half_width() <= 0.05 * 1.05);
         assert!(est.replications < 200_000);
-    }
-
-    #[test]
-    fn event_and_markov_backends_agree() {
-        let (model, down) = single_failure(0.5);
-        let down2 = down;
-        let study = Study::new(model)
-            .with_seed(17)
-            .with_fixed_replications(15_000)
-            .with_threads(2);
-        let grid = TimeGrid::new(vec![2.0]);
-        let a = study
-            .first_passage(move |m| m.is_marked(down), &grid, Backend::Markov)
-            .unwrap();
-        let b = study
-            .first_passage(move |m| m.is_marked(down2), &grid, Backend::EventDriven)
-            .unwrap();
-        let ia = a.curve.interval(0, 0.99);
-        let ib = b.curve.interval(0, 0.99);
-        assert!(ia.overlaps(&ib), "{ia} vs {ib}");
     }
 
     #[test]
@@ -1173,23 +1110,37 @@ mod tests {
     }
 
     #[test]
-    fn non_markovian_error_propagates_from_workers() {
-        let mut b = SanBuilder::new("det");
+    fn watchdog_runaway_propagates_from_workers() {
+        // A token ping-pongs between two places forever; every worker's
+        // first replication trips the watchdog.
+        let mut b = SanBuilder::new("pingpong");
         let p = b.place_with_tokens("p", 1).unwrap();
-        b.timed_activity("d", Delay::Deterministic(1.0))
+        let q = b.place("q").unwrap();
+        b.timed_activity("pq", Delay::exponential(1e3))
             .unwrap()
             .input_place(p)
+            .output_place(q)
             .build()
             .unwrap();
-        let model = b.build().unwrap();
-        let study = Study::new(model)
+        b.timed_activity("qp", Delay::exponential(1e3))
+            .unwrap()
+            .input_place(q)
+            .output_place(p)
+            .build()
+            .unwrap();
+        let study = Study::new(b.build().unwrap())
             .with_fixed_replications(10)
-            .with_threads(2);
-        let grid = TimeGrid::new(vec![1.0]);
+            .with_chunk(2)
+            .with_threads(2)
+            .with_watchdog(Watchdog::new().with_max_events(100));
+        let grid = TimeGrid::new(vec![1e9]);
         let err = study
             .first_passage(|_| false, &grid, Backend::Markov)
             .unwrap_err();
-        assert!(matches!(err, SimError::NonMarkovian { .. }));
+        assert!(
+            matches!(err, SimError::Runaway { events: 101, .. }),
+            "{err:?}"
+        );
     }
 
     #[test]

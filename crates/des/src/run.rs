@@ -1,12 +1,12 @@
-//! What the two executors' run loops share.
+//! The run modes of the SSA loop and its per-event tail.
 //!
-//! Each executor has exactly one event loop, generic over a
+//! The executor has exactly one event loop, generic over a
 //! [`RunMode`] and monomorphised per mode: first passage, observation
 //! on a time grid, or an [`Observer`]. The loop calls the mode's hooks
 //! at fixed points of its step sequence, so every mode takes the same
 //! path through the model and draws from the RNG in the same order.
-//! The per-event tail ([`RunTally::step`]) and the event budget exist
-//! here once for both executors.
+//! The per-event tail ([`RunTally::step`]) applies the event budget
+//! and the watchdog.
 
 use ahs_obs::Metrics;
 use ahs_san::{ActivityId, Marking};
@@ -61,7 +61,7 @@ impl<F: Fn(&Marking) -> bool> RunMode for FirstPassage<F> {
     }
 }
 
-/// Grids both executors reject: empty, unsorted, repeated, non-finite
+/// Grids the executor rejects: empty, unsorted, repeated, non-finite
 /// and negative.
 #[cfg(test)]
 pub(crate) const BAD_GRIDS: [&[f64]; 6] = [

@@ -31,7 +31,7 @@ pub struct RunOutcome {
     pub events: u64,
 }
 
-/// Stochastic-simulation-algorithm executor for all-exponential models.
+/// Stochastic-simulation-algorithm executor.
 ///
 /// At each stable marking the executor computes the enabled timed
 /// activities and their exponential rates, samples the sojourn from the
@@ -77,9 +77,10 @@ enum SlotRate {
     Closure,
 }
 
-/// Per-run mutable state of the SSA hot loop, reused across runs.
-struct SsaScratch {
-    cache: EnablementCache,
+/// Per-run mutable state of the SSA hot loop, reused across runs. The
+/// forced-schedule replay (`replay.rs`) borrows only its cache.
+pub(crate) struct SsaScratch {
+    pub(crate) cache: EnablementCache,
     rates: Vec<(ActivityId, f64, f64)>,
     /// Per-member rate of each shared-rate group in the current step.
     group_rates: Vec<f64>,
@@ -90,23 +91,10 @@ impl<'m> MarkovSimulator<'m> {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::NonMarkovian`] if any timed activity has a
-    /// non-exponential delay.
+    /// None today: every timed activity is exponential by
+    /// construction. The `Result` keeps the constructor's signature
+    /// stable for callers that propagate it.
     pub fn new(model: &'m SanModel) -> Result<Self, SimError> {
-        for &a in model.timed_activities() {
-            if model.exponential_rate(a, model.initial_marking()).is_none() {
-                // Distinguish "not exponential" from marking-dependent
-                // rates (which evaluate fine on any marking).
-                if !matches!(
-                    model.activity(a).timing(),
-                    ahs_san::Timing::Timed(d) if d.is_exponential()
-                ) {
-                    return Err(SimError::NonMarkovian {
-                        activity: model.activity(a).name().to_owned(),
-                    });
-                }
-            }
-        }
         let slot_rates = model
             .timed_activities()
             .iter()
@@ -176,7 +164,7 @@ impl<'m> MarkovSimulator<'m> {
 
     /// Retrieves the parked scratch or builds a fresh one (first run,
     /// or the previous run panicked mid-flight).
-    fn take_scratch(&self) -> Box<SsaScratch> {
+    pub(crate) fn take_scratch(&self) -> Box<SsaScratch> {
         if let Some(s) = self.scratch.take() {
             return s;
         }
@@ -187,16 +175,21 @@ impl<'m> MarkovSimulator<'m> {
         })
     }
 
+    /// Parks the scratch for the next run.
+    pub(crate) fn park_scratch(&self, scratch: Box<SsaScratch>) {
+        self.scratch.set(Some(scratch));
+    }
+
     fn rate_of(&self, a: ActivityId, m: &Marking) -> Result<f64, SimError> {
-        // The constructor verified every timed activity is exponential;
-        // a `None` here is an engine bug, surfaced as a typed error so
-        // a study fails cleanly instead of panicking a worker.
+        // `a` is a timed slot, so it has a rate; a `None` here is an
+        // engine bug, surfaced as a typed error so a study fails
+        // cleanly instead of panicking a worker.
         let r = self
             .model
             .exponential_rate(a, m)
             .ok_or_else(|| SimError::Internal {
                 context: format!(
-                    "activity `{}` lost its exponential rate after construction",
+                    "timed activity `{}` has no exponential rate",
                     self.model.activity(a).name()
                 ),
             })?;
@@ -338,7 +331,7 @@ impl<'m> MarkovSimulator<'m> {
     {
         let mut scratch = self.take_scratch();
         let result = self.run_loop(start, t0, horizon, rng, mode, &mut scratch);
-        self.scratch.set(Some(scratch));
+        self.park_scratch(scratch);
         result
     }
 
@@ -678,22 +671,6 @@ mod tests {
     }
 
     #[test]
-    fn non_markovian_model_rejected() {
-        let mut b = SanBuilder::new("det");
-        let p = b.place_with_tokens("p", 1).unwrap();
-        b.timed_activity("d", Delay::Deterministic(1.0))
-            .unwrap()
-            .input_place(p)
-            .build()
-            .unwrap();
-        let model = b.build().unwrap();
-        assert!(matches!(
-            MarkovSimulator::new(&model),
-            Err(SimError::NonMarkovian { .. })
-        ));
-    }
-
-    #[test]
     fn deadlock_ends_run_cleanly() {
         let (model, down) = single_failure(100.0);
         let sim = MarkovSimulator::new(&model).unwrap();
@@ -708,9 +685,8 @@ mod tests {
         let _ = down;
     }
 
-    #[test]
-    fn event_budget_enforced() {
-        // Two places ping-ponging a token at rate 1e3 forever.
+    /// Two places ping-ponging a token at rate 1e3 forever.
+    fn ping_pong() -> ahs_san::SanModel {
         let mut b = SanBuilder::new("pingpong");
         let p = b.place_with_tokens("p", 1).unwrap();
         let q = b.place("q").unwrap();
@@ -726,12 +702,32 @@ mod tests {
             .output_place(p)
             .build()
             .unwrap();
-        let model = b.build().unwrap();
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn event_budget_enforced() {
+        let model = ping_pong();
         let sim = MarkovSimulator::new(&model).unwrap().with_max_events(100);
         let mut rng = SmallRng::seed_from_u64(7);
         assert!(matches!(
             sim.run_first_passage(|_| false, 1e9, &mut rng),
             Err(SimError::EventBudgetExceeded { budget: 100 })
+        ));
+    }
+
+    #[test]
+    fn watchdog_trips_on_a_runaway_cycle() {
+        // The armed watchdog stops the ping-pong far below the 10M
+        // default event budget.
+        let model = ping_pong();
+        let sim = MarkovSimulator::new(&model)
+            .unwrap()
+            .with_watchdog(Watchdog::new().with_max_events(100));
+        let mut rng = SmallRng::seed_from_u64(11);
+        assert!(matches!(
+            sim.run_with_observer(1e9, &mut rng, &mut crate::NullObserver),
+            Err(SimError::Runaway { events: 101, .. })
         ));
     }
 

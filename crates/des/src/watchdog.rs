@@ -1,9 +1,10 @@
 //! Per-replication runtime budgets.
 //!
 //! `ahs-lint` proves structural properties of a model, but a model can
-//! lint clean and still cycle instantaneously *at simulation time*
-//! (e.g. a deterministic zero-delay ping-pong that never advances the
-//! clock). The default event budget eventually catches such loops, but
+//! lint clean and still cycle *at simulation time* (e.g. a fast
+//! ping-pong that fires millions of events before the horizon without
+//! ever reaching the target). The default event budget eventually
+//! catches such loops, but
 //! only after tens of millions of events; a [`Watchdog`] lets a study
 //! bound each replication much tighter — by event count, wall-clock
 //! time, or both — and fail with a typed [`SimError::Runaway`] instead

@@ -54,7 +54,7 @@ fn model() -> (SanModel, PlaceId) {
     (b.build().unwrap(), ko)
 }
 
-fn run_first_passage(threads: usize, backend: Backend) -> Vec<(f64, f64)> {
+fn run_first_passage(threads: usize) -> Vec<(f64, f64)> {
     let (m, ko) = model();
     let grid = TimeGrid::new(vec![0.5, 1.5, 4.0]);
     let est = Study::new(m)
@@ -62,7 +62,7 @@ fn run_first_passage(threads: usize, backend: Backend) -> Vec<(f64, f64)> {
         .with_fixed_replications(6_000)
         .with_chunk(500)
         .with_threads(threads)
-        .first_passage(move |mk| mk.is_marked(ko), &grid, backend)
+        .first_passage(move |mk| mk.is_marked(ko), &grid, Backend::Markov)
         .unwrap();
     assert_eq!(est.replications, 6_000);
     est.curve
@@ -74,22 +74,15 @@ fn run_first_passage(threads: usize, backend: Backend) -> Vec<(f64, f64)> {
 
 #[test]
 fn first_passage_is_thread_count_invariant() {
-    let baseline = run_first_passage(1, Backend::Markov);
+    let baseline = run_first_passage(1);
     assert!(baseline.iter().any(|&(y, _)| y > 0.0), "event never seen");
     for threads in [2, 4] {
-        let run = run_first_passage(threads, Backend::Markov);
+        let run = run_first_passage(threads);
         assert_eq!(
             baseline, run,
             "estimates differ between 1 and {threads} threads"
         );
     }
-}
-
-#[test]
-fn event_driven_backend_is_thread_count_invariant() {
-    let baseline = run_first_passage(1, Backend::EventDriven);
-    let four = run_first_passage(4, Backend::EventDriven);
-    assert_eq!(baseline, four);
 }
 
 #[test]
@@ -146,7 +139,7 @@ fn transient_is_thread_count_invariant() {
 /// A rate + impulse reward (time with component 1 down, plus one per
 /// latch firing) over 5 000 replications: five chunks, so the fold
 /// crosses chunk boundaries.
-fn run_reward(threads: usize, backend: Backend) -> (u64, u64, u64) {
+fn run_reward(threads: usize) -> (u64, u64, u64) {
     let (m, _) = model();
     let latch = m.find_activity("latch").unwrap();
     let dn1 = m.find_place("dn1").unwrap();
@@ -156,7 +149,7 @@ fn run_reward(threads: usize, backend: Backend) -> (u64, u64, u64) {
         .with_seed(0x2E_2009)
         .with_fixed_replications(5_000)
         .with_threads(threads)
-        .reward(&spec, 4.0, backend)
+        .reward(&spec, 4.0, Backend::Markov)
         .unwrap();
     assert_eq!(est.replications, 5_000);
     let stats = est.curve.estimator(0).product_stats();
@@ -165,16 +158,14 @@ fn run_reward(threads: usize, backend: Backend) -> (u64, u64, u64) {
 
 #[test]
 fn reward_is_thread_count_invariant() {
-    for backend in [Backend::Markov, Backend::EventDriven] {
-        let baseline = run_reward(1, backend.clone());
-        assert!(f64::from_bits(baseline.1) > 0.0, "reward never accrued");
-        for threads in [2, 4] {
-            assert_eq!(
-                baseline,
-                run_reward(threads, backend.clone()),
-                "{backend:?} reward differs between 1 and {threads} threads"
-            );
-        }
+    let baseline = run_reward(1);
+    assert!(f64::from_bits(baseline.1) > 0.0, "reward never accrued");
+    for threads in [2, 4] {
+        assert_eq!(
+            baseline,
+            run_reward(threads),
+            "reward differs between 1 and {threads} threads"
+        );
     }
 }
 

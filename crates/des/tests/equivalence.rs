@@ -1,7 +1,7 @@
 //! Equivalence tier: incremental enablement is a pure optimisation.
 //!
 //! Every estimator and per-replication outcome must be **bitwise
-//! identical** whether the simulators use the dependency-graph-driven
+//! identical** whether the simulator uses the dependency-graph-driven
 //! incremental cache or a full enablement rescan after every firing.
 //! The model alone selects between the two: a sound dependency graph
 //! (every gate declares the places it `touches`) runs incrementally,
@@ -9,11 +9,11 @@
 //! therefore has a twin whose gates omit `touches`; the twin is
 //! asserted unsound, so no comparison below is vacuous.
 //!
-//! The tier also pins an order-sensitive digest of every (executor,
-//! run mode) pair, and checks that the modes take one path through the
+//! The tier also pins an order-sensitive digest of every run mode of
+//! the executor, and checks that the modes take one path through the
 //! model.
 
-use ahs_des::{replication_rng, Backend, BiasScheme, EventDrivenSimulator, MarkovSimulator, Study};
+use ahs_des::{replication_rng, Backend, BiasScheme, MarkovSimulator, Study};
 use ahs_san::{Delay, Marking, PlaceId, SanBuilder, SanModel};
 use ahs_stats::TimeGrid;
 use rand::rngs::SmallRng;
@@ -124,33 +124,12 @@ fn ssa_replications_match_unsound_twin_bitwise() {
 }
 
 #[test]
-fn event_driven_replications_match_unsound_twin_bitwise() {
-    let (m, ko) = model(true);
-    let (twin, _) = model(false);
-    let inc = EventDrivenSimulator::new(&m);
-    let full = EventDrivenSimulator::new(&twin);
-    for rep in 0..300 {
-        let mut r1 = replication_rng(SEED ^ 2, rep);
-        let mut r2 = replication_rng(SEED ^ 2, rep);
-        let a = inc
-            .run_first_passage(|mk| mk.is_marked(ko), HORIZON, &mut r1)
-            .unwrap();
-        let b = full
-            .run_first_passage(|mk| mk.is_marked(ko), HORIZON, &mut r2)
-            .unwrap();
-        assert_eq!(outcome_bits(&a), outcome_bits(&b), "rep {rep}");
-    }
-}
-
-#[test]
 fn transient_curves_match_unsound_twin_bitwise() {
     let (m, ko) = model(true);
     let (twin, _) = model(false);
     let grid = [1.0, 3.0, HORIZON];
     let ssa_inc = MarkovSimulator::new(&m).unwrap();
     let ssa_full = MarkovSimulator::new(&twin).unwrap();
-    let ed_inc = EventDrivenSimulator::new(&m);
-    let ed_full = EventDrivenSimulator::new(&twin);
     for rep in 0..100 {
         let mut r1 = replication_rng(SEED ^ 3, rep);
         let mut r2 = replication_rng(SEED ^ 3, rep);
@@ -161,15 +140,6 @@ fn transient_curves_match_unsound_twin_bitwise() {
             .run_transient(|mk| mk.is_marked(ko), &grid, &mut r2)
             .unwrap();
         assert_eq!(a, b, "ssa rep {rep}");
-        let mut r1 = replication_rng(SEED ^ 4, rep);
-        let mut r2 = replication_rng(SEED ^ 4, rep);
-        let a = ed_inc
-            .run_transient(|mk| mk.is_marked(ko), &grid, &mut r1)
-            .unwrap();
-        let b = ed_full
-            .run_transient(|mk| mk.is_marked(ko), &grid, &mut r2)
-            .unwrap();
-        assert_eq!(a, b, "ed rep {rep}");
     }
 }
 
@@ -193,10 +163,9 @@ fn study_estimates_match_unsound_twin_bitwise() {
             .map(|p| (p.y.to_bits(), p.half_width.to_bits()))
             .collect::<Vec<_>>()
     };
-    let backends: [&dyn Fn(&SanModel) -> Backend; 3] =
-        [&|_| Backend::Markov, &|_| Backend::EventDriven, &|m| {
-            Backend::BiasedMarkov(fail_bias(m))
-        }];
+    let backends: [&dyn Fn(&SanModel) -> Backend; 2] = [&|_| Backend::Markov, &|m| {
+        Backend::BiasedMarkov(fail_bias(m))
+    }];
     for backend in backends {
         let incremental = run(true, backend);
         assert!(
@@ -269,7 +238,7 @@ fn shared_rate_model(shared: bool, touching: bool) -> (SanModel, PlaceId) {
 }
 
 /// A shared-rate group and its closure twin give bitwise-equal `Study`
-/// estimates on every backend, incremental and full-rescan.
+/// estimates, plain and biased, incremental and full-rescan.
 #[test]
 fn shared_rate_group_matches_closure_twin_bitwise() {
     let run = |shared: bool, touching: bool, backend: &dyn Fn(&SanModel) -> Backend| {
@@ -289,11 +258,10 @@ fn shared_rate_group_matches_closure_twin_bitwise() {
             .map(|p| (p.y.to_bits(), p.half_width.to_bits()))
             .collect::<Vec<_>>()
     };
-    let backends: [&dyn Fn(&SanModel) -> Backend; 3] =
-        [&|_| Backend::Markov, &|_| Backend::EventDriven, &|m| {
-            let fails = (0..3).map(|i| m.find_activity(&format!("fail{i}")).unwrap());
-            Backend::BiasedMarkov(BiasScheme::new().with_multipliers(fails, 3.0))
-        }];
+    let backends: [&dyn Fn(&SanModel) -> Backend; 2] = [&|_| Backend::Markov, &|m| {
+        let fails = (0..3).map(|i| m.find_activity(&format!("fail{i}")).unwrap());
+        Backend::BiasedMarkov(BiasScheme::new().with_multipliers(fails, 3.0))
+    }];
     for backend in backends {
         let grouped = run(true, true, backend);
         assert!(
@@ -317,8 +285,7 @@ fn transient_and_first_passage_follow_one_path() {
     let target = |mk: &Marking| mk.is_marked(ko);
     let ssa = MarkovSimulator::new(&m).unwrap();
     let ssa_biased = MarkovSimulator::new(&m).unwrap().with_bias(fail_bias(&m));
-    let ed = EventDrivenSimulator::new(&m);
-    let mut hits = [0_u32; 3];
+    let mut hits = [0_u32; 2];
     for rep in 0..300 {
         let rng = || replication_rng(SEED ^ 5, rep);
         let pairs = [
@@ -329,10 +296,6 @@ fn transient_and_first_passage_follow_one_path() {
             (
                 ssa_biased.run_transient(target, &[H], &mut rng()).unwrap(),
                 ssa_biased.run_first_passage(target, H, &mut rng()).unwrap(),
-            ),
-            (
-                ed.run_transient(target, &[H], &mut rng()).unwrap(),
-                ed.run_first_passage(target, H, &mut rng()).unwrap(),
             ),
         ];
         for (i, (obs, fp)) in pairs.iter().enumerate() {
@@ -409,16 +372,15 @@ impl ahs_des::Observer for DigestObserver<'_> {
     }
 }
 
-/// Every (executor, mode) pair, 300 replications each, digested bit by
-/// bit in replication order. A refactor of either run loop must keep
-/// every digest: a changed digest means a changed sample.
+/// Every run mode, plain and biased, 300 replications each, digested
+/// bit by bit in replication order. A refactor of the run loop must
+/// keep every digest: a changed digest means a changed sample.
 #[test]
 fn every_executor_mode_keeps_its_digest() {
     let (m, ko) = model(true);
     let grid = [1.0, 3.0, HORIZON];
     let ssa = MarkovSimulator::new(&m).unwrap();
     let ssa_biased = MarkovSimulator::new(&m).unwrap().with_bias(fail_bias(&m));
-    let ed = EventDrivenSimulator::new(&m);
     let target = |mk: &Marking| mk.is_marked(ko);
 
     let digest = |salt: u64, run: &dyn Fn(&mut SmallRng, &mut Digest)| {
@@ -461,36 +423,13 @@ fn every_executor_mode_keeps_its_digest() {
                 d.push(end.to_bits());
             }),
         ),
-        (
-            "event-driven first passage",
-            digest(15, &|rng, d| {
-                d.push_outcome(&ed.run_first_passage(target, HORIZON, rng).unwrap())
-            }),
-        ),
-        (
-            "event-driven transient",
-            digest(16, &|rng, d| {
-                d.push_observations(&ed.run_transient(target, &grid, rng).unwrap())
-            }),
-        ),
-        (
-            "event-driven run",
-            digest(17, &|rng, d| {
-                let mut obs = DigestObserver { digest: d, ko };
-                let end = ed.run(HORIZON, rng, &mut obs).unwrap();
-                d.push(end.to_bits());
-            }),
-        ),
     ];
-    let pinned: [u64; 8] = [
+    let pinned: [u64; 5] = [
         0xc3c0_e8de_9275_93a4,
         0x04ae_df2b_b962_4813,
         0x2dee_aec9_d452_dd8d,
         0x6624_77d1_c9cc_8a90,
         0xc80a_ba7a_03ff_0768,
-        0x3326_8899_636a_c417,
-        0x6704_4d98_dfd8_527c,
-        0x4b77_b19f_4c35_45e1,
     ];
     for (name, got) in &got {
         println!("{name}: {got:#018x}");

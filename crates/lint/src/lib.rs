@@ -29,8 +29,8 @@
 //! 7. **write-set** — the dependency graph's per-activity read/write
 //!    sets (which drive incremental enablement in the simulators) are
 //!    checked against traced `is_enabled` and `fire` executions;
-//! 8. **delay-sanity** — degenerate zero-width delays and
-//!    marking-dependent rates that go non-positive while enabled.
+//! 8. **delay-sanity** — marking-dependent rates that go non-positive
+//!    while enabled, and shared-rate groups with a bad rate or no member.
 //!
 //! Reachability is bounded ([`LintConfig::max_states`]); when the
 //! budget truncates exploration, absence-based findings (pass 3) are

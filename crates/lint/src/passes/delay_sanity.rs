@@ -1,15 +1,13 @@
 //! Delay-parameter sanity pass.
 //!
-//! Constant delay parameters are validated by the builder, so by the
-//! time a model exists the remaining hazards are (a) *degenerate*
-//! zero-width delays — a "timed" activity that fires immediately, which
-//! is what instantaneous activities are for — and (b) marking-dependent
-//! exponential rates, which are opaque closures. The latter are sampled
-//! over reachable markings in which the activity is enabled: a negative
-//! or non-finite rate is an error (the simulator panics on it, the CTMC
-//! generator rejects it), a rate of exactly 0 while enabled is a
-//! warning (the CTMC backend treats it as disabled, the discrete-event
-//! backend panics — disable with a gate instead).
+//! Constant rates are validated by the builder, so by the time a model
+//! exists the remaining hazard is the marking-dependent exponential
+//! rate, an opaque closure. It is sampled over reachable markings in
+//! which the activity is enabled: a negative or non-finite rate is an
+//! error (the SSA rejects it, the CTMC generator rejects it), a rate of
+//! exactly 0 while enabled is a warning (the SSA and the CTMC treat the
+//! activity as disabled, while the structural analyses still see it
+//! enabled — disable it with a gate instead).
 //!
 //! Shared-rate groups need no sampling: an enabled member's rate is the
 //! group rate over a member count of at least one, so it is positive
@@ -69,16 +67,6 @@ pub(crate) fn run(model: &SanModel, reach: &ReachSet, cfg: &LintConfig) -> Vec<D
             ));
             continue;
         }
-        if delay.is_degenerate() {
-            out.push(Diagnostic::new(
-                NAME,
-                Severity::Warning,
-                act.name().to_owned(),
-                "zero-width delay: the activity fires the instant it is enabled; \
-                 use an instantaneous activity instead",
-            ));
-        }
-
         let Delay::Exponential(RateFn::MarkingDependent(_)) = delay else {
             continue;
         };
@@ -117,8 +105,9 @@ pub(crate) fn run(model: &SanModel, reach: &ReachSet, cfg: &LintConfig) -> Vec<D
                 Severity::Warning,
                 act.name().to_owned(),
                 "marking-dependent rate is 0 while the activity is enabled; the \
-                 simulation backend panics on this — disable the activity with an \
-                 input gate instead of a zero rate",
+                 SSA and the CTMC treat it as disabled, the structural analyses as \
+                 enabled — disable the activity with an input gate instead of a \
+                 zero rate",
             ));
         }
     }
@@ -147,12 +136,15 @@ mod tests {
             .output_place(q)
             .build()
             .unwrap();
-        b.timed_activity("erl", Delay::Erlang { k: 3, rate: 1.0 })
-            .unwrap()
-            .input_place(q)
-            .output_place(p)
-            .build()
-            .unwrap();
+        b.timed_activity(
+            "back",
+            Delay::exponential_fn(move |m| 1.0 + m.tokens(q) as f64),
+        )
+        .unwrap()
+        .input_place(q)
+        .output_place(p)
+        .build()
+        .unwrap();
         assert!(lint(&b.build().unwrap()).is_empty());
     }
 
@@ -221,22 +213,5 @@ mod tests {
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].severity, Severity::Warning);
         assert_eq!(diags[0].subject, "unused", "{diags:?}");
-    }
-
-    #[test]
-    fn degenerate_deterministic_delay_is_a_warning() {
-        let mut b = SanBuilder::new("degenerate");
-        let p = b.place_with_tokens("p", 1).unwrap();
-        let q = b.place("q").unwrap();
-        b.timed_activity("instant_in_disguise", Delay::Deterministic(0.0))
-            .unwrap()
-            .input_place(p)
-            .output_place(q)
-            .build()
-            .unwrap();
-        let diags = lint(&b.build().unwrap());
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].severity, Severity::Warning);
-        assert!(diags[0].message.contains("zero-width"));
     }
 }

@@ -53,7 +53,7 @@ fn random_model(seed: u64, strict: bool) -> Result<SanModel, SanError> {
     for i in 0..n_acts {
         let delay = match r.below(4) {
             0 => Delay::exponential(0.5 + r.below(10) as f64),
-            1 => Delay::Deterministic(r.below(3) as f64), // 0.0 is degenerate
+            1 => Delay::exponential(1.0 + r.below(3) as f64),
             2 => {
                 let p = pick(&mut r);
                 Delay::exponential_fn(move |m| m.tokens(p) as f64 + 0.5)

@@ -9,9 +9,9 @@
 //! * [`Metrics`] — a thread-safe sink of atomic counters, gauges, and
 //!   log-scale histograms (events fired, activities completed by kind,
 //!   instantaneous-activity cascades, importance-sampling weight
-//!   min/max/ESS, replications per second per worker, event-queue
-//!   depth). Instrumented code holds an `Option<Arc<Metrics>>`; the
-//!   `None` default costs nothing.
+//!   min/max/ESS, replications per second per worker). Instrumented
+//!   code holds an `Option<Arc<Metrics>>`; the `None` default costs
+//!   nothing.
 //! * [`RunManifest`] — a JSON provenance record written next to every
 //!   study or bench result: full parameters, master seed, thread
 //!   count, stopping rule, git revision, wall-clock time, throughput,

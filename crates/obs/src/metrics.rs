@@ -115,7 +115,6 @@ pub struct Metrics {
     instantaneous_completions: AtomicU64,
     cascades: AtomicU64,
     chunk_merges: AtomicU64,
-    queue_depth_max: AtomicU64,
     weight_count: AtomicU64,
     weight_min_bits: AtomicU64,
     weight_max_bits: AtomicU64,
@@ -144,7 +143,6 @@ impl Metrics {
             instantaneous_completions: AtomicU64::new(0),
             cascades: AtomicU64::new(0),
             chunk_merges: AtomicU64::new(0),
-            queue_depth_max: AtomicU64::new(0),
             weight_count: AtomicU64::new(0),
             weight_min_bits: AtomicU64::new(f64::INFINITY.to_bits()),
             weight_max_bits: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
@@ -180,12 +178,6 @@ impl Metrics {
         atomic_f64_add(&self.weight_sum_bits, w);
         atomic_f64_add(&self.weight_sq_sum_bits, w * w);
         self.weight_hist.record(w);
-    }
-
-    /// Raises the event-queue depth high-water mark to `depth`.
-    pub fn record_queue_depth(&self, depth: usize) {
-        self.queue_depth_max
-            .fetch_max(depth as u64, Ordering::Relaxed);
     }
 
     /// Adds `n` completed replications.
@@ -226,7 +218,6 @@ impl Metrics {
             instantaneous_completions: self.instantaneous_completions.load(Ordering::Relaxed),
             cascades: self.cascades.load(Ordering::Relaxed),
             chunk_merges: self.chunk_merges.load(Ordering::Relaxed),
-            queue_depth_max: self.queue_depth_max.load(Ordering::Relaxed),
             weight_count,
             weight_min: if weight_count > 0 {
                 f64::from_bits(self.weight_min_bits.load(Ordering::Relaxed))
@@ -274,8 +265,6 @@ pub struct MetricsSnapshot {
     pub cascades: u64,
     /// Worker chunks merged into the global estimator.
     pub chunk_merges: u64,
-    /// Event-queue depth high-water mark (event-driven backend only).
-    pub queue_depth_max: u64,
     /// Number of recorded likelihood-ratio weights.
     pub weight_count: u64,
     /// Smallest recorded weight (NaN when none were recorded).
@@ -335,7 +324,6 @@ impl MetricsSnapshot {
         self.instantaneous_completions += other.instantaneous_completions;
         self.cascades += other.cascades;
         self.chunk_merges += other.chunk_merges;
-        self.queue_depth_max = self.queue_depth_max.max(other.queue_depth_max);
         if other.weight_count > 0 {
             if self.weight_count == 0 {
                 self.weight_min = other.weight_min;
@@ -382,7 +370,6 @@ impl MetricsSnapshot {
             ),
             ("cascades", self.cascades.into()),
             ("chunk_merges", self.chunk_merges.into()),
-            ("queue_depth_max", self.queue_depth_max.into()),
             ("weight_count", self.weight_count.into()),
             ("weight_min", self.weight_min.into()),
             ("weight_max", self.weight_max.into()),
@@ -434,15 +421,12 @@ mod tests {
         m.record_run(100, 7, true);
         m.record_run(50, 0, false);
         m.record_chunk_merge();
-        m.record_queue_depth(4);
-        m.record_queue_depth(2);
         let s = m.snapshot();
         assert_eq!(s.replications, 15);
         assert_eq!(s.timed_completions, 150);
         assert_eq!(s.instantaneous_completions, 7);
         assert_eq!(s.cascades, 1);
         assert_eq!(s.chunk_merges, 1);
-        assert_eq!(s.queue_depth_max, 4);
         assert_eq!(s.events_total(), 157);
     }
 

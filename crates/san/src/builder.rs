@@ -77,11 +77,11 @@ impl SanBuilder {
 
     /// Enables strict validation: [`SanBuilder::build`] will additionally
     /// run the static subset of the `ahs-lint` checks — individual case
-    /// probabilities in `[0, 1]`, no degenerate delays, no structurally
-    /// dead places or trivially always-enabled activities, and gate
-    /// declarations (see [`SanBuilder::input_gate_touching`]) honored at
-    /// the initial marking — and fail with
-    /// [`SanError::StrictValidation`] when any check trips.
+    /// probabilities in `[0, 1]`, no structurally dead places or
+    /// trivially always-enabled activities, and gate declarations (see
+    /// [`SanBuilder::input_gate_touching`]) honored at the initial
+    /// marking — and fail with [`SanError::StrictValidation`] when any
+    /// check trips.
     ///
     /// Reachability-based checks (dead activities, absorbing markings,
     /// marking-dependent case distributions over reachable states) need
@@ -587,15 +587,6 @@ fn strict_diagnostics(model: &SanModel) -> Vec<String> {
                 }
             }
         }
-        if let Timing::Timed(delay) = a.timing() {
-            if delay.is_degenerate() {
-                out.push(format!(
-                    "activity `{}`: timed activity with a zero-width delay \
-                     (use an instantaneous activity instead)",
-                    a.name()
-                ));
-            }
-        }
     }
 
     let report = model.analyze();
@@ -983,7 +974,6 @@ mod tests {
             .map(|&a| model.activity(a).name())
             .collect();
         assert_eq!(names, ["v[0].t", "v[1].t", "v[2].t"]);
-        assert!(model.is_markovian());
     }
 
     #[test]

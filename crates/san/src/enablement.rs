@@ -35,7 +35,7 @@
 use rand::Rng;
 
 use crate::activity::{ActivityId, Timing};
-use crate::delay::{sample_exponential, Delay, RateGroupId};
+use crate::delay::{sample_exponential, RateGroupId};
 use crate::error::SanError;
 use crate::marking::Marking;
 use crate::model::{SanModel, MAX_INSTANT_FIRINGS};
@@ -56,10 +56,6 @@ pub struct EnablementCache {
     /// Per shared-rate group, the bitset of its members' timed slots
     /// (`timed_bits.len()` words each, groups back to back).
     group_masks: Vec<u64>,
-    /// Timed slots whose enabledness flipped since the last
-    /// [`clear_changed_timed`](EnablementCache::clear_changed_timed).
-    changed_timed: Vec<u32>,
-    changed_timed_flags: Vec<bool>,
     /// Instantaneous activities fired by the last `stabilize_cached`.
     fired: Vec<ActivityId>,
     /// Scratch: case probabilities.
@@ -94,8 +90,6 @@ impl EnablementCache {
             timed_slot,
             timed_bits: vec![0; words],
             group_masks,
-            changed_timed: Vec::new(),
-            changed_timed_flags: vec![false; model.timed_activities().len()],
             fired: Vec::new(),
             probs: Vec::new(),
             weights: Vec::new(),
@@ -147,31 +141,6 @@ impl EnablementCache {
     pub fn fired(&self) -> &[ActivityId] {
         &self.fired
     }
-
-    /// Marks a timed-queue slot as needing schedule reconciliation
-    /// (used by the event-driven executor for the slot it just popped).
-    pub fn note_timed_changed(&mut self, slot: usize) {
-        if !self.changed_timed_flags[slot] {
-            self.changed_timed_flags[slot] = true;
-            self.changed_timed.push(slot as u32);
-        }
-    }
-
-    /// Timed slots whose enabledness may have changed since the last
-    /// clear, sorted ascending (delay sampling must happen in slot
-    /// order to keep RNG consumption identical to a full rescan).
-    pub fn changed_timed_sorted(&mut self) -> &[u32] {
-        self.changed_timed.sort_unstable();
-        &self.changed_timed
-    }
-
-    /// Clears the changed-timed-slot accumulator.
-    pub fn clear_changed_timed(&mut self) {
-        for &slot in &self.changed_timed {
-            self.changed_timed_flags[slot as usize] = false;
-        }
-        self.changed_timed.clear();
-    }
 }
 
 impl std::fmt::Debug for EnablementCache {
@@ -204,7 +173,6 @@ impl SanModel {
                 cache.timed_bits[slot / 64] |= 1 << (slot % 64);
             }
         }
-        cache.clear_changed_timed();
         cache.fired.clear();
         cache.primed = true;
     }
@@ -212,8 +180,7 @@ impl SanModel {
     /// Fires `a` with `case` (exactly like [`fire`](SanModel::fire))
     /// and brings the cache back in sync: in incremental mode only the
     /// activities in `affected_by(a)` are re-evaluated; in full-rescan
-    /// mode, all of them. Flipped timed slots are accumulated for the
-    /// event-driven executor's schedule reconciliation.
+    /// mode, all of them.
     ///
     /// # Panics
     ///
@@ -251,7 +218,6 @@ impl SanModel {
             if slot != u32::MAX {
                 let slot = slot as usize;
                 cache.timed_bits[slot / 64] ^= 1 << (slot % 64);
-                cache.note_timed_changed(slot);
             }
         }
     }
@@ -310,11 +276,10 @@ impl SanModel {
         picked
     }
 
-    /// Samples a delay for timed activity `a` in `marking`, drawing from
-    /// `rng` exactly like [`Delay::sample`](crate::Delay::sample). An
-    /// exponential rate is resolved through
-    /// [`exponential_rate_with`](SanModel::exponential_rate_with), with
-    /// a shared group's enabled-member count read from the cache.
+    /// Samples a delay for timed activity `a` in `marking` by inverting
+    /// one uniform draw from `rng`. The exponential rate is resolved
+    /// through [`exponential_rate_with`](SanModel::exponential_rate_with),
+    /// with a shared group's enabled-member count read from the cache.
     ///
     /// # Panics
     ///
@@ -327,18 +292,10 @@ impl SanModel {
         rng: &mut R,
         cache: &EnablementCache,
     ) -> f64 {
-        match self.activity(a).timing() {
-            Timing::Timed(Delay::Exponential(_)) => {
-                let rate = self
-                    .exponential_rate_with(a, marking, |g| cache.group_enabled(g))
-                    .expect("exponential delays have a rate");
-                sample_exponential(rate, rng)
-            }
-            Timing::Timed(d) => d.sample(marking, rng),
-            Timing::Instantaneous { .. } => {
-                panic!("instantaneous activities have no delay to sample")
-            }
-        }
+        let rate = self
+            .exponential_rate_with(a, marking, |g| cache.group_enabled(g))
+            .expect("instantaneous activities have no delay to sample");
+        sample_exponential(rate, rng)
     }
 
     /// Fires enabled instantaneous activities until the marking is
@@ -495,13 +452,15 @@ mod tests {
         assert_eq!(cache.fired().len(), 1);
         assert_cache_matches(&m, &cache, &marking);
         // The cascade marked p2, which enables the gated activity —
-        // its timed slot must be flagged for reconciliation.
+        // its timed slot's bit must be set.
         let gated = m.find_activity("gated").unwrap();
         assert!(cache.is_enabled(gated));
-        let changed = cache.changed_timed_sorted().to_vec();
-        assert!(!changed.is_empty());
-        cache.clear_changed_timed();
-        assert!(cache.changed_timed_sorted().is_empty());
+        let slot = m
+            .timed_activities()
+            .iter()
+            .position(|&a| a == gated)
+            .unwrap();
+        assert_eq!(cache.enabled_timed_words()[slot / 64] >> (slot % 64) & 1, 1);
     }
 
     #[test]

@@ -8,10 +8,9 @@
 //! * **Places** — simple token counters and *extended places* holding
 //!   fixed-length integer arrays (Möbius extended places), see
 //!   [`PlaceDecl`], [`Marking`];
-//! * **Activities** — timed activities with exponential (possibly
-//!   marking-dependent, or shared among a [`RateGroup`]),
-//!   deterministic, uniform, Erlang, and Weibull
-//!   delays, and instantaneous activities with priorities and weights;
+//! * **Activities** — timed activities with exponential delays
+//!   (constant, marking-dependent, or shared among a [`RateGroup`]),
+//!   and instantaneous activities with priorities and weights;
 //!   both support *case* distributions on completion ([`Activity`],
 //!   [`Delay`], [`Case`]);
 //! * **Gates** — input gates (enabling predicate + marking function) and

@@ -294,7 +294,7 @@ impl SanModel {
     }
 
     /// Exponential firing rate of a timed activity in a marking, or
-    /// `None` if the activity's delay is not exponential. A shared
+    /// `None` if the activity is instantaneous. A shared
     /// group rate is split over the members enabled in `marking`.
     pub fn exponential_rate(&self, a: ActivityId, marking: &Marking) -> Option<f64> {
         self.exponential_rate_with(a, marking, |g| self.group_enabled_count(g, marking))
@@ -319,17 +319,6 @@ impl SanModel {
             }),
             _ => None,
         }
-    }
-
-    /// Whether every timed activity has an exponential delay (required
-    /// by the SSA simulator backend and the CTMC generator).
-    pub fn is_markovian(&self) -> bool {
-        self.timed
-            .iter()
-            .all(|&a| match &self.activities[a.0].timing {
-                Timing::Timed(d) => d.is_exponential(),
-                Timing::Instantaneous { .. } => true,
-            })
     }
 
     /// Evaluates the case distribution of `a` in `marking`.
@@ -874,21 +863,6 @@ mod tests {
     }
 
     #[test]
-    fn markovian_detection() {
-        let (m, _, _, _) = chain();
-        assert!(m.is_markovian());
-
-        let mut b = SanBuilder::new("det");
-        let p = b.place_with_tokens("p", 1).unwrap();
-        b.timed_activity("d", Delay::Deterministic(1.0))
-            .unwrap()
-            .input_place(p)
-            .build()
-            .unwrap();
-        assert!(!b.build().unwrap().is_markovian());
-    }
-
-    #[test]
     fn exponential_rate_lookup() {
         let (m, _, _, _) = chain();
         let a = m.find_activity("a").unwrap();
@@ -928,7 +902,7 @@ mod tests {
         let mut cache = m.new_cache();
         m.prime_cache(&mut cache, &marking);
         let d = m.sample_delay_cached(t0, &marking, &mut rng, &cache);
-        let expect = Delay::exponential(6.0).sample(&marking, &mut twin);
+        let expect = crate::delay::sample_exponential(6.0, &mut twin);
         assert_eq!(d.to_bits(), expect.to_bits());
     }
 

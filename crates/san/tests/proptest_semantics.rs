@@ -122,13 +122,11 @@ proptest! {
         prop_assert_eq!(model.exponential_rate(a, marking), Some(rate));
 
         let mut rng = SmallRng::seed_from_u64(seed);
-        if let ahs_san::Timing::Timed(d) = model.activity(a).timing() {
-            for _ in 0..20 {
-                let s = d.sample(marking, &mut rng);
-                prop_assert!(s.is_finite() && s >= 0.0);
-            }
-        } else {
-            prop_assert!(false, "expected timed activity");
+        let mut cache = model.new_cache();
+        model.prime_cache(&mut cache, marking);
+        for _ in 0..20 {
+            let s = model.sample_delay_cached(a, marking, &mut rng, &cache);
+            prop_assert!(s.is_finite() && s >= 0.0);
         }
     }
 }

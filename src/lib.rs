@@ -12,7 +12,7 @@
 //! | Module | Crate | What it provides |
 //! |---|---|---|
 //! | [`san`] | `ahs-san` | the SAN formalism: places, activities, gates, Rep/Join composition |
-//! | [`des`] | `ahs-des` | simulation engines, importance sampling, parallel replication studies |
+//! | [`des`] | `ahs-des` | SSA simulation engine, importance sampling, parallel replication studies |
 //! | [`stats`] | `ahs-stats` | estimators, confidence intervals, stopping rules, curves |
 //! | [`ctmc`] | `ahs-ctmc` | state-space exploration and uniformization solvers |
 //! | [`platoon`] | `ahs-platoon` | kinematic platoon substrate and maneuver-duration models |
