@@ -2,7 +2,7 @@
 
 use ahs_core::{AhsError, FailureMode, Params, Strategy};
 use ahs_platoon::{DurationModel, RecoveryManeuver};
-use ahs_stats::{Table, TimeGrid};
+use ahs_stats::{CurvePoint, Table, TimeGrid};
 
 use crate::runner::{curve, versus_n, FigTally, FigureResult, FigureRun, RunConfig};
 
@@ -268,12 +268,9 @@ pub fn sensitivity(cfg: &RunConfig) -> Result<FigureRun, AhsError> {
             let ev = tally.evaluator(cfg, params, 0x5E_00);
             let result = ev.evaluate(&grid)?;
             tally.absorb(&format!("penalty={penalty}/base={base}"), &ev, &result);
-            let p = result.points()[0];
-            points.push(crate::runner::SeriesPoint {
+            points.push(CurvePoint {
                 x: base,
-                y: p.y,
-                half_width: p.half_width,
-                samples: p.samples,
+                ..result.points()[0]
             });
         }
         series.push(crate::runner::Series {

@@ -32,8 +32,9 @@ mod figures;
 mod output;
 mod runner;
 
+pub use ahs_stats::CurvePoint;
 pub use figures::{
     ext_platoons, fig10, fig11, fig12, fig13, fig14, fig15, maneuver_durations, sensitivity, tables,
 };
 pub use output::{figure_to_csv, figure_to_markdown, run_exit_code, write_manifest, write_results};
-pub use runner::{FigureResult, FigureRun, RunConfig, Series, SeriesPoint};
+pub use runner::{FigureResult, FigureRun, RunConfig, Series};

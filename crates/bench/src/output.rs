@@ -104,7 +104,8 @@ pub fn run_exit_code(run: &FigureRun) -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{Series, SeriesPoint};
+    use crate::runner::Series;
+    use ahs_stats::CurvePoint;
 
     fn sample_fig() -> FigureResult {
         FigureResult {
@@ -114,13 +115,13 @@ mod tests {
             series: vec![Series {
                 label: "a".into(),
                 points: vec![
-                    SeriesPoint {
+                    CurvePoint {
                         x: 1.0,
                         y: 0.5,
                         half_width: 0.01,
                         samples: 10,
                     },
-                    SeriesPoint {
+                    CurvePoint {
                         x: 2.0,
                         y: 0.75,
                         half_width: 0.02,

@@ -5,29 +5,16 @@ use std::time::Instant;
 
 use ahs_core::{AhsError, Params, UnsafetyCurve, UnsafetyEvaluator};
 use ahs_obs::{EstimatePoint, Json, Metrics, ProgressSink, RunManifest, StoppingSpec};
-use ahs_stats::{StoppingRule, TimeGrid};
-
-/// One point of a reproduced series.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SeriesPoint {
-    /// Abscissa: trip duration (hours) or platoon capacity `n`,
-    /// depending on the figure.
-    pub x: f64,
-    /// Estimated unsafety.
-    pub y: f64,
-    /// Confidence half-width on `y`.
-    pub half_width: f64,
-    /// Replications behind the point.
-    pub samples: u64,
-}
+use ahs_stats::{CurvePoint, StoppingRule, TimeGrid};
 
 /// One labelled series of a figure (e.g. `n=8`, `λ=1e-5`, `DD`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Series {
     /// Legend label.
     pub label: String,
-    /// The points, ascending in `x`.
-    pub points: Vec<SeriesPoint>,
+    /// The points, ascending in `x`: trip duration (hours) or platoon
+    /// capacity `n`, depending on the figure.
+    pub points: Vec<CurvePoint>,
 }
 
 /// A reproduced figure or table.
@@ -350,19 +337,6 @@ impl FigTally {
     }
 }
 
-fn series_points(curve: &UnsafetyCurve) -> Vec<SeriesPoint> {
-    curve
-        .points()
-        .iter()
-        .map(|p| SeriesPoint {
-            x: p.x,
-            y: p.y,
-            half_width: p.half_width,
-            samples: p.samples,
-        })
-        .collect()
-}
-
 /// Runs one `S(t)` curve.
 pub(crate) fn curve(
     cfg: &RunConfig,
@@ -378,7 +352,7 @@ pub(crate) fn curve(
     tally.absorb(&label, &ev, &result);
     Ok(Series {
         label,
-        points: series_points(&result),
+        points: result.points().to_vec(),
     })
 }
 
@@ -399,12 +373,9 @@ pub(crate) fn versus_n(
         let ev = tally.evaluator(cfg, base(n), salt.wrapping_add(i as u64));
         let result = ev.evaluate(&grid)?;
         tally.absorb(&format!("{label}/n={n}"), &ev, &result);
-        let p = result.points()[0];
-        points.push(SeriesPoint {
+        points.push(CurvePoint {
             x: n as f64,
-            y: p.y,
-            half_width: p.half_width,
-            samples: p.samples,
+            ..result.points()[0]
         });
     }
     Ok(Series { label, points })

@@ -4,36 +4,30 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
-use ahs_des::{model_fingerprint, Backend, BiasScheme, Study, StudyCheckpoint, Watchdog};
+use ahs_des::{Backend, BiasScheme, Study, StudyCheckpoint, Watchdog};
 use ahs_obs::{fnv1a_64, EstimatePoint, Json, Metrics, ProgressSink, RunManifest, StoppingSpec};
 use ahs_san::SanModel;
-use ahs_stats::{StoppingRule, TimeGrid};
+use ahs_stats::{CurvePoint, StoppingRule, TimeGrid};
 
 use crate::error::AhsError;
 use crate::model::{AhsModel, ModelHandles};
 use crate::params::Params;
 
-/// An AHS model compiled once and shareable across evaluations.
+/// An AHS model built once and shareable across evaluations: the
+/// composed [`SanModel`] behind an [`Arc`] (exactly what [`Study`]
+/// stores internally, so sharing it adds no copy) and the
+/// [`ModelHandles`] the measure and bias scheme need.
 ///
-/// Building the composed SAN for a realistic configuration costs far
-/// more than a handful of replications, and a long-running service
-/// evaluates many jobs over the same few configurations. This is the
-/// cacheable unit: the built [`SanModel`] behind an [`Arc`] (exactly
-/// what [`Study`] stores internally, so sharing it adds no copy), the
-/// [`ModelHandles`] the measure and bias scheme need, and the FNV-1a
-/// structural fingerprint that checkpoints already use to validate
-/// resume — the natural cache key.
-///
-/// [`UnsafetyEvaluator::evaluate`] compiles a private instance;
-/// [`UnsafetyEvaluator::evaluate_compiled`] accepts a shared one and
-/// produces bitwise-identical estimates, because the compiled model is
-/// a pure function of [`Params`] and the replication streams never
-/// depend on how the model was obtained.
+/// [`UnsafetyEvaluator::evaluate`] builds a private instance;
+/// [`UnsafetyEvaluator::evaluate_compiled`] accepts one built earlier,
+/// so a caller evaluating several studies of one configuration pays
+/// for the build once. Both produce bitwise-identical estimates: the
+/// model is a pure function of [`Params`], and the replication streams
+/// never depend on how it was obtained.
 #[derive(Debug, Clone)]
 pub struct CompiledModel {
     san: Arc<SanModel>,
     handles: ModelHandles,
-    fingerprint: u64,
     params: Params,
 }
 
@@ -47,19 +41,11 @@ impl CompiledModel {
     /// [`UnsafetyEvaluator::evaluate`]).
     pub fn build(params: &Params) -> Result<Self, AhsError> {
         let (san, handles) = AhsModel::build(params)?.into_san();
-        let fingerprint = model_fingerprint(&san);
         Ok(CompiledModel {
             san: Arc::new(san),
             handles,
-            fingerprint,
             params: params.clone(),
         })
-    }
-
-    /// The FNV-1a structural fingerprint of the composed SAN — the
-    /// same value `ahs-checkpoint/v1` records to validate resume.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
     }
 
     /// Handles into the composed model (measure place, severity
@@ -91,23 +77,10 @@ pub fn study_checkpoint_path(dir: &Path, seed: u64, params: &Params) -> PathBuf 
     dir.join(format!("study-{seed:016x}-{digest:016x}.checkpoint.json"))
 }
 
-/// One evaluated point of an unsafety curve.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct UnsafetyPoint {
-    /// Trip duration, hours.
-    pub x: f64,
-    /// Estimated unsafety `S(x)`.
-    pub y: f64,
-    /// Confidence-interval half-width on `y`.
-    pub half_width: f64,
-    /// Replications behind the estimate.
-    pub samples: u64,
-}
-
 /// An evaluated `S(t)` curve.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UnsafetyCurve {
-    points: Vec<UnsafetyPoint>,
+    points: Vec<CurvePoint>,
     replications: u64,
     converged: bool,
     interrupted: bool,
@@ -122,7 +95,7 @@ impl UnsafetyCurve {
     /// document. The result is never marked interrupted: only finished
     /// evaluations are persisted this way.
     pub fn from_parts(
-        points: Vec<UnsafetyPoint>,
+        points: Vec<CurvePoint>,
         replications: u64,
         converged: bool,
         quarantined: u64,
@@ -141,7 +114,7 @@ impl UnsafetyCurve {
     }
 
     /// The evaluated points, ascending in `x`.
-    pub fn points(&self) -> &[UnsafetyPoint] {
+    pub fn points(&self) -> &[CurvePoint] {
         &self.points
     }
 
@@ -187,7 +160,7 @@ impl UnsafetyCurve {
     /// # Panics
     ///
     /// Panics if the curve is empty.
-    pub fn at(&self, t_hours: f64) -> UnsafetyPoint {
+    pub fn at(&self, t_hours: f64) -> CurvePoint {
         *self
             .points
             .iter()
@@ -252,7 +225,6 @@ pub struct UnsafetyEvaluator {
     seed: u64,
     threads: Option<usize>,
     rule: StoppingRule,
-    confidence: f64,
     bias: BiasMode,
     metrics: Option<Arc<Metrics>>,
     progress: Option<Arc<ProgressSink>>,
@@ -276,7 +248,6 @@ impl UnsafetyEvaluator {
             rule: StoppingRule::relative_precision(0.95, 0.1)
                 .with_min_samples(10_000)
                 .with_max_samples(400_000),
-            confidence: 0.95,
             bias: BiasMode::Auto,
             metrics: None,
             progress: None,
@@ -437,7 +408,7 @@ impl UnsafetyEvaluator {
     pub fn manifest(&self, tool: &str, curve: &UnsafetyCurve, wall_seconds: f64) -> RunManifest {
         let mut m = RunManifest::new(tool, format!("ahs-unsafety-n{}", self.params.n), self.seed);
         m.threads = self.effective_threads();
-        m.confidence = self.confidence;
+        m.confidence = self.rule.confidence();
         m.stopping = Some(StoppingSpec {
             confidence: self.rule.confidence(),
             relative_half_width: self.rule.relative_half_width(),
@@ -526,18 +497,16 @@ impl UnsafetyEvaluator {
         self.evaluate_compiled(grid, &compiled)
     }
 
-    /// Evaluates `S(t)` over `grid` using an already-compiled model —
-    /// the path a service takes when several jobs share one
-    /// [`CompiledModel`] from a cache. Bitwise-identical to
-    /// [`evaluate`](UnsafetyEvaluator::evaluate) for the same
-    /// parameters, seed, and stopping rule.
+    /// Evaluates `S(t)` over `grid` using an already-built model.
+    /// Bitwise-identical to [`evaluate`](UnsafetyEvaluator::evaluate)
+    /// for the same parameters, seed, and stopping rule.
     ///
     /// # Errors
     ///
     /// Returns [`AhsError::InvalidParameter`] if `compiled` was built
-    /// from different parameters than this evaluator holds (a cache-key
-    /// bug upstream must fail loudly, not silently evaluate the wrong
-    /// model), or any simulation failure.
+    /// from different parameters than this evaluator holds (a caller
+    /// mixing up its models must fail loudly, not silently evaluate
+    /// the wrong one), or any simulation failure.
     pub fn evaluate_compiled(
         &self,
         grid: &TimeGrid,
@@ -546,11 +515,9 @@ impl UnsafetyEvaluator {
         if compiled.params != self.params {
             return Err(AhsError::InvalidParameter {
                 name: "compiled_model",
-                reason: format!(
-                    "compiled model (fingerprint {:016x}) was built from \
-                     different parameters than the evaluator holds",
-                    compiled.fingerprint
-                ),
+                reason: "the model was built from different parameters than the \
+                         evaluator holds"
+                    .to_owned(),
             });
         }
         let handles = &compiled.handles;
@@ -586,8 +553,7 @@ impl UnsafetyEvaluator {
 
         let mut study = Study::new(compiled.san.clone())
             .with_seed(self.seed)
-            .with_rule(self.rule)
-            .with_confidence(self.confidence);
+            .with_rule(self.rule);
         if let Some(t) = self.threads {
             study = study.with_threads(t);
         }
@@ -639,19 +605,8 @@ impl UnsafetyEvaluator {
         let ko = handles.ko_total;
         let est = study.first_passage(move |m| m.is_marked(ko), grid, backend)?;
 
-        let points = est
-            .curve
-            .points(self.confidence)
-            .into_iter()
-            .map(|p| UnsafetyPoint {
-                x: p.x,
-                y: p.y,
-                half_width: p.half_width,
-                samples: p.samples,
-            })
-            .collect();
         Ok(UnsafetyCurve {
-            points,
+            points: est.curve.points(self.rule.confidence()),
             replications: est.replications,
             converged: est.converged,
             interrupted: est.interrupted,
@@ -846,13 +801,13 @@ mod tests {
     fn curve_lookup_at() {
         let curve = UnsafetyCurve {
             points: vec![
-                UnsafetyPoint {
+                CurvePoint {
                     x: 2.0,
                     y: 0.1,
                     half_width: 0.0,
                     samples: 1,
                 },
-                UnsafetyPoint {
+                CurvePoint {
                     x: 6.0,
                     y: 0.2,
                     half_width: 0.0,

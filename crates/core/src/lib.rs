@@ -56,9 +56,10 @@ mod severity;
 mod strategy;
 
 pub use agent::AgentSimulator;
+pub use ahs_stats::CurvePoint;
 pub use error::AhsError;
 pub use evaluator::{
-    study_checkpoint_path, BiasMode, CompiledModel, UnsafetyCurve, UnsafetyEvaluator, UnsafetyPoint,
+    study_checkpoint_path, BiasMode, CompiledModel, UnsafetyCurve, UnsafetyEvaluator,
 };
 pub use failure::{
     class_of_maneuver, escalation_of, maneuver_for, maneuver_priority, FailureMode, Severity,

@@ -114,6 +114,17 @@ impl MarkovSimulator<'_> {
                     if !cache.is_enabled(step.activity) {
                         return Err(fail("activity is not enabled".to_owned()));
                     }
+                    // Every timed activity is exponential, so the rate
+                    // exists; a zero or non-finite one has no delay.
+                    let rate = model
+                        .exponential_rate_with(step.activity, &marking, |g| cache.group_enabled(g))
+                        .unwrap_or(f64::NAN);
+                    if !(rate.is_finite() && rate > 0.0) {
+                        return Err(fail(format!(
+                            "rate {rate} in this marking is not positive and finite, \
+                             so no delay can be sampled"
+                        )));
+                    }
                 }
                 Timing::Instantaneous { .. } => {
                     if !model
@@ -308,6 +319,32 @@ mod tests {
         match err {
             SimError::Replay { reason, .. } => {
                 assert!(reason.contains("out of range"), "{reason}");
+            }
+            other => panic!("expected Replay error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rejects_a_timed_step_whose_rate_is_zero() {
+        let mut b = SanBuilder::new("stalled");
+        let p0 = b.place_with_tokens("p0", 1).unwrap();
+        let p1 = b.place("p1").unwrap();
+        b.timed_activity("t", Delay::exponential_fn(|_| 0.0))
+            .unwrap()
+            .input_place(p0)
+            .output_place(p1)
+            .build()
+            .unwrap();
+        let model = b.build().unwrap();
+        let sim = MarkovSimulator::new(&model).unwrap();
+        let schedule = [ReplayStep {
+            activity: activity_id(&model, "t"),
+            case: 0,
+        }];
+        match sim.run_forced_schedule(&schedule, 0).unwrap_err() {
+            SimError::Replay { step, reason, .. } => {
+                assert_eq!(step, 0);
+                assert!(reason.contains("rate 0 "), "{reason}");
             }
             other => panic!("expected Replay error, got {other:?}"),
         }

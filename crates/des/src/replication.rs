@@ -110,7 +110,6 @@ struct CheckpointPlan {
 pub struct Study {
     model: Arc<SanModel>,
     seed: u64,
-    confidence: f64,
     rule: StoppingRule,
     threads: usize,
     chunk: u64,
@@ -126,14 +125,12 @@ pub struct Study {
 
 impl Study {
     /// Creates a study of `model` — owned, or an `Arc` already shared
-    /// with other concurrent studies (a service's model cache hands the
-    /// same compiled SAN to every job over the same configuration) —
-    /// with the paper's default stopping rule.
+    /// with other concurrent studies — with the paper's default
+    /// stopping rule.
     pub fn new(model: impl Into<Arc<SanModel>>) -> Self {
         Study {
             model: model.into(),
             seed: 0xA115_5EED, // arbitrary fixed default
-            confidence: 0.95,
             rule: StoppingRule::relative_precision(0.95, 0.1)
                 .with_min_samples(10_000)
                 .with_max_samples(4_000_000),
@@ -154,21 +151,6 @@ impl Study {
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the confidence level used for reporting and stopping.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `confidence` is not in `(0, 1)`.
-    #[must_use]
-    pub fn with_confidence(mut self, confidence: f64) -> Self {
-        assert!(
-            confidence > 0.0 && confidence < 1.0,
-            "confidence level must lie strictly between 0 and 1, got {confidence}"
-        );
-        self.confidence = confidence;
         self
     }
 
@@ -304,11 +286,6 @@ impl Study {
     /// The model under study.
     pub fn model(&self) -> &SanModel {
         &self.model
-    }
-
-    /// Confidence level used for stopping and reporting.
-    pub fn confidence(&self) -> f64 {
-        self.confidence
     }
 
     /// Master seed of the study.
@@ -471,10 +448,11 @@ impl Study {
                 cp.stopping, spec
             ));
         }
-        if cp.confidence != self.confidence {
+        if cp.confidence != self.rule.confidence() {
             return reject(format!(
                 "confidence mismatch: checkpoint {}, study {}",
-                cp.confidence, self.confidence
+                cp.confidence,
+                self.rule.confidence()
             ));
         }
         let aligned = cp.watermark.is_multiple_of(self.chunk)
@@ -562,7 +540,7 @@ impl Study {
                 watermark,
                 model_name: self.model.name().to_owned(),
                 model_fingerprint: fingerprint,
-                confidence: self.confidence,
+                confidence: self.rule.confidence(),
                 stopping: self.stopping_spec(),
                 curve,
                 quarantined,

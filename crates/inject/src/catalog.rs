@@ -113,12 +113,6 @@ pub const CATALOG: &[FailpointDesc] = &[
         site: "writing the HTTP response for a handled request",
     },
     FailpointDesc {
-        name: "serve::cache::insert",
-        layer: "ahs-serve",
-        actions: &["return(kind)", "delay(ms)"],
-        site: "publishing a freshly compiled model into the shared cache",
-    },
-    FailpointDesc {
         name: "serve::worker::exec",
         layer: "ahs-serve-worker",
         actions: &["return(kind)", "panic(msg)", "delay(ms)"],

@@ -21,7 +21,7 @@ use std::sync::Mutex;
 
 use ahs_core::{Params, Strategy, UnsafetyCurve};
 use ahs_des::Watchdog;
-use ahs_obs::{write_with_retry, Json};
+use ahs_obs::{fnv1a_64, write_with_retry, Json};
 use ahs_stats::TimeGrid;
 
 /// Schema tag of the job-status document (`status.json` and every
@@ -221,6 +221,13 @@ impl JobSpec {
                 self.quarantine_budget.into(),
             ),
         ])
+    }
+
+    /// FNV-1a digest of [`to_json`](Self::to_json)'s rendering: what
+    /// the supervisor hands a worker attempt so the attempt can prove
+    /// it parsed the spec that was admitted.
+    pub fn digest(&self) -> u64 {
+        fnv1a_64(self.to_json().render().as_bytes())
     }
 
     /// The evaluation grid, derived exactly like `ahs evaluate` does.

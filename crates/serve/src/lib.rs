@@ -1,16 +1,16 @@
 //! `ahs-serve` — a supervised, chaos-hardened evaluation service.
 //!
 //! The paper's `S(t)` studies (DSN 2009) become long-running jobs
-//! here: a zero-dependency HTTP/1.1 server with a bounded job queue,
-//! a shared compiled-model cache keyed by the FNV-1a model
-//! fingerprint, and per-job supervision built entirely from the
-//! workspace's existing crash-safe primitives. The robustness
-//! contract, proven by the chaos tier (`tests/chaos.rs`) and the
-//! determinism tier (`tests/determinism.rs`):
+//! here: a zero-dependency HTTP/1.1 server with a bounded job queue
+//! and per-job supervision built entirely from the workspace's
+//! existing crash-safe primitives. The robustness contract, proven by
+//! the chaos tier (`tests/chaos.rs`) and the determinism tier
+//! (`tests/determinism.rs`):
 //!
-//! * **Bitwise determinism under concurrency** — jobs share compiled
-//!   models but never replication state; a job's estimates are
-//!   bit-identical to the same study run solo at any worker count.
+//! * **Bitwise determinism under concurrency** — every attempt builds
+//!   its own model and replication state from its spec; a job's
+//!   estimates are bit-identical to the same study run solo at any
+//!   worker count.
 //! * **Supervision** — each job's checkpoints are namespaced into its
 //!   own directory; a crashed or watchdog-killed attempt restarts
 //!   from the latest good generation (`load_with_fallback`) within a
@@ -34,24 +34,22 @@
 //!   restarts from the latest good checkpoint generation, bitwise.
 //!   [`Isolation::Thread`] runs the same protocol in-process.
 //! * **Chaos-hardened** — the `serve::*` failpoints (accept,
-//!   job-enqueue, worker-spawn/exec/heartbeat/reap, response-write,
-//!   cache-insert) each degrade to a typed error, a counted
-//!   degradation, or a bitwise-identical resumed job — never a hung
-//!   connection or a corrupted result.
+//!   job-enqueue, worker-spawn/exec/heartbeat/reap, response-write)
+//!   each degrade to a typed error, a counted degradation, or a
+//!   bitwise-identical resumed job — never a hung connection or a
+//!   corrupted result.
 //!
 //! See `docs/serving.md` for the HTTP API and job lifecycle.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cache;
 mod http;
 mod job;
 mod server;
 mod supervisor;
 mod worker;
 
-pub use cache::{CacheStats, ModelCache};
 pub use job::{AdmissionPolicy, Job, JobSpec, Phase, SubmitError, JOB_SCHEMA, JOB_SPEC_SCHEMA};
 pub use server::{DrainReport, ServeConfig, Server};
 pub use supervisor::{Isolation, ProcessIsolation};

@@ -29,7 +29,6 @@ use std::time::Duration;
 
 use ahs_obs::{write_with_retry, Json, RunOutcome};
 
-use crate::cache::ModelCache;
 use crate::http::{read_request, write_response, Request, RequestError};
 use crate::job::{AdmissionPolicy, Job, JobSpec, Phase, SubmitError};
 use crate::supervisor::{run_supervised, Isolation, SupervisorConfig};
@@ -111,7 +110,6 @@ struct Inner {
     queue_signal: Condvar,
     next_seq: AtomicU64,
     stop: Arc<AtomicBool>,
-    cache: ModelCache,
     counters: Counters,
     /// Live connection-handler threads, bounded by
     /// `config.max_connections`.
@@ -183,7 +181,6 @@ impl Server {
             queue_signal: Condvar::new(),
             next_seq: AtomicU64::new(1),
             stop,
-            cache: ModelCache::new(),
             counters: Counters::default(),
             connections: AtomicUsize::new(0),
         });
@@ -261,6 +258,13 @@ impl Server {
 /// Reloads persisted jobs after a restart: terminal jobs become
 /// records, everything else re-enters the queue in admission order.
 fn rescan(inner: &Arc<Inner>, jobs_dir: &std::path::Path) -> std::io::Result<()> {
+    // Recovery re-checks the admission caps but keeps the thread count
+    // `job.json` recorded: the worker runs that spec, and its digest
+    // must match the one the supervisor hands the worker.
+    let recovery = AdmissionPolicy {
+        max_threads: usize::MAX,
+        ..inner.config.policy
+    };
     let mut recovered: Vec<Arc<Job>> = Vec::new();
     for entry in std::fs::read_dir(jobs_dir)? {
         let dir = entry?.path();
@@ -274,7 +278,7 @@ fn rescan(inner: &Arc<Inner>, jobs_dir: &std::path::Path) -> std::io::Result<()>
             continue;
         };
         let seq = doc.get("seq").and_then(Json::as_u64).unwrap_or(0);
-        let job = match JobSpec::from_json(&doc, &inner.config.policy) {
+        let job = match JobSpec::from_json(&doc, &recovery) {
             Ok(spec) => Arc::new(Job::new(seq, spec, dir.clone())),
             Err(e) => {
                 // A spec this server's policy no longer admits must
@@ -364,7 +368,7 @@ pub(crate) fn curve_from_status(status: &Json) -> Option<ahs_core::UnsafetyCurve
     let points = estimates
         .iter()
         .map(|e| {
-            Some(ahs_core::UnsafetyPoint {
+            Some(ahs_core::CurvePoint {
                 x: e.get("x")?.as_f64()?,
                 y: e.get("y")?.as_f64()?,
                 half_width: e.get("half_width")?.as_f64()?,
@@ -419,7 +423,7 @@ fn worker_loop(inner: &Arc<Inner>) {
                     .unwrap_or_else(PoisonError::into_inner);
             }
         };
-        let restarts = run_supervised(&job, &inner.cache, &config, &inner.stop);
+        let restarts = run_supervised(&job, &config, &inner.stop);
         inner
             .counters
             .worker_restarts
@@ -735,7 +739,6 @@ fn health(inner: &Arc<Inner>) -> Json {
         }
     }
     let counters = &inner.counters;
-    let cache = inner.cache.stats();
     let draining = inner.stop.load(Ordering::Relaxed);
     Json::Obj(vec![
         ("schema".to_owned(), Json::str("ahs-serve-health/v1")),
@@ -797,10 +800,6 @@ fn health(inner: &Arc<Inner>) -> Json {
             "worker_restarts".to_owned(),
             counters.worker_restarts.load(Ordering::Relaxed).into(),
         ),
-        ("cache_hits".to_owned(), cache.hits.into()),
-        ("cache_misses".to_owned(), cache.misses.into()),
-        ("cache_bypasses".to_owned(), cache.bypasses.into()),
-        ("cache_models".to_owned(), inner.cache.len().into()),
     ])
 }
 

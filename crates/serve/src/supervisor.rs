@@ -35,7 +35,6 @@ use ahs_core::{AhsError, UnsafetyCurve};
 use ahs_des::{SimError, Watchdog};
 use ahs_obs::{heartbeat_read, send_sigterm};
 
-use crate::cache::ModelCache;
 use crate::job::{Job, Phase};
 use crate::worker::{run_worker, WorkerOptions, WorkerOutcome};
 
@@ -187,14 +186,13 @@ pub(crate) fn restartable(error: &AhsError) -> bool {
 /// within the budget. Returns the number of restarts consumed.
 pub(crate) fn run_supervised(
     job: &Arc<Job>,
-    cache: &ModelCache,
     config: &SupervisorConfig,
     stop: &Arc<AtomicBool>,
 ) -> u32 {
     job.set_phase(Phase::Running);
     let mut consumed = 0u32;
     loop {
-        let crash_reason = match attempt(job, cache, config, stop) {
+        let crash_reason = match attempt(job, config, stop) {
             AttemptEnd::Finished(curve) => {
                 job.set_phase(Phase::Finished(curve));
                 return consumed;
@@ -225,14 +223,9 @@ pub(crate) fn run_supervised(
     }
 }
 
-/// One attempt, in either runner: failpoints, cache, a clean slate,
-/// the run itself, then the outcome document classified by exit.
-fn attempt(
-    job: &Arc<Job>,
-    cache: &ModelCache,
-    config: &SupervisorConfig,
-    stop: &Arc<AtomicBool>,
-) -> AttemptEnd {
+/// One attempt, in either runner: failpoints, a clean slate, the run
+/// itself, then the outcome document classified by exit.
+fn attempt(job: &Arc<Job>, config: &SupervisorConfig, stop: &Arc<AtomicBool>) -> AttemptEnd {
     // The spawn failpoint models a worker dying before (panic) or while
     // (error) picking the job up: panic-shaped faults are restartable
     // crashes, error-shaped ones typed failures. A delay models slow
@@ -271,24 +264,6 @@ fn attempt(
         _ => {}
     }
 
-    // Cache handoff: the server keeps the shared compiled-model cache
-    // warm (and its counters meaningful); the attempt re-derives the
-    // model from the same spec and proves equivalence against this
-    // structural fingerprint before evaluating anything.
-    let compiled = match cache.get_or_build(&job.spec.params) {
-        Ok(compiled) => compiled,
-        Err(error) if restartable(&error) => {
-            return AttemptEnd::Crashed {
-                reason: error.to_string(),
-            };
-        }
-        Err(error) => {
-            return AttemptEnd::Failed {
-                message: error.to_string(),
-            };
-        }
-    };
-
     let outcome_path = job.dir.join("outcome.json");
     std::fs::remove_file(&outcome_path).ok();
     std::fs::remove_file(job.dir.join("heartbeat")).ok();
@@ -302,7 +277,7 @@ fn attempt(
             Isolation::Thread => HEARTBEAT_INTERVAL,
         },
         watchdog: config.watchdog,
-        expect_fingerprint: Some(compiled.fingerprint()),
+        expect_spec: Some(job.spec.digest()),
     };
     let (exit, termed) = match &config.isolation {
         Isolation::Thread => run_in_process(&options, stop),
@@ -421,10 +396,8 @@ fn run_process(
         .arg(options.heartbeat_interval.as_millis().to_string())
         .stdin(Stdio::null())
         .stderr(Stdio::inherit());
-    if let Some(fingerprint) = options.expect_fingerprint {
-        command
-            .arg("--expect-fingerprint")
-            .arg(format!("{fingerprint:016x}"));
+    if let Some(digest) = options.expect_spec {
+        command.arg("--expect-spec").arg(format!("{digest:016x}"));
     }
     if let Some(mb) = isolation.mem_limit_mb {
         command.arg("--mem-limit").arg(mb.to_string());

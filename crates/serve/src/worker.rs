@@ -16,11 +16,13 @@
 //!   reads a complete document or (correctly) treats the attempt as
 //!   crashed.
 //!
-//! The cache handoff is by *proof*, not by transfer: the supervisor
-//! passes the structural fingerprint of its cached compiled model, and
-//! the attempt refuses to run if its own compilation disagrees — a
-//! changed binary or corrupted spec can never silently evaluate the
-//! wrong model against the job's checkpoint lineage.
+//! The supervisor passes the digest of the spec it admitted
+//! ([`JobSpec::digest`]), and the attempt refuses to run when the spec
+//! it parsed from `job.json` renders to a different one: an edited or
+//! corrupted `job.json` fails the job instead of silently evaluating
+//! another study. Resumes are guarded separately: the checkpoint
+//! records seed, chunk, grid, stopping rule and model fingerprint, and
+//! the study rejects one taken from a different configuration.
 //!
 //! Resource budgets are not part of the protocol: the `serve-worker`
 //! entry point applies `setrlimit` to its own process before calling
@@ -32,7 +34,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use ahs_core::{AhsError, BiasMode, CompiledModel, UnsafetyCurve, UnsafetyEvaluator};
+use ahs_core::{AhsError, BiasMode, UnsafetyCurve, UnsafetyEvaluator};
 use ahs_des::{generation_path, Watchdog};
 use ahs_obs::{atomic_write, heartbeat_write, Json, ProgressSink};
 
@@ -61,9 +63,9 @@ pub struct WorkerOptions {
     pub heartbeat_interval: Duration,
     /// Server-policy watchdog forwarded by the supervisor.
     pub watchdog: Option<Watchdog>,
-    /// The supervisor's compiled-model fingerprint; evaluation refuses
-    /// to start if this attempt's own compilation disagrees.
-    pub expect_fingerprint: Option<u64>,
+    /// The [`JobSpec::digest`] the supervisor admitted; evaluation
+    /// refuses to start if the spec in `job.json` digests differently.
+    pub expect_spec: Option<u64>,
 }
 
 /// Runs one job attempt to completion and returns its exit code (0
@@ -168,14 +170,13 @@ fn evaluate(options: &WorkerOptions, stop: &Arc<AtomicBool>) -> Result<Evaluated
     };
     let spec = JobSpec::from_json(&doc, &permissive)
         .map_err(|e| WorkerError::fatal(format!("invalid {}: {e}", spec_path.display())))?;
-
-    let compiled = CompiledModel::build(&spec.params).map_err(WorkerError::from)?;
-    if let Some(expected) = options.expect_fingerprint {
-        if compiled.fingerprint() != expected {
+    if let Some(expected) = options.expect_spec {
+        let found = spec.digest();
+        if found != expected {
             return Err(WorkerError::fatal(format!(
-                "model fingerprint mismatch: supervisor expects {expected:016x}, \
-                 worker compiled {:016x}",
-                compiled.fingerprint()
+                "job spec mismatch: the supervisor admitted digest {expected:016x}, \
+                 {} digests to {found:016x}",
+                spec_path.display()
             )));
         }
     }
@@ -200,7 +201,7 @@ fn evaluate(options: &WorkerOptions, stop: &Arc<AtomicBool>) -> Result<Evaluated
     .with_progress(progress.clone());
 
     let start = Instant::now();
-    let curve = eval.evaluate_compiled(&spec.grid(), &compiled)?;
+    let curve = eval.evaluate(&spec.grid())?;
     let wall_seconds = start.elapsed().as_secs_f64();
     if curve.interrupted() {
         return Ok(Evaluated::Drained {

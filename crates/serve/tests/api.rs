@@ -12,7 +12,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ahs_obs::Json;
-use ahs_serve::{ServeConfig, Server};
+use ahs_serve::{
+    run_worker, AdmissionPolicy, JobSpec, ServeConfig, Server, WorkerOptions, JOB_SPEC_SCHEMA,
+};
 use common::*;
 
 fn start_with(mut tweak: impl FnMut(&mut ServeConfig), tag: &str) -> (Server, std::path::PathBuf) {
@@ -345,4 +347,95 @@ fn idle_drain_wakes_a_loopback_listener() {
 #[test]
 fn idle_drain_wakes_an_unspecified_listener() {
     idle_drain_wakes_accept("0.0.0.0:0", "api-drain-unspecified");
+}
+
+/// Persists `job_json` as a fresh job directory's `job.json` and runs
+/// one in-process worker attempt over it, handing the worker the
+/// digest of the spec the server `admitted`. Returns the exit code and
+/// the attempt's `outcome.json`.
+fn attempt_over(tag: &str, job_json: &str, admitted: &JobSpec) -> (u8, Json) {
+    let dir = state_dir(tag);
+    std::fs::write(dir.join("job.json"), job_json).unwrap();
+    let options = WorkerOptions {
+        job_dir: dir.clone(),
+        checkpoint_every: 100,
+        checkpoint_generations: 2,
+        heartbeat_interval: Duration::from_millis(50),
+        watchdog: None,
+        expect_spec: Some(admitted.digest()),
+    };
+    let code = run_worker(&options, &Arc::new(AtomicBool::new(false)));
+    let outcome = Json::parse(&std::fs::read_to_string(dir.join("outcome.json")).unwrap()).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    (code, outcome)
+}
+
+#[test]
+fn worker_refuses_a_job_spec_edited_after_admission() {
+    let body = Json::parse(&job_body(5, 300, 1)).unwrap();
+    let admitted = JobSpec::from_json(&body, &AdmissionPolicy::default()).unwrap();
+    let persisted = admitted.to_json().render();
+
+    // The spec as admitted runs to the solo estimates.
+    let (code, outcome) = attempt_over("spec-kept", &persisted, &admitted);
+    assert_eq!(code, 0, "{}", outcome.render());
+    assert_eq!(status_bits(&outcome), curve_bits(&solo(5, 300, 1)));
+
+    // Its seed edited on disk, it is a typed failure no restart can
+    // outrun, and nothing is evaluated.
+    let edited = persisted.replace("\"seed\":5", "\"seed\":6");
+    assert_ne!(edited, persisted, "the edit must land");
+    let (code, outcome) = attempt_over("spec-edited", &edited, &admitted);
+    assert_eq!(code, 1);
+    assert_eq!(
+        outcome.get("outcome").and_then(Json::as_str),
+        Some("failed")
+    );
+    let error = outcome.get("error").unwrap();
+    assert_eq!(
+        error.get("restartable").and_then(Json::as_bool),
+        Some(false)
+    );
+    let message = error.get("message").and_then(Json::as_str).unwrap();
+    assert!(message.contains("job spec mismatch"), "{message}");
+    assert_eq!(outcome.get("replications").and_then(Json::as_u64), Some(0));
+}
+
+#[test]
+fn recovery_runs_the_thread_count_the_job_was_admitted_with() {
+    // A job admitted at 4 threads and recovered by a server whose
+    // `--max-threads` is now 1 runs the spec in its `job.json`; were
+    // the recovered spec re-clamped, its digest would no longer match
+    // the file and the worker would refuse it.
+    let dir = state_dir("recover-threads");
+    let job_dir = dir.join("jobs").join("job-000001");
+    std::fs::create_dir_all(&job_dir).unwrap();
+    let admitting = AdmissionPolicy {
+        max_threads: 4,
+        ..AdmissionPolicy::default()
+    };
+    let body = Json::parse(&job_body(31, 400, 4)).unwrap();
+    let Json::Obj(mut fields) = JobSpec::from_json(&body, &admitting).unwrap().to_json() else {
+        unreachable!("a spec renders as an object")
+    };
+    fields.insert(0, ("schema".to_owned(), Json::str(JOB_SPEC_SCHEMA)));
+    fields.insert(1, ("seq".to_owned(), 1u64.into()));
+    std::fs::write(job_dir.join("job.json"), Json::Obj(fields).render()).unwrap();
+
+    let mut config = ServeConfig::new(&dir);
+    config.addr = "127.0.0.1:0".to_owned();
+    config.policy.max_threads = 1;
+    let server = Server::start(config, Arc::new(AtomicBool::new(false))).expect("server starts");
+    let doc = wait_for_state(
+        server.local_addr(),
+        "job-000001",
+        "finished",
+        Duration::from_secs(60),
+    );
+    let threads = doc.get("spec").and_then(|s| s.get("threads"));
+    assert_eq!(threads.and_then(Json::as_u64), Some(4));
+    assert_eq!(status_bits(&doc), curve_bits(&solo(31, 400, 4)));
+    server.stop_flag().store(true, Ordering::Relaxed);
+    assert_eq!(server.join().finished, 1);
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -19,10 +19,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use ahs_core::{BiasMode, Params, UnsafetyCurve, UnsafetyEvaluator};
 use ahs_obs::Json;
 use ahs_serve::{ServeConfig, Server};
-use ahs_stats::TimeGrid;
 use common::*;
 
 /// Arms the registry with `spec`; panics (failing the sweep) on a
@@ -43,26 +41,6 @@ fn cover(covered: &mut HashSet<&'static str>, names: &[&'static str]) {
         covered.insert(name);
     }
     ahs_inject::clear();
-}
-
-/// Baseline for the cache-bypass scenario, which needs params distinct
-/// from the shared workload so the cache actually misses.
-fn solo_lambda(lambda: f64, seed: u64, reps: u64, threads: usize) -> UnsafetyCurve {
-    let params = Params::builder().n(N).lambda(lambda).build().unwrap();
-    let grid = TimeGrid::linspace(HORIZON / POINTS as f64, HORIZON, POINTS);
-    UnsafetyEvaluator::new(params)
-        .with_seed(seed)
-        .with_threads(threads)
-        .with_replications(reps)
-        .with_bias(BiasMode::None)
-        .evaluate(&grid)
-        .unwrap()
-}
-
-fn lambda_body(lambda: f64, seed: u64, reps: u64, threads: usize) -> String {
-    format!(
-        r#"{{"n":{N},"lambda":{lambda},"horizon":{HORIZON},"points":{POINTS},"reps":{reps},"seed":{seed},"threads":{threads},"plain":true}}"#
-    )
 }
 
 fn submit_ok(addr: std::net::SocketAddr, body: &str) -> String {
@@ -237,28 +215,6 @@ fn serve_chaos_sweep_covers_every_serve_failpoint() {
     assert!(health.get("responses_dropped").and_then(Json::as_u64) >= Some(1));
     cover(&mut covered, &["serve::response::write"]);
 
-    // --- serve::cache::insert: failing to publish a freshly compiled
-    // model is degradation, not failure — the job keeps its private
-    // copy (bitwise-equivalent by construction), the bypass is
-    // counted, and later jobs are unaffected.
-    arm("serve::cache::insert=1*return(enospc)");
-    let lambda = 6e-3;
-    let a = submit_ok(addr, &lambda_body(lambda, 81, 600, 2));
-    let b = submit_ok(addr, &lambda_body(lambda, 82, 600, 2));
-    let doc_a = wait_for_state(addr, &a, "finished", WAIT);
-    let doc_b = wait_for_state(addr, &b, "finished", WAIT);
-    assert_eq!(
-        status_bits(&doc_a),
-        curve_bits(&solo_lambda(lambda, 81, 600, 2))
-    );
-    assert_eq!(
-        status_bits(&doc_b),
-        curve_bits(&solo_lambda(lambda, 82, 600, 2))
-    );
-    let health = get_json(addr, "/v1/healthz");
-    assert!(health.get("cache_bypasses").and_then(Json::as_u64) >= Some(1));
-    cover(&mut covered, &["serve::cache::insert"]);
-
     // --- obs::progress::emit through the service: a job whose
     // telemetry sink fails on every event still finishes with exact
     // estimates, and the loss surfaces as `telemetry_dropped` in the
@@ -282,7 +238,7 @@ fn serve_chaos_sweep_covers_every_serve_failpoint() {
         .map(|d| d.name)
         .collect();
     assert!(
-        serve_names.len() >= 5,
+        serve_names.len() >= 4,
         "serve catalog shrank: {serve_names:?}"
     );
     let missed: Vec<&&str> = serve_names.difference(&covered).collect();

@@ -1,9 +1,8 @@
-//! Concurrent-job determinism: jobs evaluated by the server — sharing
-//! the model cache and running side by side on the worker pool — must
-//! produce estimates bitwise-identical to the same studies run solo,
-//! at every thread count; and a server killed mid-job must resume
-//! every accepted job bitwise after a restart over the same state
-//! directory.
+//! Concurrent-job determinism: jobs evaluated by the server — running
+//! side by side on the worker pool — must produce estimates
+//! bitwise-identical to the same studies run solo, at every thread
+//! count; and a server killed mid-job must resume every accepted job
+//! bitwise after a restart over the same state directory.
 
 mod common;
 
@@ -28,8 +27,8 @@ fn concurrent_jobs_match_solo_bitwise_at_1_2_4_threads() {
     let server = start(&dir);
     let addr = server.local_addr();
 
-    // Two jobs per thread count, all sharing one compiled model, all
-    // in flight together on two workers.
+    // Two jobs per thread count over one configuration, all in flight
+    // together on two workers.
     let reps = 2_000u64;
     let mut submitted = Vec::new();
     for threads in [1usize, 2, 4] {
@@ -61,12 +60,6 @@ fn concurrent_jobs_match_solo_bitwise_at_1_2_4_threads() {
             Some(baseline.replications())
         );
     }
-
-    // All six jobs shared one compiled model.
-    let health = get_json(addr, "/v1/healthz");
-    assert_eq!(health.get("cache_models").and_then(Json::as_u64), Some(1));
-    let hits = health.get("cache_hits").and_then(Json::as_u64).unwrap();
-    assert!(hits >= 4, "expected most lookups to hit the cache: {hits}");
 
     server.stop_flag().store(true, Ordering::Relaxed);
     let report = server.join();

@@ -52,22 +52,38 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let result = match command.as_str() {
-        "evaluate" => cmd_evaluate(rest),
-        "check" => cmd_check(rest),
-        "serve" => cmd_serve(rest),
+    type Command = fn(&[String]) -> Result<ExitCode, String>;
+    let (accepted, run): (&Accepted, Command) = match command.as_str() {
+        "evaluate" => (&EVALUATE_FLAGS, cmd_evaluate),
+        "check" => (&CHECK_FLAGS, cmd_check),
+        "serve" => (&SERVE_FLAGS, cmd_serve),
         // Hidden: the worker mode `ahs serve` re-execs for each job
         // attempt. Not for direct use.
-        "serve-worker" => cmd_serve_worker(rest),
-        "durations" => cmd_durations(rest).map(|()| ExitCode::SUCCESS),
-        "involved" => cmd_involved(rest).map(|()| ExitCode::SUCCESS),
-        "dot" => cmd_dot(rest).map(|()| ExitCode::SUCCESS),
+        "serve-worker" => (&SERVE_WORKER_FLAGS, cmd_serve_worker),
+        "durations" => (&DURATIONS_FLAGS, |a| {
+            cmd_durations(a).map(|()| ExitCode::SUCCESS)
+        }),
+        "involved" => (&INVOLVED_FLAGS, |a| {
+            cmd_involved(a).map(|()| ExitCode::SUCCESS)
+        }),
+        "dot" => (&DOT_FLAGS, |a| cmd_dot(a).map(|()| ExitCode::SUCCESS)),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
-            Ok(ExitCode::SUCCESS)
+            return ExitCode::SUCCESS;
         }
-        other => Err(format!("unknown command `{other}`\n{USAGE}")),
+        other => {
+            eprintln!("error: unknown command `{other}`\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
     };
+    let result = accepted.check(command, rest).and_then(|help| {
+        if help {
+            println!("{USAGE}");
+            Ok(ExitCode::SUCCESS)
+        } else {
+            run(rest)
+        }
+    });
     match result {
         Ok(code) => code,
         Err(e) => {
@@ -88,7 +104,7 @@ commands:
   durations   estimate end-to-end maneuver durations from the kinematic substrate
   involved    show per-strategy maneuver involvement counts
   dot         export the composed SAN model as Graphviz DOT
-  help        show this message
+  help        show this message (so does --help after any command)
 
 evaluate flags:
   --n N           max vehicles per platoon        (default 10)
@@ -178,6 +194,40 @@ resumes every one of them bitwise
 
 on SIGINT/SIGTERM, evaluate stops gracefully, flushes the checkpoint and
 manifest, and exits with code 75 (resumable)";
+
+/// The flags one subcommand takes: `--key value` flags and bare
+/// switches. Anything else on its command line is an error, so a typo
+/// can never run a default study in place of the one asked for.
+struct Accepted {
+    values: &'static [&'static str],
+    switches: &'static [&'static str],
+}
+
+impl Accepted {
+    /// Checks `args` of `command` against the declared flags: `Ok(true)`
+    /// when they ask for help (`--help`/`-h`), an error naming the first
+    /// argument the subcommand does not take.
+    fn check(&self, command: &str, args: &[String]) -> Result<bool, String> {
+        let mut args = args.iter().map(String::as_str);
+        while let Some(arg) = args.next() {
+            if arg == "--help" || arg == "-h" {
+                return Ok(true);
+            } else if self.values.contains(&arg) {
+                args.next();
+            } else if !self.switches.contains(&arg) {
+                let kind = if arg.starts_with('-') {
+                    "flag"
+                } else {
+                    "argument"
+                };
+                return Err(format!(
+                    "unknown {kind} `{arg}` for `ahs {command}` (see `ahs help`)"
+                ));
+            }
+        }
+        Ok(false)
+    }
+}
 
 /// Pulls `--key value` pairs and bare flags out of `args`.
 struct Flags<'a> {
@@ -301,6 +351,31 @@ fn configure_failpoints(f: &Flags<'_>) -> Result<(), String> {
             .map_err(|e| format!("{}: {e}", ahs_inject::ENV_VAR)),
     }
 }
+
+const EVALUATE_FLAGS: Accepted = Accepted {
+    values: &[
+        "--n",
+        "--lambda",
+        "--strategy",
+        "--platoons",
+        "--horizon",
+        "--points",
+        "--reps",
+        "--seed",
+        "--threads",
+        "--manifest",
+        "--telemetry",
+        "--checkpoint",
+        "--checkpoint-every",
+        "--checkpoint-generations",
+        "--resume",
+        "--quarantine-budget",
+        "--watchdog-events",
+        "--watchdog-seconds",
+        "--failpoints",
+    ],
+    switches: &["--paper", "--plain", "--no-manifest", "--progress"],
+};
 
 fn cmd_evaluate(args: &[String]) -> Result<ExitCode, String> {
     let f = Flags::new(args);
@@ -474,6 +549,30 @@ fn cmd_evaluate(args: &[String]) -> Result<ExitCode, String> {
     Ok(RunOutcome::Success.exit_code())
 }
 
+const SERVE_FLAGS: Accepted = Accepted {
+    values: &[
+        "--addr",
+        "--state-dir",
+        "--workers",
+        "--queue-capacity",
+        "--restart-budget",
+        "--checkpoint-every",
+        "--checkpoint-generations",
+        "--max-reps",
+        "--max-threads",
+        "--quarantine-cap",
+        "--max-connections",
+        "--mem-limit",
+        "--cpu-limit",
+        "--watchdog-events",
+        "--watchdog-seconds",
+        "--failpoints",
+        // Removed; still taken so the error can say why.
+        "--isolation",
+    ],
+    switches: &[],
+};
+
 fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
     use ahs_safety::serve::{AdmissionPolicy, Isolation, ProcessIsolation, ServeConfig, Server};
 
@@ -570,6 +669,22 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
 /// supervising `ahs serve` parent maps anything else — signals, rlimit
 /// kills, aborts — to a restart from the latest good checkpoint
 /// generation.
+const SERVE_WORKER_FLAGS: Accepted = Accepted {
+    values: &[
+        "--job-dir",
+        "--checkpoint-every",
+        "--checkpoint-generations",
+        "--heartbeat-ms",
+        "--mem-limit",
+        "--cpu-limit",
+        "--watchdog-events",
+        "--watchdog-seconds",
+        "--expect-spec",
+        "--failpoints",
+    ],
+    switches: &[],
+};
+
 fn cmd_serve_worker(args: &[String]) -> Result<ExitCode, String> {
     use ahs_safety::serve::{run_worker, WorkerOptions};
 
@@ -595,11 +710,11 @@ fn cmd_serve_worker(args: &[String]) -> Result<ExitCode, String> {
             eprintln!("serve-worker: warning: could not apply --cpu-limit: {e}");
         }
     }
-    let expect_fingerprint = match f.value("--expect-fingerprint")? {
+    let expect_spec = match f.value("--expect-spec")? {
         None => None,
         Some(hex) => Some(
             u64::from_str_radix(hex, 16)
-                .map_err(|e| format!("invalid value `{hex}` for --expect-fingerprint: {e}"))?,
+                .map_err(|e| format!("invalid value `{hex}` for --expect-spec: {e}"))?,
         ),
     };
     let options = WorkerOptions {
@@ -608,12 +723,27 @@ fn cmd_serve_worker(args: &[String]) -> Result<ExitCode, String> {
         checkpoint_generations: f.parse("--checkpoint-generations", 2u32)?,
         heartbeat_interval: std::time::Duration::from_millis(f.parse("--heartbeat-ms", 200u64)?),
         watchdog: parse_watchdog(&f)?,
-        expect_fingerprint,
+        expect_spec,
     };
     // SIGTERM from the supervisor flips this flag; the attempt drains
     // at the next chunk boundary with a flushed checkpoint.
     Ok(ExitCode::from(run_worker(&options, &interrupt_flag())))
 }
+
+const CHECK_FLAGS: Accepted = Accepted {
+    values: &[
+        "--n",
+        "--platoons",
+        "--strategy",
+        "--max-states",
+        "--capacity",
+        "--allow",
+        "--format",
+        "--report",
+        "--failpoints",
+    ],
+    switches: &["--all", "--no-default-allow", "--cross-check"],
+};
 
 fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
     use ahs_safety::check::{
@@ -710,6 +840,11 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
     })
 }
 
+const DURATIONS_FLAGS: Accepted = Accepted {
+    values: &["--samples", "--seed"],
+    switches: &[],
+};
+
 fn cmd_durations(args: &[String]) -> Result<(), String> {
     let f = Flags::new(args);
     let samples: u32 = f.parse("--samples", 400u32)?;
@@ -727,6 +862,11 @@ fn cmd_durations(args: &[String]) -> Result<(), String> {
     }
     Ok(())
 }
+
+const INVOLVED_FLAGS: Accepted = Accepted {
+    values: &["--n"],
+    switches: &[],
+};
 
 fn cmd_involved(args: &[String]) -> Result<(), String> {
     let f = Flags::new(args);
@@ -746,6 +886,11 @@ fn cmd_involved(args: &[String]) -> Result<(), String> {
     }
     Ok(())
 }
+
+const DOT_FLAGS: Accepted = Accepted {
+    values: &["--n", "--lambda", "--strategy", "--platoons"],
+    switches: &[],
+};
 
 fn cmd_dot(args: &[String]) -> Result<(), String> {
     let f = Flags::new(args);
@@ -772,6 +917,22 @@ mod tests {
         assert_eq!(f.parse("--n", 10usize).unwrap(), 6);
         assert_eq!(f.parse("--lambda", 1e-5).unwrap(), 2e-4);
         assert_eq!(f.parse("--seed", 7u64).unwrap(), 7);
+    }
+
+    #[test]
+    fn unknown_flags_are_named_and_help_is_recognised() {
+        let check = |a: &[&str]| EVALUATE_FLAGS.check("evaluate", &args(a));
+        assert_eq!(check(&["--n", "4", "--plain"]), Ok(false));
+        let err = check(&["--rep", "5"]).unwrap_err();
+        assert!(
+            err.contains("`--rep`") && err.contains("ahs evaluate"),
+            "{err}"
+        );
+        assert!(check(&["stray"]).unwrap_err().contains("argument `stray`"));
+        assert_eq!(check(&["--reps", "5", "--help"]), Ok(true));
+        assert_eq!(check(&["-h", "--bogus"]), Ok(true));
+        // A flag's value is never read as a flag.
+        assert_eq!(check(&["--manifest", "--help"]), Ok(false));
     }
 
     #[test]

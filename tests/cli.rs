@@ -445,3 +445,61 @@ fn evaluate_rejects_bad_strategy() {
     let err = String::from_utf8(out.stderr).unwrap();
     assert!(err.contains("unknown strategy"));
 }
+
+/// Runs `ahs args` in a fresh empty working directory and returns its
+/// output plus whether a `results/` directory appeared there (where
+/// `evaluate` and `serve` write by default). A command still running
+/// after 60 s is killed, so a flag that wrongly starts a server fails
+/// the test instead of hanging it.
+fn run_in_empty_cwd(tag: &str, args: &[&str]) -> (std::process::Output, bool) {
+    let cwd = std::env::temp_dir().join(format!("ahs_cli_{tag}_{}", std::process::id()));
+    std::fs::remove_dir_all(&cwd).ok();
+    std::fs::create_dir_all(&cwd).unwrap();
+    let mut child = ahs()
+        .current_dir(&cwd)
+        .args(args)
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    while child.try_wait().unwrap().is_none() && std::time::Instant::now() < deadline {
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    child.kill().ok();
+    let out = child.wait_with_output().unwrap();
+    let wrote = cwd.join("results").exists();
+    std::fs::remove_dir_all(&cwd).ok();
+    (out, wrote)
+}
+
+#[test]
+fn help_after_a_command_prints_usage_and_runs_nothing() {
+    for command in ["evaluate", "check", "serve", "durations", "involved", "dot"] {
+        for help in ["--help", "-h"] {
+            let (out, wrote) = run_in_empty_cwd("help", &[command, help]);
+            assert_eq!(out.status.code(), Some(0), "`{command} {help}`");
+            let text = String::from_utf8(out.stdout).unwrap();
+            assert!(text.contains("commands:"), "`{command} {help}`:\n{text}");
+            assert!(!wrote, "`{command} {help}` must not write results/");
+        }
+    }
+}
+
+#[test]
+fn unknown_flags_are_errors_that_run_nothing() {
+    for args in [
+        &["evaluate", "--rep", "5"][..],
+        &["evaluate", "--reps", "5", "--n", "2", "--thread", "2"],
+        &["serve", "--addr", "127.0.0.1:0", "--worker", "1"],
+        &["check", "--cross", "--format", "json"],
+        &["involved", "6"],
+    ] {
+        let (out, wrote) = run_in_empty_cwd("unknown", args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        let named = args.iter().any(|a| err.contains(&format!("`{a}`")));
+        assert!(named, "{args:?} must name the unknown flag:\n{err}");
+        assert!(!wrote, "{args:?} must not write results/");
+    }
+}
