@@ -1,13 +1,12 @@
 //! Exhaustive exploration of a SAN's micro-step marking graph.
 //!
 //! The explorer walks every reachable *raw* marking — stable and
-//! unstable alike — under the same micro-step semantics the linter's
-//! reachability uses and the simulators execute: from a stable marking
-//! the successors are the firings of the enabled timed activities; from
-//! an unstable marking, the firings of the *top-priority* enabled
-//! instantaneous activities; every case branch whose probability is not
-//! exactly zero in the source marking is enumerated (probabilities are
-//! abstracted to their support). Enabledness is read off a
+//! unstable alike — under the micro-step semantics the simulators
+//! execute: from a stable marking the successors are the firings of
+//! the enabled timed activities; from an unstable marking, the firings
+//! of the *top-priority* enabled instantaneous activities; every case
+//! branch whose probability is not exactly zero in the source marking
+//! is enumerated (probabilities are abstracted to their support). Enabledness is read off a
 //! [`EnablementCache`](ahs_san::EnablementCache) primed per expanded
 //! state, so exploration shares the exact enabling semantics (gate
 //! predicates, arc thresholds, priority shadowing) the simulators use —
@@ -19,7 +18,9 @@
 //! marking stored once), a CSR edge list labelled with `(activity, case)`, a
 //! per-state stability flag, and BFS parent pointers from which a
 //! *shortest* firing trace to any state can be reconstructed — the
-//! minimal counterexamples the property layer emits.
+//! minimal counterexamples the property layer emits. The same graph,
+//! explored under a smaller budget, is the bounded reachability sample
+//! every `ahs-lint` pass reads.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -30,6 +31,16 @@ use crate::CheckError;
 
 /// How often the interrupt flag is polled, in expanded states.
 const INTERRUPT_POLL: usize = 1024;
+
+/// Whether `case` of `a` can be taken in `m`. A case whose probability
+/// evaluates to exactly 0 cannot: exploring it, or running its output
+/// gates, would fabricate unreachable markings. Degenerate
+/// probabilities (negative, NaN) still count as takeable — the linter
+/// reports them, and hiding their firings would mask further defects
+/// behind them.
+pub fn can_take(model: &SanModel, a: ActivityId, case: usize, m: &Marking) -> bool {
+    model.activity(a).cases()[case].probability(m) != 0.0
+}
 
 /// One labelled transition of the marking graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -161,15 +172,8 @@ impl StateGraph {
             edge_start.push(edges.len() as u32);
 
             for &a in &enabled {
-                let cases = model.activity(a).cases();
-                for (case, branch) in cases.iter().enumerate() {
-                    // A case with probability exactly 0 in this marking
-                    // cannot be taken; exploring it would fabricate
-                    // unreachable states. Degenerate probabilities
-                    // (negative, NaN) are still explored — the linter
-                    // reports them, and hiding their successors would
-                    // mask further defects behind them.
-                    if branch.probability(&m) == 0.0 {
+                for case in 0..model.activity(a).cases().len() {
+                    if !can_take(model, a, case, &m) {
                         continue;
                     }
                     next.clone_from(&m);
@@ -288,5 +292,93 @@ impl StateGraph {
         self.markings()
             .iter()
             .fold(0, |acc, m| acc ^ m.fingerprint())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ahs_san::{Delay, SanBuilder};
+
+    fn explore(model: &SanModel, max_states: usize) -> StateGraph {
+        StateGraph::explore(model, max_states, None).expect("no interrupt flag")
+    }
+
+    /// p0 --t--> p1 --i--> p2: exploration must surface the unstable
+    /// intermediate marking (p1 marked) that the CTMC adapter folds away.
+    #[test]
+    fn visits_unstable_markings() {
+        let mut b = SanBuilder::new("chain");
+        let p0 = b.place_with_tokens("p0", 1).unwrap();
+        let p1 = b.place("p1").unwrap();
+        let p2 = b.place("p2").unwrap();
+        b.timed_activity("t", Delay::exponential(1.0))
+            .unwrap()
+            .input_place(p0)
+            .output_place(p1)
+            .build()
+            .unwrap();
+        b.instant_activity("i", 0, 1.0)
+            .unwrap()
+            .input_place(p1)
+            .output_place(p2)
+            .build()
+            .unwrap();
+        let model = b.build().unwrap();
+        let graph = explore(&model, 100);
+        assert!(graph.complete());
+        assert_eq!(graph.len(), 3);
+        assert!(graph.markings().iter().any(|m| m.is_marked(p1)));
+        assert!(graph.markings().iter().any(|m| m.is_marked(p2)));
+    }
+
+    #[test]
+    fn truncates_at_budget_instead_of_failing() {
+        // Unbounded counter: t deposits into p forever.
+        let mut b = SanBuilder::new("unbounded");
+        let src = b.place_with_tokens("src", 1).unwrap();
+        let p = b.place("p").unwrap();
+        b.timed_activity("t", Delay::exponential(1.0))
+            .unwrap()
+            .input_place(src)
+            .output_place(src)
+            .output_place(p)
+            .build()
+            .unwrap();
+        let model = b.build().unwrap();
+        let graph = explore(&model, 8);
+        assert!(!graph.complete());
+        assert_eq!(graph.len(), 8);
+    }
+
+    #[test]
+    fn zero_probability_cases_are_not_explored() {
+        let mut b = SanBuilder::new("zerocase");
+        let src = b.place_with_tokens("src", 1).unwrap();
+        let live = b.place("live").unwrap();
+        let ghost = b.place("ghost").unwrap();
+        let ghost2 = b.place("ghost_sink").unwrap();
+        b.timed_activity("t", Delay::exponential(1.0))
+            .unwrap()
+            .input_place(src)
+            .case(1.0)
+            .output_place(live)
+            .case(0.0)
+            .output_place(ghost)
+            .build()
+            .unwrap();
+        // Give `ghost` an outgoing arc so it is not arc-isolated; it is
+        // still unreachable because its producing case has probability 0.
+        b.timed_activity("g", Delay::exponential(1.0))
+            .unwrap()
+            .input_place(ghost)
+            .output_place(ghost2)
+            .build()
+            .unwrap();
+        let model = b.build().unwrap();
+        let graph = explore(&model, 100);
+        assert!(graph.complete());
+        assert!(graph.markings().iter().all(|m| !m.is_marked(ghost)));
+        assert!(graph.markings().iter().any(|m| m.is_marked(live)));
     }
 }

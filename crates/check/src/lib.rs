@@ -50,8 +50,10 @@ mod properties;
 mod report;
 
 pub use crosscheck::{cross_validate, CrossCheck};
-pub use graph::{Edge, StateGraph, TraceStep};
-pub use properties::{exact_dead_set, max_tokens_observed, PropertyKind, Violation};
+pub use graph::{can_take, Edge, StateGraph, TraceStep};
+pub use properties::{
+    describe_marking, exact_dead_set, is_allowlisted, max_tokens_observed, PropertyKind, Violation,
+};
 pub use report::{property_status, render_text, report_json, PropertyStatus, REPORT_SCHEMA};
 
 /// Seed for counterexample replays. The value is irrelevant — forced

@@ -106,10 +106,11 @@ pub fn evaluate(model: &SanModel, graph: &StateGraph, config: &CheckConfig) -> V
     out
 }
 
-/// Whether the marking marks a place whose name contains an allowlist
-/// pattern (same convention as the linter's absorbing pass).
-fn is_allowlisted(model: &SanModel, m: &Marking, config: &CheckConfig) -> bool {
-    config.absorbing_allowlist.iter().any(|pattern| {
+/// Whether the marking marks a place whose name contains one of the
+/// `allowlist` patterns: the sink convention shared by this checker's
+/// absorption property and the linter's absorbing pass.
+pub fn is_allowlisted(model: &SanModel, m: &Marking, allowlist: &[String]) -> bool {
+    allowlist.iter().any(|pattern| {
         model
             .place_ids()
             .any(|p| m.is_marked(p) && model.place_name(p).contains(pattern.as_str()))
@@ -117,7 +118,7 @@ fn is_allowlisted(model: &SanModel, m: &Marking, config: &CheckConfig) -> bool {
 }
 
 /// A short human-readable summary of a marking: the marked places.
-pub(crate) fn describe_marking(model: &SanModel, m: &Marking) -> String {
+pub fn describe_marking(model: &SanModel, m: &Marking) -> String {
     let mut names: Vec<&str> = model
         .place_ids()
         .filter(|&p| m.is_marked(p))
@@ -156,7 +157,7 @@ fn absorption(model: &SanModel, graph: &StateGraph, config: &CheckConfig) -> Vec
     let mut out = Vec::new();
     let mut suppressed = 0usize;
     for i in graph.terminals() {
-        if is_allowlisted(model, graph.marking(i), config) {
+        if is_allowlisted(model, graph.marking(i), &config.absorbing_allowlist) {
             continue;
         }
         if out.len() == MAX_PER_PROPERTY {
@@ -192,7 +193,7 @@ fn escalation(model: &SanModel, graph: &StateGraph, config: &CheckConfig) -> Vec
     let mut reaches = vec![false; n];
     let mut queue: Vec<u32> = graph
         .terminals()
-        .filter(|&i| is_allowlisted(model, graph.marking(i), config))
+        .filter(|&i| is_allowlisted(model, graph.marking(i), &config.absorbing_allowlist))
         .map(|i| i as u32)
         .collect();
     for &i in &queue {

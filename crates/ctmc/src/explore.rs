@@ -38,76 +38,36 @@ pub struct StateSpace<S> {
 }
 
 impl<S: Clone + Eq + Hash> StateSpace<S> {
-    /// Explores the reachable state space of `model`, up to
-    /// `max_states` states.
+    /// Explores the reachable state space of `model` breadth-first, up
+    /// to `max_states` states.
     ///
     /// # Errors
     ///
     /// Returns [`CtmcError::StateSpaceTooLarge`] when the budget is
     /// exceeded and [`CtmcError::InvalidRate`] on a negative or
-    /// non-finite rate.
+    /// non-finite rate. A state's successors are enumerated in full
+    /// before the budget is checked, so an invalid rate on the state
+    /// that overflows is reported as such.
     pub fn explore<M>(model: &M, max_states: usize) -> Result<Self, CtmcError>
     where
         M: MarkovModel<State = S>,
     {
-        Self::breadth_first(model, max_states, true).map(|(space, _)| space)
-    }
-
-    /// Explores the reachable state space like
-    /// [`StateSpace::explore`], but *truncates* instead of failing when
-    /// the budget is exceeded: successors that would create a state
-    /// beyond `max_states` are dropped, and the returned flag reports
-    /// whether exploration was `complete` (`true`) or truncated
-    /// (`false`).
-    ///
-    /// A truncated space is a sound under-approximation of
-    /// reachability: every state in it is genuinely reachable, but
-    /// transitions out of the kept set (and anything beyond) are
-    /// absent. This is the form the `ahs-lint` reachability passes
-    /// consume — a partial answer with an explicit "incomplete" marker
-    /// beats an all-or-nothing error for diagnostics.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CtmcError::InvalidRate`] on a negative or non-finite
-    /// rate.
-    pub fn explore_truncated<M>(model: &M, max_states: usize) -> Result<(Self, bool), CtmcError>
-    where
-        M: MarkovModel<State = S>,
-    {
-        Self::breadth_first(model, max_states, false)
-    }
-
-    /// The one exploration loop: a breadth-first walk that drops
-    /// successors beyond the budget and reports whether none was
-    /// dropped. With `fail_on_overflow` it stops after the state whose
-    /// successors first overflowed and returns
-    /// [`CtmcError::StateSpaceTooLarge`].
-    fn breadth_first<M>(
-        model: &M,
-        max_states: usize,
-        fail_on_overflow: bool,
-    ) -> Result<(Self, bool), CtmcError>
-    where
-        M: MarkovModel<State = S>,
-    {
+        let too_large = || CtmcError::StateSpaceTooLarge { budget: max_states };
         let mut states: Interner<S> = Interner::new();
-        let mut complete = true;
         let mut initial_pairs: Vec<(usize, f64)> = Vec::new();
         for (s, p) in model.initial_states() {
-            match states.intern(&s, max_states) {
-                Some(i) => initial_pairs.push((i, p)),
-                None => complete = false,
-            }
+            let i = states.intern(&s, max_states).ok_or_else(too_large)?;
+            initial_pairs.push((i, p));
         }
 
         let mut triplets: Vec<(usize, usize, f64)> = Vec::new();
         let mut invalid: Option<f64> = None;
+        let mut overflow = false;
         // The state being expanded, copied out of the interner (which
         // grows during the expansion) into one reused buffer.
         let mut current: Option<S> = None;
         let mut frontier = 0usize;
-        while frontier < states.len() && (complete || !fail_on_overflow) {
+        while frontier < states.len() {
             let source = &states.states()[frontier];
             match current.as_mut() {
                 Some(s) => s.clone_from(source),
@@ -128,16 +88,16 @@ impl<S: Clone + Eq + Hash> StateSpace<S> {
                 match states.intern(succ, max_states) {
                     Some(j) if j != frontier => triplets.push((frontier, j, rate)),
                     Some(_) => {}
-                    None => complete = false,
+                    None => overflow = true,
                 }
             });
             if let Some(rate) = invalid {
                 return Err(CtmcError::InvalidRate { rate });
             }
+            if overflow {
+                return Err(too_large());
+            }
             frontier += 1;
-        }
-        if !complete && fail_on_overflow {
-            return Err(CtmcError::StateSpaceTooLarge { budget: max_states });
         }
 
         let n = states.len();
@@ -147,13 +107,12 @@ impl<S: Clone + Eq + Hash> StateSpace<S> {
         for (i, p) in initial_pairs {
             initial[i] += p;
         }
-        let space = StateSpace {
+        Ok(StateSpace {
             states,
             initial,
             rates,
             exit_rates,
-        };
-        Ok((space, complete))
+        })
     }
 
     /// Number of states.

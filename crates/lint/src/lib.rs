@@ -32,10 +32,13 @@
 //! 8. **delay-sanity** — marking-dependent rates that go non-positive
 //!    while enabled, and shared-rate groups with a bad rate or no member.
 //!
-//! Reachability is bounded ([`LintConfig::max_states`]); when the
-//! budget truncates exploration, absence-based findings (pass 3) are
-//! downgraded from error to warning because absence is no longer
-//! proven, and [`Report::exploration_complete`] says so.
+//! Reachability is bounded ([`LintConfig::max_states`]): the passes
+//! read `ahs-check`'s micro-step marking graph
+//! ([`StateGraph`](ahs_check::StateGraph)), explored once per lint
+//! up to that budget. When the budget truncates exploration,
+//! absence-based findings (pass 3) are downgraded from error to warning
+//! because absence is no longer proven, and
+//! [`Report::exploration_complete`] says so.
 //!
 //! # Example
 //!
@@ -57,12 +60,11 @@
 mod diag;
 pub mod fixtures;
 mod passes;
-mod reach;
 
 pub use diag::{Diagnostic, Report, Severity};
 pub use passes::PASS_NAMES;
-pub use reach::ReachSet;
 
+use ahs_check::StateGraph;
 use ahs_san::SanModel;
 
 /// Tuning knobs for a lint run.
@@ -130,9 +132,9 @@ impl Linter {
     /// Lints `model`: explores bounded reachability once, feeds it to
     /// every pass, and returns the ranked report.
     pub fn lint(&self, model: &SanModel) -> Report {
-        let reach = reach::ReachSet::explore(model, self.config.max_states);
-        let diagnostics = self.run_passes(model, &reach);
-        Report::new(model.name(), reach.len(), reach.complete(), diagnostics)
+        let graph = self.explore(model);
+        let diagnostics = self.run_passes(model, &graph);
+        Report::new(model.name(), graph.len(), graph.complete(), diagnostics)
     }
 
     /// Like [`Linter::lint`], but follows the bounded passes with the
@@ -150,8 +152,8 @@ impl Linter {
     /// - warns when even the deep budget truncates, so a clean report
     ///   is never mistaken for a proof.
     pub fn lint_deep(&self, model: &SanModel, deep_max_states: usize) -> Report {
-        let reach = reach::ReachSet::explore(model, self.config.max_states);
-        let mut diagnostics = self.run_passes(model, &reach);
+        let graph = self.explore(model);
+        let mut diagnostics = self.run_passes(model, &graph);
         let checker = ahs_check::Checker::with_config(ahs_check::CheckConfig {
             max_states: deep_max_states,
             absorbing_allowlist: self.config.absorbing_allowlist.clone(),
@@ -164,19 +166,26 @@ impl Linter {
             diagnostics = passes::dead::reconcile(diagnostics, &outcome.dead_activities);
         }
         diagnostics.extend(passes::model_check::run(&outcome));
-        Report::new(model.name(), reach.len(), reach.complete(), diagnostics)
+        Report::new(model.name(), graph.len(), graph.complete(), diagnostics)
     }
 
-    fn run_passes(&self, model: &SanModel, reach: &ReachSet) -> Vec<Diagnostic> {
+    /// The bounded reachability sample: the checker's marking graph,
+    /// truncated at [`LintConfig::max_states`].
+    fn explore(&self, model: &SanModel) -> StateGraph {
+        StateGraph::explore(model, self.config.max_states, None)
+            .expect("exploration without an interrupt flag cannot fail")
+    }
+
+    fn run_passes(&self, model: &SanModel, graph: &StateGraph) -> Vec<Diagnostic> {
         let mut diagnostics = Vec::new();
         diagnostics.extend(passes::structure::run(model, &self.config));
-        diagnostics.extend(passes::case_prob::run(model, reach, &self.config));
-        diagnostics.extend(passes::dead::run(model, reach, &self.config));
-        diagnostics.extend(passes::absorbing::run(model, reach, &self.config));
-        diagnostics.extend(passes::confusion::run(model, reach, &self.config));
-        diagnostics.extend(passes::gate_purity::run(model, reach, &self.config));
-        diagnostics.extend(passes::write_set::run(model, reach, &self.config));
-        diagnostics.extend(passes::delay_sanity::run(model, reach, &self.config));
+        diagnostics.extend(passes::case_prob::run(model, graph, &self.config));
+        diagnostics.extend(passes::dead::run(model, graph, &self.config));
+        diagnostics.extend(passes::absorbing::run(model, graph, &self.config));
+        diagnostics.extend(passes::confusion::run(model, graph, &self.config));
+        diagnostics.extend(passes::gate_purity::run(model, graph, &self.config));
+        diagnostics.extend(passes::write_set::run(model, graph, &self.config));
+        diagnostics.extend(passes::delay_sanity::run(model, graph, &self.config));
         diagnostics
     }
 }

@@ -14,10 +14,10 @@
 //! truncated exploration can miss absorbing markings but never invents
 //! one: findings stay errors regardless of budget.
 
-use ahs_san::{Marking, SanModel};
+use ahs_check::{describe_marking, is_allowlisted, StateGraph};
+use ahs_san::SanModel;
 
 use crate::diag::{Diagnostic, Severity};
-use crate::reach::ReachSet;
 use crate::LintConfig;
 
 /// Pass identifier.
@@ -27,15 +27,15 @@ pub const NAME: &str = "absorbing";
 /// so one systemic leak does not flood the report.
 const MAX_REPORTS: usize = 5;
 
-pub(crate) fn run(model: &SanModel, reach: &ReachSet, cfg: &LintConfig) -> Vec<Diagnostic> {
+pub(crate) fn run(model: &SanModel, graph: &StateGraph, cfg: &LintConfig) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let mut reported = 0usize;
     let mut suppressed = 0usize;
-    for m in reach.markings() {
+    for m in graph.markings() {
         if !model.is_stable(m) || !model.enabled_timed(m).is_empty() {
             continue;
         }
-        if is_allowlisted(model, m, cfg) {
+        if is_allowlisted(model, m, &cfg.absorbing_allowlist) {
             continue;
         }
         if reported == MAX_REPORTS {
@@ -62,34 +62,6 @@ pub(crate) fn run(model: &SanModel, reach: &ReachSet, cfg: &LintConfig) -> Vec<D
     out
 }
 
-/// Whether the marking marks a place matching the allowlist.
-fn is_allowlisted(model: &SanModel, m: &Marking, cfg: &LintConfig) -> bool {
-    cfg.absorbing_allowlist.iter().any(|pattern| {
-        model
-            .place_ids()
-            .any(|p| m.is_marked(p) && model.place_name(p).contains(pattern.as_str()))
-    })
-}
-
-/// A short human-readable summary of a marking: the marked places.
-fn describe_marking(model: &SanModel, m: &Marking) -> String {
-    let mut names: Vec<&str> = model
-        .place_ids()
-        .filter(|&p| m.is_marked(p))
-        .map(|p| model.place_name(p))
-        .collect();
-    if names.is_empty() {
-        return "<empty marking>".to_owned();
-    }
-    let extra = names.len().saturating_sub(6);
-    names.truncate(6);
-    let mut s = format!("{{{}}}", names.join(", "));
-    if extra > 0 {
-        s.push_str(&format!(" (+{extra} more)"));
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,8 +72,8 @@ mod tests {
             absorbing_allowlist: allow.iter().map(|s| (*s).to_owned()).collect(),
             ..LintConfig::default()
         };
-        let reach = ReachSet::explore(model, cfg.max_states);
-        run(model, &reach, &cfg)
+        let graph = StateGraph::explore(model, cfg.max_states, None).unwrap();
+        run(model, &graph, &cfg)
     }
 
     /// p --die--> grave, with no way out of `grave`.

@@ -10,16 +10,16 @@
 //! otherwise surfaces mid-simulation as
 //! [`SanError::InvalidCaseDistribution`](ahs_san::SanError).
 
+use ahs_check::StateGraph;
 use ahs_san::{CaseProb, SanModel};
 
 use crate::diag::{Diagnostic, Severity};
-use crate::reach::ReachSet;
 use crate::LintConfig;
 
 /// Pass identifier.
 pub const NAME: &str = "case-probability";
 
-pub(crate) fn run(model: &SanModel, reach: &ReachSet, cfg: &LintConfig) -> Vec<Diagnostic> {
+pub(crate) fn run(model: &SanModel, graph: &StateGraph, cfg: &LintConfig) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for (idx, act) in model.activities().iter().enumerate() {
         let id = model
@@ -64,7 +64,7 @@ pub(crate) fn run(model: &SanModel, reach: &ReachSet, cfg: &LintConfig) -> Vec<D
         // Sample the marking-dependent distribution over reachable
         // markings in which the activity is enabled.
         let mut sampled = 0usize;
-        for m in reach.markings() {
+        for m in graph.markings() {
             if sampled >= cfg.max_samples {
                 break;
             }
@@ -85,7 +85,7 @@ pub(crate) fn run(model: &SanModel, reach: &ReachSet, cfg: &LintConfig) -> Vec<D
                 break;
             }
         }
-        if sampled == 0 && !reach.is_empty() {
+        if sampled == 0 && !graph.is_empty() {
             out.push(Diagnostic::new(
                 NAME,
                 Severity::Info,
@@ -105,8 +105,8 @@ mod tests {
 
     fn lint(model: &SanModel) -> Vec<Diagnostic> {
         let cfg = LintConfig::default();
-        let reach = ReachSet::explore(model, cfg.max_states);
-        run(model, &reach, &cfg)
+        let graph = StateGraph::explore(model, cfg.max_states, None).unwrap();
+        run(model, &graph, &cfg)
     }
 
     #[test]

@@ -15,21 +15,21 @@
 
 use std::collections::HashSet;
 
+use ahs_check::StateGraph;
 use ahs_san::SanModel;
 
 use crate::diag::{Diagnostic, Severity};
-use crate::reach::ReachSet;
 use crate::LintConfig;
 
 /// Pass identifier.
 pub const NAME: &str = "confusion";
 
-pub(crate) fn run(model: &SanModel, reach: &ReachSet, cfg: &LintConfig) -> Vec<Diagnostic> {
+pub(crate) fn run(model: &SanModel, graph: &StateGraph, cfg: &LintConfig) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let mut flagged: HashSet<(usize, usize)> = HashSet::new();
     let mut sampled = 0usize;
 
-    for m in reach.markings() {
+    for m in graph.markings() {
         if model.is_stable(m) {
             continue;
         }
@@ -94,8 +94,8 @@ mod tests {
 
     fn lint(model: &SanModel) -> Vec<Diagnostic> {
         let cfg = LintConfig::default();
-        let reach = ReachSet::explore(model, cfg.max_states);
-        run(model, &reach, &cfg)
+        let graph = StateGraph::explore(model, cfg.max_states, None).unwrap();
+        run(model, &graph, &cfg)
     }
 
     #[test]

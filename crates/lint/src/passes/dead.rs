@@ -12,18 +12,18 @@
 
 use std::collections::HashSet;
 
+use ahs_check::StateGraph;
 use ahs_san::SanModel;
 
 use crate::diag::{Diagnostic, Severity};
-use crate::reach::ReachSet;
 use crate::LintConfig;
 
 /// Pass identifier.
 pub const NAME: &str = "dead-activity";
 
-pub(crate) fn run(model: &SanModel, reach: &ReachSet, _cfg: &LintConfig) -> Vec<Diagnostic> {
+pub(crate) fn run(model: &SanModel, graph: &StateGraph, _cfg: &LintConfig) -> Vec<Diagnostic> {
     let mut live: HashSet<usize> = HashSet::new();
-    for m in reach.markings() {
+    for m in graph.markings() {
         if model.is_stable(m) {
             for a in model.enabled_timed(m) {
                 live.insert(a.index());
@@ -38,7 +38,7 @@ pub(crate) fn run(model: &SanModel, reach: &ReachSet, _cfg: &LintConfig) -> Vec<
         }
     }
 
-    let severity = if reach.complete() {
+    let severity = if graph.complete() {
         Severity::Error
     } else {
         Severity::Warning
@@ -49,7 +49,7 @@ pub(crate) fn run(model: &SanModel, reach: &ReachSet, _cfg: &LintConfig) -> Vec<
         .enumerate()
         .filter(|(i, _)| !live.contains(i))
         .map(|(_, a)| {
-            let detail = if reach.complete() {
+            let detail = if graph.complete() {
                 "activity can never fire in any reachable marking"
             } else {
                 "activity never fired within the explored state budget \
@@ -105,8 +105,8 @@ mod tests {
     use ahs_san::{Delay, SanBuilder};
 
     fn lint(model: &SanModel, max_states: usize) -> Vec<Diagnostic> {
-        let reach = ReachSet::explore(model, max_states);
-        run(model, &reach, &LintConfig::default())
+        let graph = StateGraph::explore(model, max_states, None).unwrap();
+        run(model, &graph, &LintConfig::default())
     }
 
     #[test]

@@ -15,16 +15,16 @@
 //! warns about a group no activity joined (a declaration with no
 //! effect, usually a member built with the wrong delay).
 
+use ahs_check::StateGraph;
 use ahs_san::{Delay, RateFn, SanModel, Timing};
 
 use crate::diag::{Diagnostic, Severity};
-use crate::reach::ReachSet;
 use crate::LintConfig;
 
 /// Pass identifier.
 pub const NAME: &str = "delay-sanity";
 
-pub(crate) fn run(model: &SanModel, reach: &ReachSet, cfg: &LintConfig) -> Vec<Diagnostic> {
+pub(crate) fn run(model: &SanModel, graph: &StateGraph, cfg: &LintConfig) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for group in model.rate_groups() {
         let subject = group.name().to_owned();
@@ -72,7 +72,7 @@ pub(crate) fn run(model: &SanModel, reach: &ReachSet, cfg: &LintConfig) -> Vec<D
         };
         let mut sampled = 0usize;
         let mut zero_seen = false;
-        for m in reach.markings() {
+        for m in graph.markings() {
             if sampled >= cfg.max_samples {
                 break;
             }
@@ -121,8 +121,8 @@ mod tests {
 
     fn lint(model: &SanModel) -> Vec<Diagnostic> {
         let cfg = LintConfig::default();
-        let reach = ReachSet::explore(model, cfg.max_states);
-        run(model, &reach, &cfg)
+        let graph = StateGraph::explore(model, cfg.max_states, None).unwrap();
+        run(model, &graph, &cfg)
     }
 
     #[test]

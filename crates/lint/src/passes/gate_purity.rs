@@ -26,10 +26,10 @@
 
 use std::collections::BTreeSet;
 
+use ahs_check::{can_take, StateGraph};
 use ahs_san::{trace, Marking, PlaceId, SanModel};
 
 use crate::diag::{Diagnostic, Severity};
-use crate::reach::{can_take, ReachSet};
 use crate::LintConfig;
 
 /// Pass identifier.
@@ -43,9 +43,9 @@ struct GateTrace {
     touched: BTreeSet<PlaceId>,
 }
 
-pub(crate) fn run(model: &SanModel, reach: &ReachSet, cfg: &LintConfig) -> Vec<Diagnostic> {
+pub(crate) fn run(model: &SanModel, graph: &StateGraph, cfg: &LintConfig) -> Vec<Diagnostic> {
     let samples: Vec<&Marking> = std::iter::once(model.initial_marking())
-        .chain(reach.markings().iter())
+        .chain(graph.markings().iter())
         .take(cfg.max_samples.max(1))
         .collect();
 
@@ -181,8 +181,8 @@ mod tests {
 
     fn lint(model: &SanModel) -> Vec<Diagnostic> {
         let cfg = LintConfig::default();
-        let reach = ReachSet::explore(model, cfg.max_states);
-        run(model, &reach, &cfg)
+        let graph = StateGraph::explore(model, cfg.max_states, None).unwrap();
+        run(model, &graph, &cfg)
     }
 
     #[test]

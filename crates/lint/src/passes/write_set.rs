@@ -25,20 +25,20 @@
 
 use std::collections::BTreeSet;
 
+use ahs_check::{can_take, StateGraph};
 use ahs_san::{trace, ActivityId, Marking, PlaceId, SanModel};
 
 use crate::diag::{Diagnostic, Severity};
-use crate::reach::{can_take, ReachSet};
 use crate::LintConfig;
 
 /// Pass identifier.
 pub const NAME: &str = "write-set";
 
-pub(crate) fn run(model: &SanModel, reach: &ReachSet, cfg: &LintConfig) -> Vec<Diagnostic> {
+pub(crate) fn run(model: &SanModel, graph: &StateGraph, cfg: &LintConfig) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    let graph = model.dependency_graph();
+    let deps = model.dependency_graph();
 
-    if !graph.is_sound() {
+    if !deps.is_sound() {
         for g in model.input_gates() {
             if g.declared_touches().is_none() {
                 out.push(undeclared_note(g.name()));
@@ -52,7 +52,7 @@ pub(crate) fn run(model: &SanModel, reach: &ReachSet, cfg: &LintConfig) -> Vec<D
     }
 
     let samples: Vec<&Marking> = std::iter::once(model.initial_marking())
-        .chain(reach.markings().iter())
+        .chain(graph.markings().iter())
         .take(cfg.max_samples.max(1))
         .collect();
 
@@ -79,14 +79,14 @@ pub(crate) fn run(model: &SanModel, reach: &ReachSet, cfg: &LintConfig) -> Vec<D
                 continue;
             }
             let (_, t) = trace::record(|| model.is_enabled(a, m));
-            let reads = graph.read_set(a);
+            let reads = deps.read_set(a);
             read_violations[a.index()].extend(t.reads().filter(|p| !reads.contains(p)));
         }
         for &a in &fireable {
             if !sets_complete(model, a) {
                 continue;
             }
-            let writes = graph.write_set(a);
+            let writes = deps.write_set(a);
             for case in 0..model.activity(a).cases().len() {
                 if !can_take(model, a, case, m) {
                     continue;
@@ -170,8 +170,8 @@ mod tests {
 
     fn lint(model: &SanModel) -> Vec<Diagnostic> {
         let cfg = LintConfig::default();
-        let reach = ReachSet::explore(model, cfg.max_states);
-        run(model, &reach, &cfg)
+        let graph = StateGraph::explore(model, cfg.max_states, None).unwrap();
+        run(model, &graph, &cfg)
     }
 
     #[test]

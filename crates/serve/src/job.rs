@@ -19,7 +19,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use ahs_core::{Params, Strategy, UnsafetyCurve};
+use ahs_core::{CurvePoint, Params, Strategy, UnsafetyCurve};
 use ahs_des::Watchdog;
 use ahs_obs::{fnv1a_64, write_with_retry, Json};
 use ahs_stats::TimeGrid;
@@ -30,6 +30,11 @@ pub const JOB_SCHEMA: &str = "ahs-serve-job/v1";
 
 /// Schema tag of the persisted job spec (`job.json`).
 pub const JOB_SPEC_SCHEMA: &str = "ahs-serve-job-spec/v1";
+
+/// Largest grid a job may ask for. The worker materializes the grid
+/// before it evaluates anything, so an unbounded `points` would be an
+/// allocation the size of the request's integer.
+const MAX_POINTS: u64 = 1_000;
 
 /// Server-side admission limits, applied when a submission is parsed.
 ///
@@ -156,11 +161,16 @@ impl JobSpec {
             .map_err(|e| SubmitError::Invalid(e.to_string()))?;
 
         let horizon = get_f64(doc, "horizon", 10.0)?;
-        let points = get_u64(doc, "points", 5)? as usize;
+        let points = get_u64(doc, "points", 5)?;
         if !(horizon.is_finite() && horizon > 0.0) || points < 1 {
             return Err(SubmitError::Invalid(
                 "need a positive horizon and at least one grid point".into(),
             ));
+        }
+        if points > MAX_POINTS {
+            return Err(SubmitError::Invalid(format!(
+                "`points` must be at most {MAX_POINTS}"
+            )));
         }
         let replications = get_u64(doc, "reps", 20_000)?;
         if replications == 0 {
@@ -192,7 +202,7 @@ impl JobSpec {
             seed: get_u64(doc, "seed", 2009)?,
             replications,
             horizon,
-            points,
+            points: points as usize,
             threads,
             plain,
             quarantine_budget,
@@ -273,6 +283,74 @@ impl Phase {
     }
 }
 
+/// Overwrites `key`'s value in a document under construction; a key
+/// the document does not carry is left out.
+pub(crate) fn set_key(doc: &mut [(String, Json)], key: &str, value: Json) {
+    if let Some(slot) = doc.iter_mut().find(|(k, _)| k == key) {
+        slot.1 = value;
+    }
+}
+
+/// Writes a finished curve into a document that carries its six keys
+/// — `replications`, `converged`, `quarantined`, `resume_lineage`,
+/// `resume_fallback` and `estimates` — as placeholders. `status.json`
+/// and a worker's `outcome.json` both render a curve this way, and
+/// [`read_curve`] parses either back.
+pub(crate) fn write_curve(doc: &mut [(String, Json)], curve: &UnsafetyCurve) {
+    set_key(doc, "replications", curve.replications().into());
+    set_key(doc, "converged", Json::Bool(curve.converged()));
+    set_key(doc, "quarantined", curve.quarantined().into());
+    let lineage = curve.resume_lineage().iter().map(|w| Json::UInt(*w));
+    set_key(doc, "resume_lineage", Json::Arr(lineage.collect()));
+    let fallback = curve.resume_fallback();
+    let fallback = fallback.map_or(Json::Null, |g| Json::UInt(g.into()));
+    set_key(doc, "resume_fallback", fallback);
+    let estimates = curve.points().iter().map(|p| {
+        Json::Obj(vec![
+            ("x".to_owned(), p.x.into()),
+            ("y".to_owned(), p.y.into()),
+            ("half_width".to_owned(), p.half_width.into()),
+            ("samples".to_owned(), p.samples.into()),
+        ])
+    });
+    set_key(doc, "estimates", Json::Arr(estimates.collect()));
+}
+
+/// Rebuilds the curve [`write_curve`] rendered; `None` when the
+/// document carries no estimates or a key is mis-shaped. The estimate
+/// floats round-trip bitwise through the shortest-roundtrip JSON
+/// rendering, so a restarted server reports the exact bits the
+/// original evaluation produced.
+pub(crate) fn read_curve(doc: &Json) -> Option<UnsafetyCurve> {
+    let estimates = doc.get("estimates")?.as_array()?;
+    let points = estimates
+        .iter()
+        .map(|e| {
+            Some(CurvePoint {
+                x: e.get("x")?.as_f64()?,
+                y: e.get("y")?.as_f64()?,
+                half_width: e.get("half_width")?.as_f64()?,
+                samples: e.get("samples")?.as_u64()?,
+            })
+        })
+        .collect::<Option<Vec<_>>>()?;
+    if points.is_empty() {
+        return None;
+    }
+    Some(UnsafetyCurve::from_parts(
+        points,
+        doc.get("replications")?.as_u64()?,
+        doc.get("converged")?.as_bool().unwrap_or(false),
+        doc.get("quarantined")?.as_u64().unwrap_or(0),
+        doc.get("resume_lineage")?
+            .as_array()?
+            .iter()
+            .filter_map(Json::as_u64)
+            .collect(),
+        doc.get("resume_fallback")?.as_u64().map(|g| g as u32),
+    ))
+}
+
 /// One accepted job: immutable spec plus mutable lifecycle state.
 #[derive(Debug)]
 pub struct Job {
@@ -346,42 +424,7 @@ impl Job {
     /// phase-dependent parsing.
     pub fn status_json(&self) -> Json {
         let phase = self.phase();
-        let (replications, converged) = match &phase {
-            Phase::Finished(curve) => (curve.replications(), Json::Bool(curve.converged())),
-            Phase::Interrupted { replications } => (*replications, Json::Null),
-            _ => (0, Json::Null),
-        };
-        let (quarantined, lineage, fallback, estimates) = match &phase {
-            Phase::Finished(curve) => (
-                curve.quarantined(),
-                curve
-                    .resume_lineage()
-                    .iter()
-                    .map(|w| Json::UInt(*w))
-                    .collect(),
-                curve
-                    .resume_fallback()
-                    .map_or(Json::Null, |g| Json::UInt(u64::from(g))),
-                curve
-                    .points()
-                    .iter()
-                    .map(|p| {
-                        Json::Obj(vec![
-                            ("x".to_owned(), p.x.into()),
-                            ("y".to_owned(), p.y.into()),
-                            ("half_width".to_owned(), p.half_width.into()),
-                            ("samples".to_owned(), p.samples.into()),
-                        ])
-                    })
-                    .collect(),
-            ),
-            _ => (0, Vec::new(), Json::Null, Vec::new()),
-        };
-        let error = match &phase {
-            Phase::Failed(reason) => Json::str(reason.clone()),
-            _ => Json::Null,
-        };
-        Json::Obj(vec![
+        let mut doc = vec![
             ("schema".to_owned(), Json::str(JOB_SCHEMA)),
             ("id".to_owned(), Json::str(self.name.clone())),
             ("seq".to_owned(), self.seq.into()),
@@ -391,7 +434,7 @@ impl Job {
                 "restarts".to_owned(),
                 u64::from(self.restarts.load(Ordering::Relaxed)).into(),
             ),
-            ("quarantined".to_owned(), quarantined.into()),
+            ("quarantined".to_owned(), 0u64.into()),
             (
                 "telemetry_dropped".to_owned(),
                 self.telemetry_dropped.load(Ordering::Relaxed).into(),
@@ -403,13 +446,22 @@ impl Job {
                     pid => Json::UInt(u64::from(pid)),
                 },
             ),
-            ("replications".to_owned(), replications.into()),
-            ("converged".to_owned(), converged),
-            ("resume_lineage".to_owned(), Json::Arr(lineage)),
-            ("resume_fallback".to_owned(), fallback),
-            ("estimates".to_owned(), Json::Arr(estimates)),
-            ("error".to_owned(), error),
-        ])
+            ("replications".to_owned(), 0u64.into()),
+            ("converged".to_owned(), Json::Null),
+            ("resume_lineage".to_owned(), Json::Arr(Vec::new())),
+            ("resume_fallback".to_owned(), Json::Null),
+            ("estimates".to_owned(), Json::Arr(Vec::new())),
+            ("error".to_owned(), Json::Null),
+        ];
+        match &phase {
+            Phase::Finished(curve) => write_curve(&mut doc, curve),
+            Phase::Interrupted { replications } => {
+                set_key(&mut doc, "replications", (*replications).into());
+            }
+            Phase::Failed(reason) => set_key(&mut doc, "error", Json::str(reason.clone())),
+            Phase::Queued | Phase::Running => {}
+        }
+        Json::Obj(doc)
     }
 
     /// Records (or clears, with `None`) the isolated worker evaluating
@@ -483,6 +535,13 @@ mod tests {
             parse(r#"{"platoons":1}"#),
             Err(SubmitError::Invalid(_))
         ));
+        for points in [r#"{"points":1001}"#, r#"{"points":18446744073709551615}"#] {
+            assert!(
+                matches!(parse(points), Err(SubmitError::Invalid(_))),
+                "{points}"
+            );
+        }
+        assert_eq!(parse(r#"{"points":1000}"#).unwrap().points, 1000);
     }
 
     #[test]

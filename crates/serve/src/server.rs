@@ -30,7 +30,7 @@ use std::time::Duration;
 use ahs_obs::{write_with_retry, Json, RunOutcome};
 
 use crate::http::{read_request, write_response, Request, RequestError};
-use crate::job::{AdmissionPolicy, Job, JobSpec, Phase, SubmitError};
+use crate::job::{read_curve, AdmissionPolicy, Job, JobSpec, Phase, SubmitError};
 use crate::supervisor::{run_supervised, Isolation, SupervisorConfig};
 
 /// How often the drain watcher checks the shutdown flag — the only
@@ -313,7 +313,7 @@ fn rescan(inner: &Arc<Inner>, jobs_dir: &std::path::Path) -> std::io::Result<()>
         }
         match (state.as_str(), status) {
             ("finished", Some(status)) => {
-                if let Some(curve) = curve_from_status(&status) {
+                if let Some(curve) = read_curve(&status) {
                     *job_phase_for_recovery(&job) = Phase::Finished(curve);
                 } else {
                     eprintln!(
@@ -357,41 +357,6 @@ fn job_phase_for_recovery(job: &Arc<Job>) -> std::sync::MutexGuard<'_, Phase> {
     // set_phase would also rewrite status.json; recovery only restores
     // in-memory state from what is already on disk.
     job.phase_guard()
-}
-
-/// Rebuilds a finished curve from a persisted status document. The
-/// estimate floats round-trip bitwise through the shortest-roundtrip
-/// JSON rendering, so a restarted server reports the exact bits the
-/// original evaluation produced.
-pub(crate) fn curve_from_status(status: &Json) -> Option<ahs_core::UnsafetyCurve> {
-    let estimates = status.get("estimates")?.as_array()?;
-    let points = estimates
-        .iter()
-        .map(|e| {
-            Some(ahs_core::CurvePoint {
-                x: e.get("x")?.as_f64()?,
-                y: e.get("y")?.as_f64()?,
-                half_width: e.get("half_width")?.as_f64()?,
-                samples: e.get("samples")?.as_u64()?,
-            })
-        })
-        .collect::<Option<Vec<_>>>()?;
-    if points.is_empty() {
-        return None;
-    }
-    Some(ahs_core::UnsafetyCurve::from_parts(
-        points,
-        status.get("replications")?.as_u64()?,
-        status.get("converged")?.as_bool().unwrap_or(false),
-        status.get("quarantined")?.as_u64().unwrap_or(0),
-        status
-            .get("resume_lineage")?
-            .as_array()?
-            .iter()
-            .filter_map(Json::as_u64)
-            .collect(),
-        status.get("resume_fallback")?.as_u64().map(|g| g as u32),
-    ))
 }
 
 fn worker_loop(inner: &Arc<Inner>) {

@@ -38,7 +38,7 @@ use ahs_core::{AhsError, BiasMode, UnsafetyCurve, UnsafetyEvaluator};
 use ahs_des::{generation_path, Watchdog};
 use ahs_obs::{atomic_write, heartbeat_write, Json, ProgressSink};
 
-use crate::job::{AdmissionPolicy, JobSpec};
+use crate::job::{read_curve, set_key, write_curve, AdmissionPolicy, JobSpec};
 use crate::supervisor::restartable;
 
 /// Schema tag of `outcome.json`.
@@ -329,54 +329,10 @@ fn base_outcome(kind: &str, wall_seconds: f64) -> Vec<(String, Json)> {
     ]
 }
 
-fn set_key(doc: &mut [(String, Json)], key: &str, value: Json) {
-    if let Some(slot) = doc.iter_mut().find(|(k, _)| k == key) {
-        slot.1 = value;
-    }
-}
-
 fn finished_outcome(curve: &UnsafetyCurve, wall_seconds: f64, telemetry_dropped: u64) -> Json {
     let mut doc = base_outcome("finished", wall_seconds);
     set_key(&mut doc, "telemetry_dropped", telemetry_dropped.into());
-    set_key(&mut doc, "replications", curve.replications().into());
-    set_key(&mut doc, "converged", Json::Bool(curve.converged()));
-    set_key(&mut doc, "quarantined", curve.quarantined().into());
-    set_key(
-        &mut doc,
-        "resume_lineage",
-        Json::Arr(
-            curve
-                .resume_lineage()
-                .iter()
-                .map(|w| Json::UInt(*w))
-                .collect(),
-        ),
-    );
-    set_key(
-        &mut doc,
-        "resume_fallback",
-        curve
-            .resume_fallback()
-            .map_or(Json::Null, |g| Json::UInt(u64::from(g))),
-    );
-    set_key(
-        &mut doc,
-        "estimates",
-        Json::Arr(
-            curve
-                .points()
-                .iter()
-                .map(|p| {
-                    Json::Obj(vec![
-                        ("x".to_owned(), p.x.into()),
-                        ("y".to_owned(), p.y.into()),
-                        ("half_width".to_owned(), p.half_width.into()),
-                        ("samples".to_owned(), p.samples.into()),
-                    ])
-                })
-                .collect(),
-        ),
-    );
+    write_curve(&mut doc, curve);
     Json::Obj(doc)
 }
 
@@ -440,7 +396,7 @@ impl WorkerOutcome {
         let kind = doc.get("outcome").and_then(Json::as_str)?.to_owned();
         let error = doc.get("error").filter(|e| !matches!(e, Json::Null));
         Some(WorkerOutcome {
-            curve: crate::server::curve_from_status(&doc),
+            curve: read_curve(&doc),
             telemetry_dropped: doc
                 .get("telemetry_dropped")
                 .and_then(Json::as_u64)
@@ -493,6 +449,34 @@ mod tests {
         assert!(outcome.is_failed());
         assert!(outcome.restartable);
         assert_eq!(outcome.message, "checkpoint eaten");
+
+        let points = vec![
+            ahs_core::CurvePoint {
+                x: 0.1,
+                y: 0.1 + 0.2,
+                half_width: 1e-300 / 3.0,
+                samples: 7,
+            },
+            ahs_core::CurvePoint {
+                x: 2.0 / 3.0,
+                y: f64::MIN_POSITIVE / 7.0,
+                half_width: 0.0,
+                samples: u64::MAX,
+            },
+        ];
+        let curve = UnsafetyCurve::from_parts(points, 4321, true, 3, vec![10, 20, 30], Some(2));
+        write_outcome(&path, &finished_outcome(&curve, 1.5, 9));
+        let outcome = WorkerOutcome::read(&path).expect("finished outcome must parse");
+        assert!(outcome.is_finished());
+        assert_eq!(outcome.telemetry_dropped, 9);
+        let back = outcome.curve.expect("a finish carries its curve");
+        assert_eq!(back, curve);
+        for (a, b) in back.points().iter().zip(curve.points()) {
+            assert_eq!(
+                [a.x, a.y, a.half_width].map(f64::to_bits),
+                [b.x, b.y, b.half_width].map(f64::to_bits)
+            );
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -120,6 +120,27 @@ fn sigkilled_worker_is_reaped_restarted_and_bitwise_identical() {
     std::fs::remove_dir_all(&thread_dir).ok();
 }
 
+/// Plants a queued job whose only checkpoint generation is a JSON
+/// array of 2^25 zeros, for a server starting over this state dir to
+/// recover. Resuming parses the array into 2^25 32-byte values — a
+/// 1 GiB allocation, past a 1 GiB address-space cap — so every attempt
+/// abort()s before its first replication. The hog cannot be admitted
+/// over HTTP: admission bounds every spec field that sizes an
+/// allocation.
+fn plant_checkpoint_bomb(job_dir: &std::path::Path) {
+    std::fs::create_dir_all(job_dir).unwrap();
+    let spec = format!(r#"{{"seq":1,{}"#, &job_body(5, 100, 1)[1..]);
+    std::fs::write(job_dir.join("job.json"), spec).unwrap();
+    let zeros = 1usize << 25;
+    let mut bomb = Vec::with_capacity(2 * zeros + 1);
+    bomb.push(b'[');
+    for _ in 1..zeros {
+        bomb.extend_from_slice(b"0,");
+    }
+    bomb.extend_from_slice(b"0]");
+    std::fs::write(job_dir.join("checkpoint.json"), bomb).unwrap();
+}
+
 #[test]
 fn mem_limited_worker_dies_alone_while_its_neighbor_finishes() {
     if !ahs_safety::obs::rlimit_supported() {
@@ -132,16 +153,13 @@ fn mem_limited_worker_dies_alone_while_its_neighbor_finishes() {
         if let Isolation::Process(isolation) = &mut c.isolation {
             isolation.mem_limit_mb = Some(1024);
         }
+        plant_checkpoint_bomb(&c.state_dir.join("jobs").join("job-000001"));
     });
     let addr = server.local_addr();
 
-    // The hog's 200M-point grid is a ~1.6 GiB allocation inside the
-    // worker — far past the 1 GiB address-space cap — so the attempt
-    // abort()s before the first replication even runs.
-    let hog = format!(
-        r#"{{"n":{N},"lambda":{LAMBDA},"horizon":{HORIZON},"points":200000000,"reps":100,"seed":5,"threads":1,"plain":true}}"#
-    );
-    let hog_name = submit(addr, &hog);
+    // The hog is the planted job, recovered at start-up; the neighbor
+    // is admitted after it.
+    let hog_name = "job-000001";
     const SEED: u64 = 17;
     const REPS: u64 = 30_000;
     let healthy_name = submit(addr, &job_body(SEED, REPS, 1));
@@ -149,7 +167,7 @@ fn mem_limited_worker_dies_alone_while_its_neighbor_finishes() {
     // The blast radius of the rlimit kill is exactly one process: the
     // hog job fails after exhausting its restart budget, the healthy
     // neighbor finishes bitwise-clean, and the server keeps serving.
-    let hog_doc = wait_for_state(addr, &hog_name, "failed", Duration::from_secs(120));
+    let hog_doc = wait_for_state(addr, hog_name, "failed", Duration::from_secs(120));
     let error = hog_doc
         .get("error")
         .and_then(Json::as_str)
