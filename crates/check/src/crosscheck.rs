@@ -73,16 +73,18 @@ pub fn cross_validate(
     let adapter = SanMarkovModel::new(model).map_err(CheckError::Ctmc)?;
     let space = StateSpace::explore(&adapter, max_states).map_err(CheckError::Ctmc)?;
 
-    // Each checker stable state is one lookup into the CTMC space's own
-    // interner; no second index is built. Since both sides hold
-    // distinct markings, the sets are equal iff every stable checker
-    // state maps and the counts agree.
+    // Each checker stable state is one lookup of its packed bytes into
+    // the CTMC space's own interner: both sides store the same
+    // canonical packed form, so no marking is decoded and no second
+    // index is built. Since both sides hold distinct markings, the sets
+    // are equal iff every stable checker state maps and the counts
+    // agree.
     let mut to_ctmc: Vec<Option<u32>> = vec![None; graph.len()];
     let mut checker_stable_states = 0;
     let mut unmapped = 0;
     for i in (0..graph.len()).filter(|&i| graph.is_stable(i)) {
         checker_stable_states += 1;
-        to_ctmc[i] = space.index_of(graph.marking(i)).map(|c| c as u32);
+        to_ctmc[i] = space.index_of_packed(graph.packed(i)).map(|c| c as u32);
         unmapped += usize::from(to_ctmc[i].is_none());
     }
     let state_sets_match = unmapped == 0 && checker_stable_states == space.len();

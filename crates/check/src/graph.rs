@@ -13,9 +13,9 @@
 //! in debug builds the cache additionally cross-checks itself against a
 //! fresh rescan.
 //!
-//! The result is a [`StateGraph`]: dense markings interned in BFS
-//! order by an [`Interner`] (the canonical `Marking` `Eq`/`Hash`; each
-//! marking stored once), a CSR edge list labelled with `(activity, case)`, a
+//! The result is a [`StateGraph`]: markings interned in BFS order by an
+//! [`Interner`] (each marking stored once, as its canonical packed
+//! bytes), a CSR edge list labelled with `(activity, case)`, a
 //! per-state stability flag, and BFS parent pointers from which a
 //! *shortest* firing trace to any state can be reconstructed — the
 //! minimal counterexamples the property layer emits. The same graph,
@@ -24,7 +24,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use ahs_ctmc::Interner;
+use ahs_ctmc::{CtmcError, Interner};
 use ahs_san::{ActivityId, Marking, SanModel, Timing};
 
 use crate::CheckError;
@@ -96,7 +96,9 @@ impl StateGraph {
     /// # Errors
     ///
     /// Returns [`CheckError::Interrupted`] when `interrupt` is set
-    /// mid-exploration (polled every [`INTERRUPT_POLL`] states).
+    /// mid-exploration (polled every [`INTERRUPT_POLL`] states), and
+    /// [`CheckError::StateStoreFull`] when the packed state store runs
+    /// out of offsets before the budget is reached.
     pub fn explore(
         model: &SanModel,
         max_states: usize,
@@ -110,15 +112,24 @@ impl StateGraph {
         let mut parent: Vec<Option<Parent>> = Vec::new();
         let mut complete = true;
 
-        states.intern(model.initial_marking(), max_states);
+        let full = |e| match e {
+            CtmcError::StateStoreFull { states } => CheckError::StateStoreFull { states },
+            e => CheckError::Ctmc(e),
+        };
+        states
+            .intern(model.initial_marking(), max_states)
+            .map_err(full)?;
         parent.push(None);
 
         let mut cache = model.new_cache();
         let mut enabled: Vec<ActivityId> = Vec::new();
         // The marking being expanded and the one each firing lands in:
-        // two scratch buffers, reset field-wise instead of reallocated.
+        // two scratch buffers, reset field-wise instead of reallocated;
+        // and the buffer each successor is packed into to probe the
+        // interner.
         let mut m = model.initial_marking().clone();
         let mut next = m.clone();
+        let mut packed: Vec<u8> = Vec::new();
         let mut frontier = 0usize;
         while frontier < states.len() {
             if frontier.is_multiple_of(INTERRUPT_POLL) {
@@ -130,7 +141,7 @@ impl StateGraph {
                     }
                 }
             }
-            m.clone_from(&states.states()[frontier]);
+            states.decode_into(frontier, &mut m);
             model.prime_cache(&mut cache, &m);
 
             // Top-priority enabled instantaneous activities; empty iff
@@ -179,7 +190,9 @@ impl StateGraph {
                     next.clone_from(&m);
                     model.fire(a, case, &mut next);
                     let before = states.len();
-                    let Some(j) = states.intern(&next, max_states) else {
+                    packed.clear();
+                    next.pack_into(&mut packed);
+                    let Some(j) = states.intern_packed(&packed, max_states).map_err(full)? else {
                         complete = false;
                         continue;
                     };
@@ -231,14 +244,27 @@ impl StateGraph {
         self.edges.len()
     }
 
-    /// The marking of state `i`.
-    pub fn marking(&self, i: usize) -> &Marking {
-        &self.states.states()[i]
+    /// A decoded copy of the marking of state `i`.
+    pub fn marking(&self, i: usize) -> Marking {
+        self.states.get(i)
     }
 
-    /// All explored markings, in BFS order (initial marking first).
-    pub fn markings(&self) -> &[Marking] {
-        self.states.states()
+    /// The canonical packed bytes of state `i` (see
+    /// [`Marking::pack_into`]).
+    pub fn packed(&self, i: usize) -> &[u8] {
+        self.states.packed(i)
+    }
+
+    /// Decoded copies of all explored markings, in BFS order (initial
+    /// marking first).
+    pub fn markings(&self) -> impl ExactSizeIterator<Item = Marking> + '_ {
+        self.states.iter()
+    }
+
+    /// Calls `f` with each state index and marking in BFS order,
+    /// decoding every marking into one reused scratch.
+    pub fn for_each_marking(&self, f: impl FnMut(usize, &Marking)) {
+        self.states.for_each(f);
     }
 
     /// Whether state `i` is stable (no instantaneous activity enabled).
@@ -289,9 +315,9 @@ impl StateGraph {
     /// exploration orders, so two explorations of the same model agree
     /// bit for bit.
     pub fn state_set_digest(&self) -> u64 {
-        self.markings()
-            .iter()
-            .fold(0, |acc, m| acc ^ m.fingerprint())
+        let mut digest = 0;
+        self.for_each_marking(|_, m| digest ^= m.fingerprint());
+        digest
     }
 }
 
@@ -328,8 +354,8 @@ mod tests {
         let graph = explore(&model, 100);
         assert!(graph.complete());
         assert_eq!(graph.len(), 3);
-        assert!(graph.markings().iter().any(|m| m.is_marked(p1)));
-        assert!(graph.markings().iter().any(|m| m.is_marked(p2)));
+        assert!(graph.markings().any(|m| m.is_marked(p1)));
+        assert!(graph.markings().any(|m| m.is_marked(p2)));
     }
 
     #[test]
@@ -378,7 +404,7 @@ mod tests {
         let model = b.build().unwrap();
         let graph = explore(&model, 100);
         assert!(graph.complete());
-        assert!(graph.markings().iter().all(|m| !m.is_marked(ghost)));
-        assert!(graph.markings().iter().any(|m| m.is_marked(live)));
+        assert!(graph.markings().all(|m| !m.is_marked(ghost)));
+        assert!(graph.markings().any(|m| m.is_marked(live)));
     }
 }

@@ -77,6 +77,12 @@ pub enum CheckError {
     },
     /// The CTMC side of a cross-validation failed.
     Ctmc(ahs_ctmc::CtmcError),
+    /// The packed state store ran out of `u32` state indices or arena
+    /// offsets before the state budget was reached.
+    StateStoreFull {
+        /// States stored when the store filled up.
+        states: usize,
+    },
 }
 
 impl std::fmt::Display for CheckError {
@@ -91,6 +97,10 @@ impl std::fmt::Display for CheckError {
                  requires a complete graph (raise the state budget)"
             ),
             CheckError::Ctmc(e) => write!(f, "ctmc cross-validation failed: {e}"),
+            CheckError::StateStoreFull { states } => write!(
+                f,
+                "state store is full at {states} states (u32 indices or arena offsets exhausted)"
+            ),
         }
     }
 }
@@ -245,7 +255,7 @@ pub fn replay_counterexample(
     let replayed =
         MarkovSimulator::new(model).and_then(|sim| sim.run_forced_schedule(&schedule, REPLAY_SEED));
     match replayed {
-        Ok(outcome) => Some(&outcome.final_marking == graph.marking(state)),
+        Ok(outcome) => Some(outcome.final_marking == graph.marking(state)),
         Err(_) => Some(false),
     }
 }

@@ -145,7 +145,7 @@ fn anchored(
 ) -> Violation {
     Violation {
         property,
-        subject: describe_marking(model, graph.marking(state)),
+        subject: describe_marking(model, &graph.marking(state)),
         message,
         state: Some(state),
         trace: graph.trace_to(model, state),
@@ -154,12 +154,15 @@ fn anchored(
 }
 
 fn absorption(model: &SanModel, graph: &StateGraph, config: &CheckConfig) -> Vec<Violation> {
+    let mut unlisted = Vec::new();
+    graph.for_each_marking(|i, m| {
+        if graph.is_terminal(i) && !is_allowlisted(model, m, &config.absorbing_allowlist) {
+            unlisted.push(i);
+        }
+    });
     let mut out = Vec::new();
     let mut suppressed = 0usize;
-    for i in graph.terminals() {
-        if is_allowlisted(model, graph.marking(i), &config.absorbing_allowlist) {
-            continue;
-        }
+    for i in unlisted {
         if out.len() == MAX_PER_PROPERTY {
             suppressed += 1;
             continue;
@@ -191,11 +194,12 @@ fn escalation(model: &SanModel, graph: &StateGraph, config: &CheckConfig) -> Vec
         }
     }
     let mut reaches = vec![false; n];
-    let mut queue: Vec<u32> = graph
-        .terminals()
-        .filter(|&i| is_allowlisted(model, graph.marking(i), &config.absorbing_allowlist))
-        .map(|i| i as u32)
-        .collect();
+    let mut queue: Vec<u32> = Vec::new();
+    graph.for_each_marking(|i, m| {
+        if graph.is_terminal(i) && is_allowlisted(model, m, &config.absorbing_allowlist) {
+            queue.push(i as u32);
+        }
+    });
     for &i in &queue {
         reaches[i as usize] = true;
     }
@@ -274,8 +278,7 @@ fn boundedness(model: &SanModel, graph: &StateGraph, config: &CheckConfig) -> Ve
         .collect();
     let mut out = Vec::new();
     let mut suppressed = 0usize;
-    for i in 0..graph.len() {
-        let m = graph.marking(i);
+    graph.for_each_marking(|i, m| {
         for &p in &simple {
             let t = m.tokens(p);
             if t <= config.capacity {
@@ -299,7 +302,7 @@ fn boundedness(model: &SanModel, graph: &StateGraph, config: &CheckConfig) -> Ve
             v.subject = model.place_name(p).to_owned();
             out.push(v);
         }
-    }
+    });
     note_suppressed(&mut out, suppressed);
     out
 }
@@ -311,11 +314,11 @@ pub fn max_tokens_observed(model: &SanModel, graph: &StateGraph) -> u64 {
         .filter(|&p| matches!(model.initial_marking().value(p), PlaceValue::Tokens(_)))
         .collect();
     let mut max = 0;
-    for m in graph.markings() {
+    graph.for_each_marking(|_, m| {
         for &p in &simple {
             max = max.max(m.tokens(p));
         }
-    }
+    });
     max
 }
 

@@ -225,9 +225,9 @@ fn check_every_reachable_marking(params: Params) {
     let activities = platoon_activities(&model);
     let adapter = SanMarkovModel::new(model.san()).unwrap();
     let space = StateSpace::explore(&adapter, 1 << 19).unwrap();
-    for (i, m) in space.states().iter().enumerate() {
-        check_invariants(&model, m)
-            .and_then(|()| check_platoon_gates(&model, &activities, m))
+    for (i, m) in space.states().enumerate() {
+        check_invariants(&model, &m)
+            .and_then(|()| check_platoon_gates(&model, &activities, &m))
             .unwrap_or_else(|e| panic!("state {i} of {}: {e}\n{m:?}", space.len()));
     }
 }

@@ -175,10 +175,7 @@ fn order_digests(n: usize) -> (u64, u64) {
     let (san, _) = AhsModel::build(&params).unwrap().into_san();
     let adapter = SanMarkovModel::new(&san).unwrap();
     let space = StateSpace::explore(&adapter, 1 << 19).unwrap();
-    let mut h = space
-        .states()
-        .iter()
-        .fold(OFFSET, |h, m| fold(h, m.fingerprint()));
+    let mut h = space.states().fold(OFFSET, |h, m| fold(h, m.fingerprint()));
     for (r, c, rate) in space.edges() {
         h = fold(fold(fold(h, r as u64), c as u64), rate.to_bits());
     }

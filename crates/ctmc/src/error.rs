@@ -12,6 +12,12 @@ pub enum CtmcError {
         /// The budget that was exceeded.
         budget: usize,
     },
+    /// The state store ran out of `u32` state indices or arena offsets
+    /// before the state budget was reached.
+    StateStoreFull {
+        /// States stored when the store filled up.
+        states: usize,
+    },
     /// A transition rate was negative or non-finite.
     InvalidRate {
         /// The offending rate.
@@ -34,6 +40,10 @@ impl std::fmt::Display for CtmcError {
             CtmcError::StateSpaceTooLarge { budget } => {
                 write!(f, "state space exceeds the budget of {budget} states")
             }
+            CtmcError::StateStoreFull { states } => write!(
+                f,
+                "state store is full at {states} states (u32 indices or arena offsets exhausted)"
+            ),
             CtmcError::InvalidRate { rate } => write!(f, "invalid transition rate {rate}"),
             CtmcError::NotConverged {
                 iterations,

@@ -1,10 +1,8 @@
 //! Breadth-first state-space exploration.
 
-use std::hash::Hash;
-
 use crate::error::CtmcError;
-use crate::intern::Interner;
-use crate::sparse::SparseMatrix;
+use crate::intern::{Interner, PackedState};
+use crate::sparse::{RowBuilder, SparseMatrix};
 
 /// A continuous-time Markov model described by its transition function.
 ///
@@ -13,8 +11,8 @@ use crate::sparse::SparseMatrix;
 /// Self-loops are permitted and ignored (they do not change the CTMC's
 /// law).
 pub trait MarkovModel {
-    /// The state type.
-    type State: Clone + Eq + Hash;
+    /// The state type, stored packed (see [`PackedState`]).
+    type State: PackedState;
 
     /// The initial probability distribution (must sum to 1).
     fn initial_states(&self) -> Vec<(Self::State, f64)>;
@@ -22,7 +20,8 @@ pub trait MarkovModel {
     /// Emits the outgoing transitions of `state` as `(successor, rate)`
     /// pairs. The successor is lent for the call only, so a model can
     /// build every successor in one reused scratch state; the explorer
-    /// clones just the states it has not seen before.
+    /// packs it into one reused buffer and stores only the bytes of the
+    /// states it has not seen before.
     fn transitions(&self, state: &Self::State, emit: &mut dyn FnMut(&Self::State, f64));
 }
 
@@ -37,17 +36,21 @@ pub struct StateSpace<S> {
     exit_rates: Vec<f64>,
 }
 
-impl<S: Clone + Eq + Hash> StateSpace<S> {
+impl<S: PackedState> StateSpace<S> {
     /// Explores the reachable state space of `model` breadth-first, up
     /// to `max_states` states.
+    ///
+    /// States are expanded in index order, so the generator is built
+    /// row by row as each state's successors are emitted.
     ///
     /// # Errors
     ///
     /// Returns [`CtmcError::StateSpaceTooLarge`] when the budget is
-    /// exceeded and [`CtmcError::InvalidRate`] on a negative or
-    /// non-finite rate. A state's successors are enumerated in full
-    /// before the budget is checked, so an invalid rate on the state
-    /// that overflows is reported as such.
+    /// exceeded, [`CtmcError::StateStoreFull`] when the packed state
+    /// store runs out of offsets first, and [`CtmcError::InvalidRate`]
+    /// on a negative or non-finite rate. A state's successors are
+    /// enumerated in full before the budget is checked, so an invalid
+    /// rate on the state that overflows is reported as such.
     pub fn explore<M>(model: &M, max_states: usize) -> Result<Self, CtmcError>
     where
         M: MarkovModel<State = S>,
@@ -56,22 +59,23 @@ impl<S: Clone + Eq + Hash> StateSpace<S> {
         let mut states: Interner<S> = Interner::new();
         let mut initial_pairs: Vec<(usize, f64)> = Vec::new();
         for (s, p) in model.initial_states() {
-            let i = states.intern(&s, max_states).ok_or_else(too_large)?;
+            let i = states.intern(&s, max_states)?.ok_or_else(too_large)?;
             initial_pairs.push((i, p));
         }
 
-        let mut triplets: Vec<(usize, usize, f64)> = Vec::new();
+        let mut rows = RowBuilder::new();
         let mut invalid: Option<f64> = None;
-        let mut overflow = false;
-        // The state being expanded, copied out of the interner (which
-        // grows during the expansion) into one reused buffer.
+        let mut full: Option<CtmcError> = None;
+        // The state being expanded, decoded out of the interner into one
+        // reused buffer, and the buffer each successor is packed into to
+        // probe the interner.
         let mut current: Option<S> = None;
+        let mut packed: Vec<u8> = Vec::new();
         let mut frontier = 0usize;
         while frontier < states.len() {
-            let source = &states.states()[frontier];
             match current.as_mut() {
-                Some(s) => s.clone_from(source),
-                None => current = Some(source.clone()),
+                Some(s) => states.decode_into(frontier, s),
+                None => current = Some(states.get(frontier)),
             }
             let state = current.as_ref().expect("set above");
             model.transitions(state, &mut |succ, rate| {
@@ -82,28 +86,31 @@ impl<S: Clone + Eq + Hash> StateSpace<S> {
                     invalid = Some(rate);
                     return;
                 }
-                if rate == 0.0 {
+                if rate == 0.0 || full.is_some() {
                     return;
                 }
-                match states.intern(succ, max_states) {
-                    Some(j) if j != frontier => triplets.push((frontier, j, rate)),
-                    Some(_) => {}
-                    None => overflow = true,
+                packed.clear();
+                succ.pack_into(&mut packed);
+                match states.intern_packed(&packed, max_states) {
+                    Ok(Some(j)) if j != frontier => rows.push(j, rate),
+                    Ok(Some(_)) => {}
+                    Ok(None) => full = Some(too_large()),
+                    Err(e) => full = Some(e),
                 }
             });
             if let Some(rate) = invalid {
                 return Err(CtmcError::InvalidRate { rate });
             }
-            if overflow {
-                return Err(too_large());
+            if let Some(e) = full {
+                return Err(e);
             }
+            rows.end_row();
             frontier += 1;
         }
 
-        let n = states.len();
-        let rates = SparseMatrix::from_triplets(n, triplets);
+        let rates = rows.finish();
         let exit_rates = rates.row_sums();
-        let mut initial = vec![0.0; n];
+        let mut initial = vec![0.0; states.len()];
         for (i, p) in initial_pairs {
             initial[i] += p;
         }
@@ -125,16 +132,17 @@ impl<S: Clone + Eq + Hash> StateSpace<S> {
         self.states.is_empty()
     }
 
-    /// The states, in exploration order.
-    pub fn states(&self) -> &[S] {
-        self.states.states()
+    /// Decoded copies of the states, in exploration order.
+    pub fn states(&self) -> impl ExactSizeIterator<Item = S> + '_ {
+        self.states.iter()
     }
 
-    /// Index of `state` in [`states`](StateSpace::states), if it was
-    /// explored. One hash and, on a hash match, one `Eq` comparison
-    /// against the single stored copy.
-    pub fn index_of(&self, state: &S) -> Option<usize> {
-        self.states.index_of(state)
+    /// Index of the state packed in `bytes` (see [`PackedState`]) in
+    /// [`states`](StateSpace::states), if it was explored: one hash
+    /// and, on a hash match, one byte comparison against the single
+    /// stored copy.
+    pub fn index_of_packed(&self, bytes: &[u8]) -> Option<usize> {
+        self.states.index_of_packed(bytes)
     }
 
     /// The initial distribution, index-aligned with
@@ -168,15 +176,25 @@ impl<S: Clone + Eq + Hash> StateSpace<S> {
         self.exit_rates.iter().copied().fold(0.0, f64::max)
     }
 
+    /// `pred` of every state, in index order.
+    pub(crate) fn flags<F>(&self, pred: F) -> Vec<bool>
+    where
+        F: Fn(&S) -> bool,
+    {
+        let mut flags = Vec::with_capacity(self.len());
+        self.states.for_each(|_, s| flags.push(pred(s)));
+        flags
+    }
+
     /// Sums a distribution over the states satisfying `pred`.
     pub fn probability<F>(&self, distribution: &[f64], pred: F) -> f64
     where
         F: Fn(&S) -> bool,
     {
-        self.states()
-            .iter()
+        self.flags(pred)
+            .into_iter()
             .zip(distribution.iter())
-            .filter(|(s, _)| pred(s))
+            .filter(|&(holds, _)| holds)
             .map(|(_, p)| p)
             .sum()
     }
@@ -189,13 +207,16 @@ impl<S: Clone + Eq + Hash> StateSpace<S> {
     where
         F: Fn(&S) -> bool,
     {
-        let n = self.len();
-        let absorb: Vec<bool> = self.states().iter().map(pred).collect();
-        let triplets = (0..n)
-            .filter(|&r| !absorb[r])
-            .flat_map(|r| self.rates.row(r).map(move |(c, v)| (r, c, v)))
-            .collect::<Vec<_>>();
-        let rates = SparseMatrix::from_triplets(n, triplets);
+        let mut rows = RowBuilder::new();
+        for (r, absorb) in self.flags(pred).into_iter().enumerate() {
+            if !absorb {
+                for (c, v) in self.rates.row(r) {
+                    rows.push(c, v);
+                }
+            }
+            rows.end_row();
+        }
+        let rates = rows.finish();
         let exit_rates = rates.row_sums();
         StateSpace {
             states: self.states.clone(),
@@ -243,7 +264,7 @@ mod tests {
         assert_eq!(space.len(), 6);
         assert_eq!(space.initial()[0], 1.0);
         // Interior states have exit rate λ+μ.
-        let idx2 = space.states().iter().position(|&s| s == 2).unwrap();
+        let idx2 = space.states().position(|s| s == 2).unwrap();
         assert!((space.exit_rates()[idx2] - 3.0).abs() < 1e-12);
         assert!((space.max_exit_rate() - 3.0).abs() < 1e-12);
     }
@@ -270,10 +291,10 @@ mod tests {
         };
         let space = StateSpace::explore(&m, 100).unwrap();
         let abs = space.absorbing(|&s| s == 3);
-        let idx3 = abs.states().iter().position(|&s| s == 3).unwrap();
+        let idx3 = abs.states().position(|s| s == 3).unwrap();
         assert_eq!(abs.exit_rates()[idx3], 0.0);
         // Other states untouched.
-        let idx1 = abs.states().iter().position(|&s| s == 1).unwrap();
+        let idx1 = abs.states().position(|s| s == 1).unwrap();
         assert!((abs.exit_rates()[idx1] - 2.0).abs() < 1e-12);
     }
 

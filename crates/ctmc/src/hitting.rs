@@ -1,9 +1,8 @@
 //! Expected hitting times (mean time to absorption).
 
-use std::hash::Hash;
-
 use crate::error::CtmcError;
 use crate::explore::StateSpace;
+use crate::intern::PackedState;
 
 /// Computes the expected time to first reach a `target` state from
 /// each state of the chain, by Gauss–Seidel iteration on the
@@ -40,7 +39,7 @@ use crate::explore::StateSpace;
 /// }
 /// let space = StateSpace::explore(&TwoStep, 10)?;
 /// let h = expected_hitting_time(&space, |s| *s == 2, 1e-12, 10_000)?;
-/// let i0 = space.states().iter().position(|&s| s == 0).unwrap();
+/// let i0 = space.states().position(|s| s == 0).unwrap();
 /// assert!((h[i0] - (0.5 + 0.25)).abs() < 1e-9);
 /// # Ok::<(), ahs_ctmc::CtmcError>(())
 /// ```
@@ -51,11 +50,11 @@ pub fn expected_hitting_time<S, F>(
     max_iter: usize,
 ) -> Result<Vec<f64>, CtmcError>
 where
-    S: Clone + Eq + Hash,
+    S: PackedState,
     F: Fn(&S) -> bool,
 {
     let n = space.len();
-    let is_target: Vec<bool> = space.states().iter().map(target).collect();
+    let is_target = space.flags(target);
 
     // Identify states that can reach the target (backward reachability
     // over the rate graph); the rest have infinite hitting time.
@@ -137,7 +136,7 @@ pub fn expected_hitting_time_from_start<S, F>(
     max_iter: usize,
 ) -> Result<f64, CtmcError>
 where
-    S: Clone + Eq + Hash,
+    S: PackedState,
     F: Fn(&S) -> bool,
 {
     let h = expected_hitting_time(space, target, tol, max_iter)?;

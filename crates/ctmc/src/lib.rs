@@ -10,10 +10,13 @@
 //!   successor states; [`SanMarkovModel`] adapts an all-exponential
 //!   [`SanModel`](ahs_san::SanModel).
 //! * [`StateSpace`] — breadth-first exploration into a sparse generator
-//!   matrix, with optional absorbing predicates for first-passage
-//!   measures.
+//!   matrix, built row by row as states are expanded in index order,
+//!   with optional absorbing predicates for first-passage measures.
 //! * [`Interner`] — the single-storage state numbering behind
-//!   [`StateSpace`], shared with the `ahs-check` explorer.
+//!   [`StateSpace`], shared with the `ahs-check` explorer. It keeps
+//!   every state once, as its [`PackedState`] bytes in one arena (a
+//!   marking packs to its canonical varint form, ~52 bytes at n = 2),
+//!   and hands states back decoded.
 //! * [`transient_distribution`] — uniformization (Fox–Glynn-style
 //!   normalized Poisson weights) for `π(t)`, over a multi-lane gather
 //!   kernel that sums the same terms in the same order as a plain row
@@ -60,7 +63,7 @@ mod transient;
 pub use error::CtmcError;
 pub use explore::{MarkovModel, StateSpace};
 pub use hitting::{expected_hitting_time, expected_hitting_time_from_start};
-pub use intern::Interner;
+pub use intern::{Interner, PackedState};
 pub use san_adapter::SanMarkovModel;
 pub use sparse::SparseMatrix;
 pub use steady::steady_state;

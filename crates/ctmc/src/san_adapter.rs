@@ -1,5 +1,7 @@
 //! Adapting a Markovian SAN to the [`MarkovModel`] interface.
 
+use std::cell::Cell;
+
 use ahs_san::{Marking, SanModel};
 
 use crate::error::CtmcError;
@@ -43,6 +45,22 @@ use crate::explore::MarkovModel;
 /// ```
 pub struct SanMarkovModel<'m> {
     model: &'m SanModel,
+    // State-to-state scratch of `transitions`, parked here between
+    // calls so expanding a state allocates nothing of its own. `Cell`
+    // keeps `transitions` `&self`; a call that panics, or one nested
+    // inside `emit`, simply builds a fresh scratch.
+    scratch: Cell<Option<Box<Scratch>>>,
+}
+
+/// Buffers [`SanMarkovModel::transitions`] reuses across states.
+struct Scratch {
+    /// Enabled-member count per shared-rate group, counted once per
+    /// state however many members are enabled.
+    group_enabled: Vec<Option<usize>>,
+    /// Case distribution of the activity being fired.
+    probs: Vec<f64>,
+    /// The marking every case fires into, reset field-wise.
+    fired: Marking,
 }
 
 impl<'m> SanMarkovModel<'m> {
@@ -54,7 +72,10 @@ impl<'m> SanMarkovModel<'m> {
     /// construction. The `Result` keeps the constructor's signature
     /// stable for callers that propagate it.
     pub fn new(model: &'m SanModel) -> Result<Self, CtmcError> {
-        Ok(SanMarkovModel { model })
+        Ok(SanMarkovModel {
+            model,
+            scratch: Cell::new(None),
+        })
     }
 
     /// The wrapped model.
@@ -73,12 +94,19 @@ impl MarkovModel for SanMarkovModel<'_> {
     }
 
     fn transitions(&self, state: &Marking, emit: &mut dyn FnMut(&Marking, f64)) {
-        // Enabled-member count per shared-rate group, counted once per
-        // state however many members are enabled.
-        let mut group_enabled = vec![None; self.model.rate_groups().len()];
-        let mut probs = Vec::new();
-        // Every case fires into this one marking, reset field-wise.
-        let mut fired = state.clone();
+        let mut scratch = self.scratch.take().unwrap_or_else(|| {
+            Box::new(Scratch {
+                group_enabled: vec![None; self.model.rate_groups().len()],
+                probs: Vec::new(),
+                fired: state.clone(),
+            })
+        });
+        let Scratch {
+            group_enabled,
+            probs,
+            fired,
+        } = &mut *scratch;
+        group_enabled.fill(None);
         for &a in self.model.timed_activities() {
             if !self.model.is_enabled(a, state) {
                 continue;
@@ -96,30 +124,31 @@ impl MarkovModel for SanMarkovModel<'_> {
                 continue;
             }
             self.model
-                .case_probabilities_into(a, state, &mut probs)
+                .case_probabilities_into(a, state, probs)
                 .expect("case distribution must be valid in reachable markings");
             for (case, &p_case) in probs.iter().enumerate() {
                 if p_case == 0.0 {
                     continue;
                 }
                 fired.clone_from(state);
-                self.model.fire(a, case, &mut fired);
+                self.model.fire(a, case, fired);
                 // A stable marking is its own only stable successor,
                 // with path probability 1: `rate · p_case · 1.0` is
                 // `rate · p_case` exactly.
-                if self.model.is_stable(&fired) {
-                    emit(&fired, rate * p_case);
+                if self.model.is_stable(fired) {
+                    emit(fired, rate * p_case);
                     continue;
                 }
                 let stables = self
                     .model
-                    .stable_successors(&fired)
+                    .stable_successors(fired)
                     .expect("instantaneous stabilization must terminate");
                 for (m, p_path) in &stables {
                     emit(m, rate * p_case * p_path);
                 }
             }
         }
+        self.scratch.set(Some(scratch));
     }
 }
 
@@ -227,16 +256,8 @@ mod tests {
         let space = StateSpace::explore(&adapter, 10).unwrap();
         assert_eq!(space.len(), 3);
         // Exit rate of the 2-token state is 2, of the 1-token state 1.
-        let i2 = space
-            .states()
-            .iter()
-            .position(|m| m.tokens(pool) == 2)
-            .unwrap();
-        let i1 = space
-            .states()
-            .iter()
-            .position(|m| m.tokens(pool) == 1)
-            .unwrap();
+        let i2 = space.states().position(|m| m.tokens(pool) == 2).unwrap();
+        let i1 = space.states().position(|m| m.tokens(pool) == 1).unwrap();
         assert!((space.exit_rates()[i2] - 2.0).abs() < 1e-12);
         assert!((space.exit_rates()[i1] - 1.0).abs() < 1e-12);
     }

@@ -42,17 +42,7 @@ impl SparseMatrix {
         let mut vals = Vec::new();
         row_ptr.push(0);
         for row in &mut per_row {
-            row.sort_unstable_by_key(|(c, _)| *c);
-            let mut last: Option<usize> = None;
-            for &(c, v) in row.iter() {
-                if last == Some(c) {
-                    *vals.last_mut().expect("entry exists") += v;
-                } else {
-                    cols.push(c as u32);
-                    vals.push(v);
-                    last = Some(c);
-                }
-            }
+            append_row(row, &mut cols, &mut vals);
             row_ptr.push(cols.len());
         }
         SparseMatrix {
@@ -143,6 +133,88 @@ impl SparseMatrix {
         (0..self.n)
             .map(|r| self.row(r).map(|(_, v)| v).sum())
             .collect()
+    }
+}
+
+/// Sorts one row's `(col, value)` entries by column and appends them
+/// to `cols`/`vals`, summing duplicate columns in sorted order. The one
+/// row step of every CSR build, so equal rows give equal bits however
+/// the matrix was assembled.
+fn append_row(row: &mut [(usize, f64)], cols: &mut Vec<u32>, vals: &mut Vec<f64>) {
+    row.sort_unstable_by_key(|(c, _)| *c);
+    let mut last: Option<usize> = None;
+    for &(c, v) in row.iter() {
+        if last == Some(c) {
+            *vals.last_mut().expect("entry exists") += v;
+        } else {
+            cols.push(u32::try_from(c).expect("column exceeds u32 indices"));
+            vals.push(v);
+            last = Some(c);
+        }
+    }
+}
+
+/// Builds a [`SparseMatrix`] row by row, in ascending row order, from
+/// one reused row buffer: the form an explorer that expands states in
+/// index order emits, with no triplet list and no per-row vectors.
+/// Each row goes through the same step as
+/// [`from_triplets`](SparseMatrix::from_triplets).
+#[derive(Debug)]
+pub(crate) struct RowBuilder {
+    row_ptr: Vec<usize>,
+    cols: Vec<u32>,
+    vals: Vec<f64>,
+    /// Entries of the row being built, in push order.
+    row: Vec<(usize, f64)>,
+}
+
+impl RowBuilder {
+    pub(crate) fn new() -> Self {
+        RowBuilder {
+            row_ptr: vec![0],
+            cols: Vec::new(),
+            vals: Vec::new(),
+            row: Vec::new(),
+        }
+    }
+
+    /// Adds `v` at column `col` of the current row. Zeros are dropped;
+    /// duplicate columns are summed when the row ends.
+    pub(crate) fn push(&mut self, col: usize, v: f64) {
+        if v != 0.0 {
+            self.row.push((col, v));
+        }
+    }
+
+    /// Ends the current row; the next push starts the next one.
+    pub(crate) fn end_row(&mut self) {
+        append_row(&mut self.row, &mut self.cols, &mut self.vals);
+        self.row.clear();
+        self.row_ptr.push(self.cols.len());
+    }
+
+    /// The square matrix of the rows ended so far.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a column is out of range for that many rows, or if
+    /// their number exceeds the `u32` index range.
+    pub(crate) fn finish(self) -> SparseMatrix {
+        let n = self.row_ptr.len() - 1;
+        assert!(
+            u32::try_from(n).is_ok(),
+            "dimension {n} exceeds u32 indices"
+        );
+        assert!(
+            self.cols.iter().all(|&c| (c as usize) < n),
+            "column out of range for n={n}"
+        );
+        SparseMatrix {
+            n,
+            row_ptr: self.row_ptr,
+            cols: self.cols,
+            vals: self.vals,
+        }
     }
 }
 

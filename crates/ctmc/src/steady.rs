@@ -1,9 +1,8 @@
 //! Steady-state solution by power iteration on the uniformized chain.
 
-use std::hash::Hash;
-
 use crate::error::CtmcError;
 use crate::explore::StateSpace;
+use crate::intern::PackedState;
 use crate::transient::uniformized_kernel;
 
 /// Computes the steady-state distribution of an irreducible explored
@@ -19,7 +18,7 @@ use crate::transient::uniformized_kernel;
 /// distribution — callers wanting first-passage measures should use
 /// [`StateSpace::absorbing`] with
 /// [`transient_distribution`](crate::transient_distribution) instead.
-pub fn steady_state<S: Clone + Eq + Hash>(
+pub fn steady_state<S: PackedState>(
     space: &StateSpace<S>,
     tol: f64,
     max_iter: usize,
@@ -89,8 +88,8 @@ mod tests {
         let space = crate::StateSpace::explore(&m, 100).unwrap();
         let pi = steady_state(&space, 1e-12, 100_000).unwrap();
         let norm: f64 = (0..=k).map(|i| rho.powi(i as i32)).sum();
-        for (i, s) in space.states().iter().enumerate() {
-            let exact = rho.powi(*s as i32) / norm;
+        for (i, s) in space.states().enumerate() {
+            let exact = rho.powi(s as i32) / norm;
             assert!(
                 (pi[i] - exact).abs() < 1e-8,
                 "state {s}: {} vs {exact}",

@@ -1,8 +1,7 @@
 //! Transient solution by uniformization.
 
-use std::hash::Hash;
-
 use crate::explore::StateSpace;
+use crate::intern::PackedState;
 use crate::sparse::LaneMatrix;
 
 /// Computes normalized Poisson(λ) weights over a truncated support
@@ -77,11 +76,7 @@ pub fn poisson_weights(lambda: f64, tol: f64) -> (usize, Vec<f64>) {
 /// # Panics
 ///
 /// Panics if `t` is negative or non-finite, or `tol` is not in `(0, 1)`.
-pub fn transient_distribution<S: Clone + Eq + Hash>(
-    space: &StateSpace<S>,
-    t: f64,
-    tol: f64,
-) -> Vec<f64> {
+pub fn transient_distribution<S: PackedState>(space: &StateSpace<S>, t: f64, tol: f64) -> Vec<f64> {
     assert!(t.is_finite() && t >= 0.0, "time must be non-negative");
     let n = space.len();
     if t == 0.0 {
@@ -120,10 +115,7 @@ pub fn transient_distribution<S: Clone + Eq + Hash>(
 /// of `Pᵀ` lists its sources `r` in ascending order, so each output
 /// adds its terms in the order a row-by-row `xᵀ·P` visits them: the
 /// same sum, bit for bit.
-pub(crate) fn uniformized_kernel<S: Clone + Eq + Hash>(
-    space: &StateSpace<S>,
-    q: f64,
-) -> LaneMatrix {
+pub(crate) fn uniformized_kernel<S: PackedState>(space: &StateSpace<S>, q: f64) -> LaneMatrix {
     LaneMatrix::new(&space.rates().uniformized_transpose(space.exit_rates(), q))
 }
 

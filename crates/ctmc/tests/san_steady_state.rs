@@ -38,7 +38,6 @@ fn independent_components_binomial_steady_state() {
     for j in 0..=k {
         let measured: f64 = space
             .states()
-            .iter()
             .zip(pi.iter())
             .filter(|(m, _)| downs.iter().filter(|&&d| m.is_marked(d)).count() == j)
             .map(|(_, pr)| pr)

@@ -32,10 +32,10 @@ pub(crate) fn run(model: &SanModel, graph: &StateGraph, cfg: &LintConfig) -> Vec
     let mut reported = 0usize;
     let mut suppressed = 0usize;
     for m in graph.markings() {
-        if !model.is_stable(m) || !model.enabled_timed(m).is_empty() {
+        if !model.is_stable(&m) || !model.enabled_timed(&m).is_empty() {
             continue;
         }
-        if is_allowlisted(model, m, &cfg.absorbing_allowlist) {
+        if is_allowlisted(model, &m, &cfg.absorbing_allowlist) {
             continue;
         }
         if reported == MAX_REPORTS {
@@ -46,7 +46,7 @@ pub(crate) fn run(model: &SanModel, graph: &StateGraph, cfg: &LintConfig) -> Vec
         out.push(Diagnostic::new(
             NAME,
             Severity::Error,
-            describe_marking(model, m),
+            describe_marking(model, &m),
             "deadlock: reachable absorbing marking not covered by the \
              allowlist (declare intended sinks with --allow)",
         ));

@@ -68,11 +68,11 @@ pub(crate) fn run(model: &SanModel, graph: &StateGraph, cfg: &LintConfig) -> Vec
             if sampled >= cfg.max_samples {
                 break;
             }
-            if !model.is_enabled(id, m) {
+            if !model.is_enabled(id, &m) {
                 continue;
             }
             sampled += 1;
-            if let Err(e) = model.case_probabilities(id, m) {
+            if let Err(e) = model.case_probabilities(id, &m) {
                 out.push(Diagnostic::new(
                     NAME,
                     Severity::Error,

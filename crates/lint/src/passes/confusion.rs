@@ -30,14 +30,14 @@ pub(crate) fn run(model: &SanModel, graph: &StateGraph, cfg: &LintConfig) -> Vec
     let mut sampled = 0usize;
 
     for m in graph.markings() {
-        if model.is_stable(m) {
+        if model.is_stable(&m) {
             continue;
         }
         if sampled >= cfg.max_samples {
             break;
         }
         sampled += 1;
-        let enabled = model.enabled_instantaneous(m);
+        let enabled = model.enabled_instantaneous(&m);
         for (i, &a) in enabled.iter().enumerate() {
             for &b in &enabled[i + 1..] {
                 let key = (a.index().min(b.index()), a.index().max(b.index()));

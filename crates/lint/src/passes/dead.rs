@@ -24,12 +24,12 @@ pub const NAME: &str = "dead-activity";
 pub(crate) fn run(model: &SanModel, graph: &StateGraph, _cfg: &LintConfig) -> Vec<Diagnostic> {
     let mut live: HashSet<usize> = HashSet::new();
     for m in graph.markings() {
-        if model.is_stable(m) {
-            for a in model.enabled_timed(m) {
+        if model.is_stable(&m) {
+            for a in model.enabled_timed(&m) {
                 live.insert(a.index());
             }
         } else {
-            for a in model.enabled_instantaneous(m) {
+            for a in model.enabled_instantaneous(&m) {
                 live.insert(a.index());
             }
         }

@@ -76,12 +76,12 @@ pub(crate) fn run(model: &SanModel, graph: &StateGraph, cfg: &LintConfig) -> Vec
             if sampled >= cfg.max_samples {
                 break;
             }
-            if !model.is_stable(m) || !model.is_enabled(id, m) {
+            if !model.is_stable(&m) || !model.is_enabled(id, &m) {
                 continue;
             }
             sampled += 1;
             let rate = model
-                .exponential_rate(id, m)
+                .exponential_rate(id, &m)
                 .expect("exponential delay must yield a rate");
             if !rate.is_finite() || rate < 0.0 {
                 out.push(Diagnostic::new(

@@ -44,8 +44,8 @@ struct GateTrace {
 }
 
 pub(crate) fn run(model: &SanModel, graph: &StateGraph, cfg: &LintConfig) -> Vec<Diagnostic> {
-    let samples: Vec<&Marking> = std::iter::once(model.initial_marking())
-        .chain(graph.markings().iter())
+    let samples: Vec<Marking> = std::iter::once(model.initial_marking().clone())
+        .chain(graph.markings())
         .take(cfg.max_samples.max(1))
         .collect();
 

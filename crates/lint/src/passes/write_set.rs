@@ -51,8 +51,8 @@ pub(crate) fn run(model: &SanModel, graph: &StateGraph, cfg: &LintConfig) -> Vec
         }
     }
 
-    let samples: Vec<&Marking> = std::iter::once(model.initial_marking())
-        .chain(graph.markings().iter())
+    let samples: Vec<Marking> = std::iter::once(model.initial_marking().clone())
+        .chain(graph.markings())
         .take(cfg.max_samples.max(1))
         .collect();
 

@@ -22,7 +22,8 @@ pub enum PlaceValue {
 /// A complete marking: the token count or array contents of every
 /// declared place.
 ///
-/// Markings are plain data — hashable and comparable — so they can serve
+/// Markings are plain data — hashable, comparable and packable into a
+/// canonical byte form ([`Marking::pack_into`]) — so they can serve
 /// directly as CTMC states during state-space exploration.
 ///
 /// Storage is a dense `Vec<u64>` with one slot per place. Simple places
@@ -279,6 +280,85 @@ impl Marking {
     }
 }
 
+impl Marking {
+    /// Appends the canonical packed form of the marking to `out`: per
+    /// place, in place order, a simple place's token count as an
+    /// unsigned LEB128 varint, and each element of an extended place's
+    /// fixed-length array as a zigzag varint.
+    ///
+    /// Lengths and place kinds are not written: they are fixed by the
+    /// model, so among markings of one model the packed bytes are equal
+    /// exactly when the markings are (per the canonical `Eq`). Every
+    /// count and vehicle id of the paper's models is below 128, so a
+    /// place costs one byte.
+    pub fn pack_into(&self, out: &mut Vec<u8>) {
+        for &slot in &self.slots {
+            if slot & EXT_TAG == 0 {
+                write_varint(out, slot);
+            } else {
+                for &v in &self.arrays[(slot & !EXT_TAG) as usize] {
+                    write_varint(out, ((v << 1) ^ (v >> 63)) as u64);
+                }
+            }
+        }
+    }
+
+    /// Overwrites `into` with the marking packed in `bytes` by
+    /// [`pack_into`](Marking::pack_into). `into` supplies the shape —
+    /// place kinds and array lengths — so it must be a marking of the
+    /// model the bytes were packed from; its buffers are written in
+    /// place, without allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` is not the packed form of a marking of
+    /// `into`'s shape: truncated, overlong, or holding an out-of-range
+    /// token count.
+    pub fn unpack_from(bytes: &[u8], into: &mut Marking) {
+        let mut rest = bytes;
+        for slot in &mut into.slots {
+            if *slot & EXT_TAG == 0 {
+                let n = read_varint(&mut rest);
+                assert!(n < EXT_TAG, "token count overflow");
+                *slot = n;
+            } else {
+                for v in &mut into.arrays[(*slot & !EXT_TAG) as usize] {
+                    let z = read_varint(&mut rest);
+                    *v = (z >> 1) as i64 ^ -((z & 1) as i64);
+                }
+            }
+        }
+        assert!(rest.is_empty(), "packed marking has trailing bytes");
+    }
+}
+
+/// Appends `v` as an unsigned LEB128 varint: seven bits per byte, low
+/// group first, the high bit set on every byte but the last.
+fn write_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// Reads one varint written by [`write_varint`] off the front of
+/// `bytes`.
+fn read_varint(bytes: &mut &[u8]) -> u64 {
+    let mut v = 0u64;
+    let mut shift = 0;
+    loop {
+        let (&b, rest) = bytes.split_first().expect("packed marking is truncated");
+        *bytes = rest;
+        assert!(shift < 64, "packed marking holds an overlong varint");
+        v |= u64::from(b & 0x7f) << shift;
+        if b < 0x80 {
+            return v;
+        }
+        shift += 7;
+    }
+}
+
 /// Canonical equality: per-place semantic values in place order,
 /// independent of how the extended-place side table happens to be laid
 /// out. Markings of models with different place counts are simply
@@ -445,6 +525,70 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(std_hash(&a), std_hash(&b));
         assert_eq!(a.fingerprint(), b.fingerprint());
+    }
+
+    fn packed(m: &Marking) -> Vec<u8> {
+        let mut out = Vec::new();
+        m.pack_into(&mut out);
+        out
+    }
+
+    #[test]
+    fn packed_form_is_canonical_across_side_table_layouts() {
+        let a = Marking {
+            slots: vec![7, EXT_TAG, EXT_TAG | 1],
+            arrays: vec![vec![1, -2], vec![3, i64::MIN]],
+        };
+        let b = Marking {
+            slots: vec![7, EXT_TAG | 1, EXT_TAG],
+            arrays: vec![vec![3, i64::MIN], vec![1, -2]],
+        };
+        assert_eq!(packed(&a), packed(&b));
+        // Unpacking into either layout reproduces the marking.
+        let mut into = b.clone();
+        into.arrays[0][0] = 0;
+        Marking::unpack_from(&packed(&a), &mut into);
+        assert_eq!(into, a);
+        assert_eq!(into.slots, b.slots, "the target keeps its own layout");
+    }
+
+    #[test]
+    fn packed_form_round_trips_boundary_values() {
+        let mut m = Marking::from_decls(&decls());
+        let mut scratch = m.clone();
+        for n in [0, 1, 127, 128, 16_383, 16_384, EXT_TAG - 1] {
+            for v in [0, -1, 63, -64, 64, i64::MAX, i64::MIN] {
+                m.set_tokens(PlaceId(0), n);
+                m.array_mut(PlaceId(1))[1] = v;
+                let bytes = packed(&m);
+                Marking::unpack_from(&bytes, &mut scratch);
+                assert_eq!(scratch, m, "tokens {n}, element {v}");
+            }
+        }
+        m.set_tokens(PlaceId(0), 127);
+        m.array_mut(PlaceId(1)).copy_from_slice(&[0, -1, 1]);
+        assert_eq!(packed(&m), [127, 0, 1, 2]);
+        m.set_tokens(PlaceId(0), 128);
+        assert_eq!(packed(&m), [0x80, 0x01, 0, 1, 2]);
+        m.set_tokens(PlaceId(0), EXT_TAG - 1);
+        assert_eq!(packed(&m).len(), 9 + 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "trailing bytes")]
+    fn unpack_rejects_trailing_bytes() {
+        let m = Marking::from_decls(&decls());
+        let mut bytes = packed(&m);
+        bytes.push(0);
+        Marking::unpack_from(&bytes, &mut m.clone());
+    }
+
+    #[test]
+    #[should_panic(expected = "truncated")]
+    fn unpack_rejects_truncated_bytes() {
+        let m = Marking::from_decls(&decls());
+        let bytes = packed(&m);
+        Marking::unpack_from(&bytes[..bytes.len() - 1], &mut m.clone());
     }
 
     #[test]

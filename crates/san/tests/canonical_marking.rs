@@ -1,7 +1,9 @@
 //! Property tests of the canonical `Marking` equality/hash contract:
 //! markings reaching the same per-place values through different
 //! construction orders must compare equal, hash equal under `std`
-//! hashers, and produce identical stable fingerprints.
+//! hashers, and produce identical stable fingerprints. The packed form
+//! (`pack_into` / `unpack_from`) must round-trip and be byte-equal
+//! exactly when the markings are equal.
 
 use std::hash::{DefaultHasher, Hash, Hasher};
 
@@ -54,6 +56,36 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0..SIMPLE, 0u64..100).prop_map(|(place, n)| Op::SetTokens { place, n }),
         (0..EXT, 0..EXT_LEN, -50i64..50).prop_map(|(place, idx, v)| Op::SetCell { place, idx, v }),
     ]
+}
+
+/// Writes that reach the varint boundaries: token counts 0, 127, 128
+/// and the largest count, negative and extreme array entries.
+fn wide_op_strategy() -> impl Strategy<Value = Op> {
+    let tokens = prop_oneof![
+        Just(0u64),
+        Just(127u64),
+        Just(128u64),
+        Just(u64::MAX >> 1),
+        0u64..300,
+    ];
+    let cells = prop_oneof![
+        Just(i64::MIN),
+        Just(i64::MAX),
+        Just(-1i64),
+        Just(-64i64),
+        Just(64i64),
+        -200i64..200,
+    ];
+    prop_oneof![
+        (0..SIMPLE, tokens).prop_map(|(place, n)| Op::SetTokens { place, n }),
+        (0..EXT, 0..EXT_LEN, cells).prop_map(|(place, idx, v)| Op::SetCell { place, idx, v }),
+    ]
+}
+
+fn packed(m: &Marking) -> Vec<u8> {
+    let mut out = Vec::new();
+    m.pack_into(&mut out);
+    out
 }
 
 fn std_hash(m: &Marking) -> u64 {
@@ -137,5 +169,58 @@ proptest! {
         b.set_tokens(simple[place], bumped);
         prop_assert_ne!(&a, &b);
         prop_assert_ne!(a.fingerprint(), b.fingerprint());
+    }
+
+    /// Packing and unpacking into a scratch marking of the same model
+    /// reproduces the marking, whatever the scratch held before.
+    #[test]
+    fn packed_form_round_trips(
+        ops in prop::collection::vec(wide_op_strategy(), 0..24),
+        junk in prop::collection::vec(wide_op_strategy(), 0..8),
+    ) {
+        let (model, simple, ext) = model();
+        let mut m = model.initial_marking().clone();
+        for op in &ops {
+            apply(&mut m, &simple, &ext, op);
+        }
+        let mut scratch = model.initial_marking().clone();
+        for op in &junk {
+            apply(&mut scratch, &simple, &ext, op);
+        }
+        Marking::unpack_from(&packed(&m), &mut scratch);
+        prop_assert_eq!(&scratch, &m);
+        prop_assert_eq!(canonical(&scratch, &model), canonical(&m, &model));
+    }
+
+    /// Two markings of one model pack to equal bytes exactly when they
+    /// compare equal.
+    #[test]
+    fn packed_bytes_are_equal_iff_markings_are(
+        a_ops in prop::collection::vec(wide_op_strategy(), 0..16),
+        b_ops in prop::collection::vec(wide_op_strategy(), 0..16),
+        shared in prop::collection::vec(wide_op_strategy(), 0..16),
+    ) {
+        let (model, simple, ext) = model();
+        let mut a = model.initial_marking().clone();
+        let mut b = model.initial_marking().clone();
+        // A common prefix, then each side's own writes: often equal,
+        // often not.
+        for op in &shared {
+            apply(&mut a, &simple, &ext, op);
+            apply(&mut b, &simple, &ext, op);
+        }
+        for op in &a_ops {
+            apply(&mut a, &simple, &ext, op);
+        }
+        for op in &b_ops {
+            apply(&mut b, &simple, &ext, op);
+        }
+        prop_assert_eq!(packed(&a) == packed(&b), a == b);
+        // The replayed side is equal by construction.
+        let mut c = model.initial_marking().clone();
+        for op in shared.iter().chain(&a_ops) {
+            apply(&mut c, &simple, &ext, op);
+        }
+        prop_assert_eq!(packed(&a), packed(&c));
     }
 }

@@ -358,8 +358,13 @@ pub struct Job {
     pub seq: u64,
     /// Public id, `job-NNNNNN`.
     pub name: String,
-    /// The validated spec.
-    pub spec: JobSpec,
+    /// The validated spec, or `None` for a recovered job whose
+    /// persisted `job.json` this server rejects: such a job is listed as
+    /// failed and never run.
+    pub spec: Option<JobSpec>,
+    /// The persisted `job.json` fields of a rejected job, as found,
+    /// for its status documents; `Null` when `spec` is set.
+    rejected_spec: Json,
     /// This job's state directory.
     pub dir: PathBuf,
     phase: Mutex<Phase>,
@@ -375,10 +380,31 @@ pub struct Job {
 impl Job {
     /// A fresh job in [`Phase::Queued`].
     pub fn new(seq: u64, spec: JobSpec, dir: PathBuf) -> Job {
+        Job::with_spec(seq, Some(spec), Json::Null, dir)
+    }
+
+    /// A recovered job whose persisted `job.json` document `persisted`
+    /// this server rejects, in [`Phase::Queued`] until the caller fails
+    /// it. Its status documents show the persisted spec fields as
+    /// found.
+    pub fn rejected(seq: u64, persisted: &Json, dir: PathBuf) -> Job {
+        let fields = match persisted {
+            Json::Obj(fields) => fields
+                .iter()
+                .filter(|(key, _)| key != "schema" && key != "seq")
+                .cloned()
+                .collect(),
+            _ => Vec::new(),
+        };
+        Job::with_spec(seq, None, Json::Obj(fields), dir)
+    }
+
+    fn with_spec(seq: u64, spec: Option<JobSpec>, rejected_spec: Json, dir: PathBuf) -> Job {
         Job {
             seq,
             name: format!("job-{seq:06}"),
             spec,
+            rejected_spec,
             dir,
             phase: Mutex::new(Phase::Queued),
             restarts: AtomicU32::new(0),
@@ -429,7 +455,12 @@ impl Job {
             ("id".to_owned(), Json::str(self.name.clone())),
             ("seq".to_owned(), self.seq.into()),
             ("state".to_owned(), Json::str(phase.state())),
-            ("spec".to_owned(), self.spec.to_json()),
+            (
+                "spec".to_owned(),
+                self.spec
+                    .as_ref()
+                    .map_or_else(|| self.rejected_spec.clone(), JobSpec::to_json),
+            ),
             (
                 "restarts".to_owned(),
                 u64::from(self.restarts.load(Ordering::Relaxed)).into(),

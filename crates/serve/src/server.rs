@@ -281,13 +281,10 @@ fn rescan(inner: &Arc<Inner>, jobs_dir: &std::path::Path) -> std::io::Result<()>
         let job = match JobSpec::from_json(&doc, &recovery) {
             Ok(spec) => Arc::new(Job::new(seq, spec, dir.clone())),
             Err(e) => {
-                // A spec this server's policy no longer admits must
+                // A spec this server no longer admits — over its policy,
+                // or past a cap the admitting server lacked — must
                 // surface as a typed failure, not vanish.
-                let Ok(spec) = JobSpec::from_json(&doc, &AdmissionPolicy::default()) else {
-                    eprintln!("warning: skipping unparseable {}", spec_path.display());
-                    continue;
-                };
-                let job = Arc::new(Job::new(seq, spec, dir.clone()));
+                let job = Arc::new(Job::rejected(seq, &doc, dir.clone()));
                 job.set_phase(Phase::Failed(format!("rejected on recovery: {e}")));
                 recovered.push(job);
                 continue;
@@ -856,8 +853,7 @@ fn submit(inner: &Arc<Inner>, body: &[u8]) -> Routed {
             error_body(&format!("creating job dir: {e}")),
         );
     }
-    let job = Arc::new(Job::new(seq, spec, dir.clone()));
-    let mut spec_doc = match job.spec.to_json() {
+    let mut spec_doc = match spec.to_json() {
         Json::Obj(fields) => fields,
         _ => unreachable!("spec renders as an object"),
     };
@@ -867,6 +863,7 @@ fn submit(inner: &Arc<Inner>, body: &[u8]) -> Routed {
     );
     spec_doc.insert(1, ("seq".to_owned(), seq.into()));
     let text = render_line(&Json::Obj(spec_doc));
+    let job = Arc::new(Job::new(seq, spec, dir.clone()));
     if let Err(e) = write_with_retry(&dir.join("job.json"), text.as_bytes()) {
         return (
             500,

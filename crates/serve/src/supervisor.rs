@@ -35,7 +35,7 @@ use ahs_core::{AhsError, UnsafetyCurve};
 use ahs_des::{SimError, Watchdog};
 use ahs_obs::{heartbeat_read, send_sigterm};
 
-use crate::job::{Job, Phase};
+use crate::job::{Job, JobSpec, Phase};
 use crate::worker::{run_worker, WorkerOptions, WorkerOutcome};
 
 /// Default heartbeat cadence of an attempt.
@@ -277,7 +277,7 @@ fn attempt(job: &Arc<Job>, config: &SupervisorConfig, stop: &Arc<AtomicBool>) ->
             Isolation::Thread => HEARTBEAT_INTERVAL,
         },
         watchdog: config.watchdog,
-        expect_spec: Some(job.spec.digest()),
+        expect_spec: job.spec.as_ref().map(JobSpec::digest),
     };
     let (exit, termed) = match &config.isolation {
         Isolation::Thread => run_in_process(&options, stop),

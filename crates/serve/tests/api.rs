@@ -439,3 +439,50 @@ fn recovery_runs_the_thread_count_the_job_was_admitted_with() {
     assert_eq!(server.join().finished, 1);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn recovery_lists_jobs_whose_spec_no_longer_parses_as_failed() {
+    // Two jobs persisted with `points` past the cap this server parses
+    // (as an older server without the cap would have admitted them):
+    // restarting over the state dir must list both as failed, with the
+    // parse error as the message, and run neither.
+    let dir = state_dir("recover-unparseable");
+    let body = Json::parse(&job_body(37, 400, 1)).unwrap();
+    let spec = JobSpec::from_json(&body, &AdmissionPolicy::default()).unwrap();
+    for (seq, points) in [(1u64, 1001u64), (2, u64::MAX)] {
+        let job_dir = dir.join("jobs").join(format!("job-{seq:06}"));
+        std::fs::create_dir_all(&job_dir).unwrap();
+        let Json::Obj(mut fields) = spec.to_json() else {
+            unreachable!("a spec renders as an object")
+        };
+        for (key, value) in &mut fields {
+            if key == "points" {
+                *value = points.into();
+            }
+        }
+        fields.insert(0, ("schema".to_owned(), Json::str(JOB_SPEC_SCHEMA)));
+        fields.insert(1, ("seq".to_owned(), seq.into()));
+        std::fs::write(job_dir.join("job.json"), Json::Obj(fields).render()).unwrap();
+    }
+
+    let mut config = ServeConfig::new(&dir);
+    config.addr = "127.0.0.1:0".to_owned();
+    let server = Server::start(config, Arc::new(AtomicBool::new(false))).expect("server starts");
+    let listed = get_json(server.local_addr(), "/v1/jobs");
+    let jobs = listed.get("jobs").and_then(Json::as_array).unwrap();
+    assert_eq!(jobs.len(), 2, "{}", listed.render());
+    for (doc, (name, points)) in jobs
+        .iter()
+        .zip([("job-000001", 1001), ("job-000002", u64::MAX)])
+    {
+        assert_eq!(doc.get("id").and_then(Json::as_str), Some(name));
+        assert_eq!(doc.get("state").and_then(Json::as_str), Some("failed"));
+        let error = doc.get("error").and_then(Json::as_str).unwrap();
+        assert!(error.contains("`points` must be at most 1000"), "{error}");
+        let shown = doc.get("spec").and_then(|s| s.get("points"));
+        assert_eq!(shown.and_then(Json::as_u64), Some(points));
+    }
+    let report = shutdown(server);
+    assert_eq!(report.finished, 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
