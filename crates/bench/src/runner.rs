@@ -3,7 +3,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use ahs_core::{AhsError, Params, UnsafetyCurve, UnsafetyEvaluator};
+use ahs_core::{study_checkpoint_path, AhsError, Params, UnsafetyCurve, UnsafetyEvaluator};
 use ahs_obs::{EstimatePoint, Json, Metrics, ProgressSink, RunManifest, StoppingSpec};
 use ahs_stats::{CurvePoint, StoppingRule, TimeGrid};
 
@@ -47,8 +47,9 @@ pub struct RunConfig {
     /// If set, emit JSON-lines progress events to stderr.
     pub progress: bool,
     /// If set, write per-point crash-safe checkpoints under this
-    /// directory (`<dir>/point-<seed>-<params digest>.checkpoint.json`)
-    /// and resume from any that already exist there.
+    /// directory (`<dir>/study-<seed>-<params digest>.checkpoint.json`,
+    /// named by [`study_checkpoint_path`]) and resume from any that
+    /// already exist there.
     pub checkpoint_dir: Option<String>,
     /// Replications between checkpoint flushes.
     pub checkpoint_every: u64,
@@ -88,34 +89,27 @@ impl RunConfig {
     /// command-line arguments (used by every `fig*` binary).
     pub fn from_args(args: &[String]) -> Self {
         let mut cfg = RunConfig::quick();
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            let flag = arg.as_str();
+            let mut value = || {
+                args.next()
+                    .unwrap_or_else(|| panic!("missing value for `{flag}`"))
+            };
+            match flag {
                 "--paper" => cfg.paper_precision = true,
                 "--progress" => cfg.progress = true,
                 "--reps" => {
-                    i += 1;
-                    cfg.replications = args[i].parse().expect("--reps takes an integer");
+                    cfg.replications = value().parse().expect("--reps takes an integer");
                 }
-                "--seed" => {
-                    i += 1;
-                    cfg.seed = args[i].parse().expect("--seed takes an integer");
-                }
+                "--seed" => cfg.seed = value().parse().expect("--seed takes an integer"),
                 "--threads" => {
-                    i += 1;
-                    cfg.threads = args[i].parse().expect("--threads takes an integer");
+                    cfg.threads = value().parse().expect("--threads takes an integer");
                 }
-                "--telemetry" => {
-                    i += 1;
-                    cfg.telemetry = Some(args[i].clone());
-                }
-                "--checkpoint-dir" => {
-                    i += 1;
-                    cfg.checkpoint_dir = Some(args[i].clone());
-                }
+                "--telemetry" => cfg.telemetry = Some(value().clone()),
+                "--checkpoint-dir" => cfg.checkpoint_dir = Some(value().clone()),
                 "--checkpoint-every" => {
-                    i += 1;
-                    cfg.checkpoint_every = args[i]
+                    cfg.checkpoint_every = value()
                         .parse()
                         .expect("--checkpoint-every takes a positive integer");
                     assert!(
@@ -123,10 +117,7 @@ impl RunConfig {
                         "--checkpoint-every takes a positive integer"
                     );
                 }
-                "--failpoints" => {
-                    i += 1;
-                    cfg.failpoints = Some(args[i].clone());
-                }
+                "--failpoints" => cfg.failpoints = Some(value().clone()),
                 other => {
                     panic!(
                         "unknown argument `{other}` (expected --paper/--reps/--seed/\
@@ -135,7 +126,6 @@ impl RunConfig {
                     )
                 }
             }
-            i += 1;
         }
         cfg
     }
@@ -191,13 +181,8 @@ impl RunConfig {
             // random numbers), so the seed alone does not identify the
             // study. The key is stable across runs, so a resumed sweep
             // picks each point's file back up regardless of iteration
-            // order.
-            let digest = ahs_obs::fnv1a_64(e.params().to_json().render().as_bytes());
-            let path = std::path::Path::new(dir)
-                .join(format!("point-{seed:016x}-{digest:016x}.checkpoint.json"));
-            if path.exists() {
-                e = e.with_resume(&path);
-            }
+            // order; the evaluator resumes from it when it exists.
+            let path = study_checkpoint_path(std::path::Path::new(dir), seed, e.params());
             e = e.with_checkpoint(path, self.checkpoint_every);
             e = e.with_interrupt(ahs_obs::interrupt_flag());
         }
@@ -406,6 +391,47 @@ mod tests {
     #[should_panic(expected = "unknown argument")]
     fn unknown_arg_rejected() {
         RunConfig::from_args(&["--bogus".into()]);
+    }
+
+    #[test]
+    #[should_panic(expected = "missing value for `--reps`")]
+    fn flag_without_value_names_the_flag() {
+        RunConfig::from_args(&["--seed".into(), "9".into(), "--reps".into()]);
+    }
+
+    #[test]
+    fn point_resumes_from_its_older_generation_alone() {
+        // A crash between rotating the latest checkpoint to `.1` and
+        // writing the new one leaves only `.1` on disk. The point must
+        // resume from it, not restart from replication 0.
+        let dir = std::env::temp_dir().join(format!("ahs-bench-gen1-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let params = Params::builder().lambda(0.05).n(2).build().unwrap();
+        let grid = TimeGrid::new(vec![2.0]);
+        let cfg = RunConfig {
+            replications: 4_000,
+            threads: 1,
+            checkpoint_every: 3_000,
+            ..RunConfig::quick()
+        };
+        let baseline = cfg.evaluator(params.clone(), 7).evaluate(&grid).unwrap();
+
+        let cfg = RunConfig {
+            checkpoint_dir: Some(dir.display().to_string()),
+            ..cfg
+        };
+        cfg.evaluator(params.clone(), 7).evaluate(&grid).unwrap();
+        // One thread flushes at 3 000; the final write at 4 000 rotates
+        // that flush to `.1`. Dropping the latest leaves `.1` alone.
+        let path = study_checkpoint_path(&dir, cfg.seed ^ 7, &params);
+        std::fs::remove_file(&path).unwrap();
+        assert!(ahs_des::generation_path(&path, 1).exists());
+
+        let resumed = cfg.evaluator(params, 7).evaluate(&grid).unwrap();
+        assert_eq!(resumed.resume_lineage(), &[3_000]);
+        assert_eq!(resumed.resume_fallback(), Some(1));
+        assert_eq!(resumed.points(), baseline.points());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -4,7 +4,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
-use ahs_des::{Backend, BiasScheme, Study, StudyCheckpoint, Watchdog};
+use ahs_des::{
+    generation_path, Backend, BiasScheme, Study, StudyCheckpoint, Watchdog, CHECKPOINT_GENERATIONS,
+};
 use ahs_obs::{fnv1a_64, EstimatePoint, Json, Metrics, ProgressSink, RunManifest, StoppingSpec};
 use ahs_san::SanModel;
 use ahs_stats::{CurvePoint, StoppingRule, TimeGrid};
@@ -68,9 +70,11 @@ impl CompiledModel {
 /// The per-study checkpoint file name used when a checkpoint target is
 /// a *directory*: `study-<seed>-<params digest>.checkpoint.json`.
 ///
-/// Keyed like the bench runner's per-point files, so two studies over
-/// different seeds or parameters can never clobber each other's
-/// checkpoint generations even when pointed at the same directory.
+/// `ahs evaluate --checkpoint DIR/` and `ahs-bench --checkpoint-dir`
+/// both name their files here, so two studies over different seeds or
+/// parameters can never clobber each other's checkpoint generations
+/// even when pointed at the same directory, and a re-run finds its own
+/// file again.
 #[must_use]
 pub fn study_checkpoint_path(dir: &Path, seed: u64, params: &Params) -> PathBuf {
     let digest = fnv1a_64(params.to_json().render().as_bytes());
@@ -229,8 +233,6 @@ pub struct UnsafetyEvaluator {
     metrics: Option<Arc<Metrics>>,
     progress: Option<Arc<ProgressSink>>,
     checkpoint: Option<(PathBuf, u64)>,
-    checkpoint_generations: u32,
-    resume: Option<PathBuf>,
     interrupt: Option<Arc<AtomicBool>>,
     quarantine_budget: u64,
     watchdog: Option<Watchdog>,
@@ -252,8 +254,6 @@ impl UnsafetyEvaluator {
             metrics: None,
             progress: None,
             checkpoint: None,
-            checkpoint_generations: 2,
-            resume: None,
             interrupt: None,
             quarantine_budget: 0,
             watchdog: None,
@@ -311,8 +311,18 @@ impl UnsafetyEvaluator {
     }
 
     /// Writes an atomic `ahs-checkpoint/v1` snapshot to `path` every
-    /// `every` completed replications (and always once at the end, so
-    /// an interrupted evaluation can be resumed).
+    /// `every` completed replications (and always once at the end), and
+    /// resumes from `path` whenever a checkpoint is already there.
+    ///
+    /// When any retained generation of `path` exists,
+    /// [`evaluate`](UnsafetyEvaluator::evaluate) continues from the
+    /// newest valid one, bitwise identical to an uninterrupted run; a
+    /// corrupt or truncated latest generation falls back to
+    /// `<name>.1.<ext>` with a logged warning, recorded in
+    /// [`UnsafetyCurve::resume_fallback`] and the manifest. A checkpoint
+    /// taken with another seed, parameters, grid or stopping rule fails
+    /// the evaluation and is left untouched. With no checkpoint on disk
+    /// the evaluation starts fresh.
     ///
     /// # Panics
     ///
@@ -321,32 +331,6 @@ impl UnsafetyEvaluator {
     pub fn with_checkpoint(mut self, path: impl Into<PathBuf>, every: u64) -> Self {
         assert!(every > 0, "checkpoint interval must be positive");
         self.checkpoint = Some((path.into(), every));
-        self
-    }
-
-    /// How many checkpoint generations to retain and to consult on
-    /// resume (default 2: the latest plus one fallback).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `generations` is zero.
-    #[must_use]
-    pub fn with_checkpoint_generations(mut self, generations: u32) -> Self {
-        assert!(generations > 0, "need at least one checkpoint generation");
-        self.checkpoint_generations = generations;
-        self
-    }
-
-    /// Resumes from the checkpoint at `path` (loaded and validated in
-    /// [`evaluate`](UnsafetyEvaluator::evaluate)); the resumed run is
-    /// bitwise identical to an uninterrupted one. When the latest
-    /// checkpoint is corrupt or truncated, resume falls back to the
-    /// newest valid retained generation (`<name>.1.<ext>`, …) with a
-    /// logged warning, recorded in
-    /// [`UnsafetyCurve::resume_fallback`] and the manifest.
-    #[must_use]
-    pub fn with_resume(mut self, path: impl Into<PathBuf>) -> Self {
-        self.resume = Some(path.into());
         self
     }
 
@@ -563,36 +547,34 @@ impl UnsafetyEvaluator {
         if let Some(p) = &self.progress {
             study = study.with_progress(p.clone());
         }
-        if let Some((path, every)) = &self.checkpoint {
-            study = study
-                .with_checkpoint(path, *every)
-                .with_checkpoint_generations(self.checkpoint_generations);
-        }
         let mut resume_fallback = None;
-        if let Some(path) = &self.resume {
-            let (cp, generation) =
-                StudyCheckpoint::load_with_fallback(path, self.checkpoint_generations)?;
-            if generation > 0 {
-                eprintln!(
-                    "warning: checkpoint {} was corrupt or unreadable; \
-                     resuming from retained generation {generation} \
-                     (watermark {})",
-                    path.display(),
-                    cp.watermark
-                );
-                if let Some(p) = &self.progress {
-                    p.emit(
-                        "resume_fallback",
-                        vec![
-                            ("path", Json::str(path.display().to_string())),
-                            ("generation", u64::from(generation).into()),
-                            ("watermark", cp.watermark.into()),
-                        ],
+        if let Some((path, every)) = &self.checkpoint {
+            study = study.with_checkpoint(path, *every);
+            let retained = (0..CHECKPOINT_GENERATIONS).any(|g| generation_path(path, g).exists());
+            if retained {
+                let (cp, generation) = StudyCheckpoint::load_with_fallback(path)?;
+                if generation > 0 {
+                    eprintln!(
+                        "warning: checkpoint {} was corrupt or unreadable; \
+                         resuming from retained generation {generation} \
+                         (watermark {})",
+                        path.display(),
+                        cp.watermark
                     );
+                    if let Some(p) = &self.progress {
+                        p.emit(
+                            "resume_fallback",
+                            vec![
+                                ("path", Json::str(path.display().to_string())),
+                                ("generation", u64::from(generation).into()),
+                                ("watermark", cp.watermark.into()),
+                            ],
+                        );
+                    }
+                    resume_fallback = Some(generation);
                 }
-                resume_fallback = Some(generation);
+                study = study.with_resume(cp);
             }
-            study = study.with_resume(cp);
         }
         if let Some(flag) = &self.interrupt {
             study = study.with_interrupt(flag.clone());
@@ -777,7 +759,8 @@ mod tests {
         let full = std::fs::read(&path).unwrap();
         std::fs::write(&path, &full[..full.len() / 2]).unwrap();
 
-        let e = make().with_resume(&path);
+        // Re-running with the same checkpoint path resumes from it.
+        let e = make().with_checkpoint(&path, 500);
         let resumed = e.evaluate(&grid).expect("fallback resume succeeds");
         assert_eq!(resumed.resume_fallback(), Some(1));
         assert_eq!(

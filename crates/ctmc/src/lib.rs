@@ -21,7 +21,8 @@
 //!   normalized Poisson weights) for `π(t)`, over a multi-lane gather
 //!   kernel that sums the same terms in the same order as a plain row
 //!   gather.
-//! * [`steady_state`] — power iteration on the uniformized chain.
+//! * [`expected_hitting_time`] — mean first-passage times into an
+//!   absorbing set.
 //!
 //! # Example
 //!
@@ -57,7 +58,6 @@ mod hitting;
 mod intern;
 mod san_adapter;
 mod sparse;
-mod steady;
 mod transient;
 
 pub use error::CtmcError;
@@ -66,5 +66,4 @@ pub use hitting::{expected_hitting_time, expected_hitting_time_from_start};
 pub use intern::{Interner, PackedState};
 pub use san_adapter::SanMarkovModel;
 pub use sparse::SparseMatrix;
-pub use steady::steady_state;
 pub use transient::{poisson_weights, transient_distribution};

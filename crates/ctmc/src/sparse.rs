@@ -298,12 +298,6 @@ impl LaneMatrix {
         }
     }
 
-    /// The position of each row: `to_positions(x)[position[i]]` is
-    /// `x[i]`.
-    pub(crate) fn position(&self) -> &[u32] {
-        &self.position
-    }
-
     /// Reorders a row-indexed vector into position order.
     pub(crate) fn to_positions(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.position.len(), "length mismatch");

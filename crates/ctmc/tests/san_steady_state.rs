@@ -1,11 +1,14 @@
-//! Steady-state solution of SAN-derived CTMCs, cross-checked against
-//! closed forms and long-horizon transient solutions.
+//! Long-horizon transient solution of a SAN-derived CTMC, cross-checked
+//! against its closed-form limit.
 
-use ahs_ctmc::{steady_state, transient_distribution, SanMarkovModel, StateSpace};
+use ahs_ctmc::{transient_distribution, SanMarkovModel, StateSpace};
 use ahs_san::{Delay, SanBuilder};
 
 /// k independent repairable components (failure λ, repair μ):
-/// steady-state P(j down) is binomial with p = λ/(λ+μ).
+/// steady-state P(j down) is binomial with p = λ/(λ+μ). From all-up,
+/// each component is down at `t` with p·(1 − e^{−(λ+μ)t}), so by
+/// t = 20 (e^{−80}) the transient distribution is the limit far inside
+/// the tolerance.
 #[test]
 fn independent_components_binomial_steady_state() {
     let (lambda, mu, k) = (1.0, 3.0, 3usize);
@@ -33,7 +36,7 @@ fn independent_components_binomial_steady_state() {
     let space = StateSpace::explore(&adapter, 100).unwrap();
     assert_eq!(space.len(), 8);
 
-    let pi = steady_state(&space, 1e-12, 200_000).unwrap();
+    let pi = transient_distribution(&space, 20.0, 1e-12);
     let p = lambda / (lambda + mu);
     for j in 0..=k {
         let measured: f64 = space
@@ -52,45 +55,4 @@ fn independent_components_binomial_steady_state() {
 
 fn choose(n: usize, k: usize) -> u64 {
     (1..=k).fold(1u64, |acc, i| acc * (n - k + i) as u64 / i as u64)
-}
-
-/// Steady state must equal the long-horizon transient distribution.
-#[test]
-fn steady_state_is_transient_limit() {
-    let mut b = SanBuilder::new("cyclic");
-    // Three-phase cycle with distinct rates.
-    let p0 = b.place_with_tokens("a", 1).unwrap();
-    let p1 = b.place("b").unwrap();
-    let p2 = b.place("c").unwrap();
-    for (name, from, to, rate) in [
-        ("ab", p0, p1, 1.0),
-        ("bc", p1, p2, 2.0),
-        ("ca", p2, p0, 4.0),
-    ] {
-        b.timed_activity(name, Delay::exponential(rate))
-            .unwrap()
-            .input_place(from)
-            .output_place(to)
-            .build()
-            .unwrap();
-    }
-    let model = b.build().unwrap();
-    let adapter = SanMarkovModel::new(&model).unwrap();
-    let space = StateSpace::explore(&adapter, 10).unwrap();
-
-    let pi_ss = steady_state(&space, 1e-13, 100_000).unwrap();
-    let pi_t = transient_distribution(&space, 200.0, 1e-12);
-    for (a, b) in pi_ss.iter().zip(pi_t.iter()) {
-        assert!((a - b).abs() < 1e-8, "steady {a} vs transient-limit {b}");
-    }
-    // Sojourn-proportional occupancy: π_i ∝ 1/rate_i.
-    let expect = [4.0 / 7.0, 2.0 / 7.0, 1.0 / 7.0];
-    for (i, &place) in [p0, p1, p2].iter().enumerate() {
-        let measured = space.probability(&pi_ss, |m| m.is_marked(place));
-        assert!(
-            (measured - expect[i]).abs() < 1e-8,
-            "phase {i}: {measured} vs {}",
-            expect[i]
-        );
-    }
 }

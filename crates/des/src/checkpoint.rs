@@ -33,6 +33,11 @@ use crate::error::SimError;
 /// Schema identifier embedded in every checkpoint document.
 pub const CHECKPOINT_SCHEMA: &str = "ahs-checkpoint/v1";
 
+/// Checkpoint generations kept on disk and consulted on resume: the
+/// latest plus one fallback (`<name>.1.<ext>`), so a latest write that
+/// lands corrupt never strands the study.
+pub const CHECKPOINT_GENERATIONS: u32 = 2;
+
 /// A replication whose body panicked and was excluded from the
 /// estimates.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -163,9 +168,9 @@ impl StudyCheckpoint {
         write_with_retry(path, &bytes).map_err(checkpoint_err)
     }
 
-    /// Writes the checkpoint at `path`, first rotating existing
-    /// generations (`path` → `<name>.1.<ext>` → `<name>.2.<ext>` …) so
-    /// the newest `generations` documents survive. Rotation is
+    /// Writes the checkpoint at `path`, first rotating the existing
+    /// generations (`path` → `<name>.1.<ext>` …) so the newest
+    /// [`CHECKPOINT_GENERATIONS`] documents survive. Rotation is
     /// best-effort — a failed rename costs retention depth, never the
     /// checkpoint itself.
     ///
@@ -173,8 +178,8 @@ impl StudyCheckpoint {
     ///
     /// Returns [`SimError::Checkpoint`] when the new checkpoint cannot
     /// be written.
-    pub fn write_rotated(&self, path: &Path, generations: u32) -> Result<(), SimError> {
-        for k in (1..generations).rev() {
+    pub fn write_rotated(&self, path: &Path) -> Result<(), SimError> {
+        for k in (1..CHECKPOINT_GENERATIONS).rev() {
             let from = generation_path(path, k - 1);
             if from.exists() {
                 std::fs::rename(&from, generation_path(path, k)).ok();
@@ -211,9 +216,9 @@ impl StudyCheckpoint {
         })
     }
 
-    /// Loads the newest *valid* checkpoint generation: `path` itself
-    /// (generation 0), then `<name>.1.<ext>`, … up to
-    /// `generations - 1`. Returns the checkpoint and the generation it
+    /// Loads the newest *valid* of the [`CHECKPOINT_GENERATIONS`]
+    /// retained generations: `path` itself (generation 0), then
+    /// `<name>.1.<ext>`, …. Returns the checkpoint and the generation it
     /// came from, so callers can warn (and record `resume_fallback`)
     /// when the latest was corrupt or truncated.
     ///
@@ -221,9 +226,9 @@ impl StudyCheckpoint {
     ///
     /// Returns [`SimError::Checkpoint`] listing why every generation
     /// was rejected.
-    pub fn load_with_fallback(path: &Path, generations: u32) -> Result<(Self, u32), SimError> {
+    pub fn load_with_fallback(path: &Path) -> Result<(Self, u32), SimError> {
         let mut reasons = Vec::new();
-        for k in 0..generations.max(1) {
+        for k in 0..CHECKPOINT_GENERATIONS {
             match Self::load(&generation_path(path, k)) {
                 Ok(cp) => return Ok((cp, k)),
                 Err(e) => reasons.push(format!("generation {k}: {e}")),
@@ -231,8 +236,7 @@ impl StudyCheckpoint {
         }
         Err(SimError::Checkpoint {
             reason: format!(
-                "no valid checkpoint among {} generation(s) of {} — {}",
-                generations.max(1),
+                "no valid checkpoint among {CHECKPOINT_GENERATIONS} generation(s) of {} — {}",
                 path.display(),
                 reasons.join("; ")
             ),
@@ -623,34 +627,21 @@ mod tests {
             std::env::temp_dir().join(format!("ahs-checkpoint-rotate-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let path = dir.join("run.ckpt.json");
+        let oldest = generation_path(&path, CHECKPOINT_GENERATIONS - 1);
         let mut cp = sample_checkpoint();
-        cp.write_rotated(&path, 3).unwrap();
+        cp.write_rotated(&path).unwrap();
+        assert!(!oldest.exists(), "nothing to rotate on the first write");
         cp.seed = 0xFACE;
-        cp.write_rotated(&path, 3).unwrap();
+        cp.write_rotated(&path).unwrap();
+        assert_eq!(StudyCheckpoint::load(&path).unwrap().seed, 0xFACE);
+        assert_eq!(StudyCheckpoint::load(&oldest).unwrap().seed, 0xDEAD_BEEF);
+        // A further write at the same depth drops the oldest and keeps
+        // no generation beyond the constant depth.
         cp.seed = 0xBEEF;
-        cp.write_rotated(&path, 3).unwrap();
+        cp.write_rotated(&path).unwrap();
         assert_eq!(StudyCheckpoint::load(&path).unwrap().seed, 0xBEEF);
-        assert_eq!(
-            StudyCheckpoint::load(&generation_path(&path, 1))
-                .unwrap()
-                .seed,
-            0xFACE
-        );
-        assert_eq!(
-            StudyCheckpoint::load(&generation_path(&path, 2))
-                .unwrap()
-                .seed,
-            0xDEAD_BEEF
-        );
-        // A fourth write with the same depth drops the oldest.
-        cp.seed = 1;
-        cp.write_rotated(&path, 3).unwrap();
-        assert_eq!(
-            StudyCheckpoint::load(&generation_path(&path, 2))
-                .unwrap()
-                .seed,
-            0xFACE
-        );
+        assert_eq!(StudyCheckpoint::load(&oldest).unwrap().seed, 0xFACE);
+        assert!(!generation_path(&path, CHECKPOINT_GENERATIONS).exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -661,24 +652,24 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         let path = dir.join("run.ckpt.json");
         let cp = sample_checkpoint();
-        cp.write_rotated(&path, 2).unwrap();
-        cp.write_rotated(&path, 2).unwrap();
+        cp.write_rotated(&path).unwrap();
+        cp.write_rotated(&path).unwrap();
 
         // Pristine latest: generation 0 wins.
-        let (_, generation) = StudyCheckpoint::load_with_fallback(&path, 2).unwrap();
+        let (_, generation) = StudyCheckpoint::load_with_fallback(&path).unwrap();
         assert_eq!(generation, 0);
 
         // Truncate the latest mid-document: fall back to generation 1,
         // bitwise-equal to what was checkpointed.
         let full = std::fs::read(&path).unwrap();
         std::fs::write(&path, &full[..full.len() / 2]).unwrap();
-        let (back, generation) = StudyCheckpoint::load_with_fallback(&path, 2).unwrap();
+        let (back, generation) = StudyCheckpoint::load_with_fallback(&path).unwrap();
         assert_eq!(generation, 1);
         assert_eq!(back.curve.estimators(), cp.curve.estimators());
 
         // Corrupt *both* generations: a typed error naming each reason.
         std::fs::write(generation_path(&path, 1), b"{broken").unwrap();
-        let err = StudyCheckpoint::load_with_fallback(&path, 2).unwrap_err();
+        let err = StudyCheckpoint::load_with_fallback(&path).unwrap_err();
         match err {
             SimError::Checkpoint { reason } => {
                 assert!(reason.contains("generation 0"), "{reason}");

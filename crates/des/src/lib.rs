@@ -60,7 +60,8 @@ mod watchdog;
 
 pub use bias::BiasScheme;
 pub use checkpoint::{
-    generation_path, model_fingerprint, QuarantinedRep, StudyCheckpoint, CHECKPOINT_SCHEMA,
+    generation_path, model_fingerprint, QuarantinedRep, StudyCheckpoint, CHECKPOINT_GENERATIONS,
+    CHECKPOINT_SCHEMA,
 };
 pub use error::SimError;
 pub use observer::{NullObserver, Observer, TraceObserver};

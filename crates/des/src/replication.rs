@@ -118,7 +118,6 @@ pub struct Study {
     watchdog: Option<Watchdog>,
     quarantine_budget: u64,
     checkpoint: Option<CheckpointPlan>,
-    checkpoint_generations: u32,
     resume: Option<StudyCheckpoint>,
     interrupt: Option<Arc<AtomicBool>>,
 }
@@ -141,7 +140,6 @@ impl Study {
             watchdog: None,
             quarantine_budget: 0,
             checkpoint: None,
-            checkpoint_generations: 2,
             resume: None,
             interrupt: None,
         }
@@ -233,9 +231,10 @@ impl Study {
     /// `every` further replications have been merged into the
     /// contiguous prefix, plus a final checkpoint when the study ends
     /// (normally or interrupted). Before each write the previous
-    /// document is rotated to `<name>.1.<ext>` (and so on, up to
-    /// [`Study::with_checkpoint_generations`]), so a checkpoint that
-    /// lands corrupt never destroys the last good one.
+    /// document is rotated to `<name>.1.<ext>` (keeping
+    /// [`CHECKPOINT_GENERATIONS`](crate::CHECKPOINT_GENERATIONS) in
+    /// all), so a checkpoint that lands corrupt never destroys the last
+    /// good one.
     ///
     /// # Panics
     ///
@@ -247,19 +246,6 @@ impl Study {
             path: path.into(),
             every,
         });
-        self
-    }
-
-    /// How many checkpoint generations to retain (default 2: the
-    /// latest plus one fallback). `1` disables rotation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `generations == 0`.
-    #[must_use]
-    pub fn with_checkpoint_generations(mut self, generations: u32) -> Self {
-        assert!(generations > 0, "need at least one checkpoint generation");
-        self.checkpoint_generations = generations;
         self
     }
 
@@ -740,7 +726,7 @@ impl Study {
                         .cloned()
                         .collect();
                     let cp = make_checkpoint(snapshot, watermark, quarantined_below);
-                    if let Err(e) = cp.write_rotated(&plan.path, self.checkpoint_generations) {
+                    if let Err(e) = cp.write_rotated(&plan.path) {
                         fail(e);
                         return;
                     }
@@ -819,7 +805,7 @@ impl Study {
         };
         if let Some(plan) = &self.checkpoint {
             let cp = make_checkpoint(curve.clone(), prefix_end, quarantined.clone());
-            cp.write_rotated(&plan.path, self.checkpoint_generations)?;
+            cp.write_rotated(&plan.path)?;
             if let Some(p) = &self.progress {
                 p.emit(
                     "checkpoint_written",

@@ -234,7 +234,7 @@ fn chaos_sweep_covers_every_registered_failpoint() {
         ),
         "latest generation should be corrupt"
     );
-    let (cp, generation) = StudyCheckpoint::load_with_fallback(&cp_path, 2).unwrap();
+    let (cp, generation) = StudyCheckpoint::load_with_fallback(&cp_path).unwrap();
     assert_eq!(
         generation, 1,
         "fallback must come from the retained generation"
@@ -254,7 +254,7 @@ fn chaos_sweep_covers_every_registered_failpoint() {
     let err = StudyCheckpoint::load(&cp_path).unwrap_err();
     assert!(matches!(err, SimError::Checkpoint { .. }), "{err}");
     arm("des::checkpoint::load=1*corrupt-bytes(16)");
-    let (cp, generation) = StudyCheckpoint::load_with_fallback(&cp_path, 2).unwrap();
+    let (cp, generation) = StudyCheckpoint::load_with_fallback(&cp_path).unwrap();
     assert_eq!(generation, 1);
     assert_eq!(cp.watermark, 600);
     cover(&mut covered, &["des::checkpoint::load"]);

@@ -268,7 +268,7 @@ fn corrupt_latest_checkpoint_falls_back_to_previous_generation_bitwise() {
 
         // …while fallback retreats one generation and the resumed run
         // still lands bit-for-bit on the uninterrupted result.
-        let (cp, generation) = StudyCheckpoint::load_with_fallback(&cp_path, 2).unwrap();
+        let (cp, generation) = StudyCheckpoint::load_with_fallback(&cp_path).unwrap();
         assert!(generation > 0, "fallback should not have used generation 0");
         let (s, ko) = study(threads, 2009);
         let resumed = s

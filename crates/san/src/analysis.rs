@@ -39,64 +39,7 @@ impl StructuralReport {
     }
 }
 
-/// A violation of a weighted token-conservation law.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ConservationViolation {
-    /// Name of the offending activity.
-    pub activity: String,
-    /// Case index within the activity.
-    pub case: usize,
-    /// Net change of the weighted token sum when that case fires
-    /// (through arcs; gate functions are not analyzable).
-    pub delta: f64,
-}
-
 impl SanModel {
-    /// Checks a weighted token-conservation law (a candidate
-    /// P-semiflow): for every activity case, the weighted sum of arc
-    /// token changes must be zero. `weights` maps place index →
-    /// weight; missing places weigh zero.
-    ///
-    /// Only arc effects are analyzable — gate marking functions are
-    /// opaque closures, so a model that moves tokens through gates
-    /// (like the AHS severity counters) must be checked dynamically
-    /// instead (see the workspace's invariant property tests).
-    ///
-    /// Returns every violating `(activity, case)`.
-    pub fn check_conservation(
-        &self,
-        weights: &[(crate::PlaceId, f64)],
-    ) -> Vec<ConservationViolation> {
-        let mut w = vec![0.0_f64; self.num_places()];
-        for (p, weight) in weights {
-            w[p.index()] = *weight;
-        }
-        let mut violations = Vec::new();
-        for a in self.activities() {
-            let consumed: f64 = a
-                .input_arcs()
-                .iter()
-                .map(|(p, n)| w[p.index()] * *n as f64)
-                .sum();
-            for (case, c) in a.cases().iter().enumerate() {
-                let produced: f64 = c
-                    .output_arcs()
-                    .iter()
-                    .map(|(p, n)| w[p.index()] * *n as f64)
-                    .sum();
-                let delta = produced - consumed;
-                if delta.abs() > 1e-12 {
-                    violations.push(ConservationViolation {
-                        activity: a.name().to_owned(),
-                        case,
-                        delta,
-                    });
-                }
-            }
-        }
-        violations
-    }
-
     /// Computes structural statistics and conservative warnings.
     pub fn analyze(&self) -> StructuralReport {
         let mut touched: HashSet<usize> = HashSet::new();
@@ -192,55 +135,6 @@ mod tests {
         let r = b.build().unwrap().analyze();
         assert_eq!(r.always_enabled_activities, vec!["source".to_owned()]);
         assert!(!r.is_clean());
-    }
-
-    #[test]
-    fn conservation_law_holds_for_closed_cycle() {
-        let mut b = SanBuilder::new("cycle");
-        let p = b.place_with_tokens("p", 1).unwrap();
-        let q = b.place("q").unwrap();
-        b.timed_activity("pq", Delay::exponential(1.0))
-            .unwrap()
-            .input_place(p)
-            .output_place(q)
-            .build()
-            .unwrap();
-        b.timed_activity("qp", Delay::exponential(1.0))
-            .unwrap()
-            .input_place(q)
-            .output_place(p)
-            .build()
-            .unwrap();
-        let model = b.build().unwrap();
-        assert!(model.check_conservation(&[(p, 1.0), (q, 1.0)]).is_empty());
-    }
-
-    #[test]
-    fn conservation_violation_reported_per_case() {
-        let mut b = SanBuilder::new("leaky");
-        let p = b.place_with_tokens("p", 1).unwrap();
-        let q = b.place("q").unwrap();
-        // Case 0 conserves, case 1 duplicates the token.
-        b.timed_activity("split", Delay::exponential(1.0))
-            .unwrap()
-            .input_place(p)
-            .case(0.5)
-            .output_place(q)
-            .case(0.5)
-            .output_arc(q, 2)
-            .build()
-            .unwrap();
-        let model = b.build().unwrap();
-        let v = model.check_conservation(&[(p, 1.0), (q, 1.0)]);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].case, 1);
-        assert!((v[0].delta - 1.0).abs() < 1e-12);
-        assert_eq!(v[0].activity, "split");
-
-        // Weighting q at ½ makes case 1 conserve but breaks case 0.
-        let v = model.check_conservation(&[(p, 1.0), (q, 0.5)]);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].case, 0);
     }
 
     #[test]

@@ -67,7 +67,7 @@ mod place;
 pub mod trace;
 
 pub use activity::{Activity, ActivityId, Case, CaseProb, Timing};
-pub use analysis::{ConservationViolation, StructuralReport};
+pub use analysis::StructuralReport;
 pub use builder::{ActivityBuilder, SanBuilder};
 pub use delay::{Delay, RateFn, RateGroup, RateGroupId};
 pub use depgraph::DependencyGraph;

@@ -59,8 +59,6 @@ pub struct ServeConfig {
     pub restart_budget: u32,
     /// Replications between checkpoint flushes.
     pub checkpoint_every: u64,
-    /// Checkpoint generations retained per job.
-    pub checkpoint_generations: u32,
     /// Concurrent connection handlers; connections beyond this are
     /// shed with a 503 instead of spawning unbounded threads.
     pub max_connections: usize,
@@ -80,7 +78,6 @@ impl ServeConfig {
             policy: AdmissionPolicy::default(),
             restart_budget: 2,
             checkpoint_every: 10_000,
-            checkpoint_generations: 2,
             max_connections: 64,
             isolation: Isolation::Thread,
         }
@@ -360,7 +357,6 @@ fn worker_loop(inner: &Arc<Inner>) {
     let config = SupervisorConfig {
         restart_budget: inner.config.restart_budget,
         checkpoint_every: inner.config.checkpoint_every,
-        checkpoint_generations: inner.config.checkpoint_generations,
         watchdog: inner.config.policy.watchdog,
         isolation: inner.config.isolation.clone(),
     };

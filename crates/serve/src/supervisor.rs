@@ -96,8 +96,6 @@ pub(crate) struct SupervisorConfig {
     pub restart_budget: u32,
     /// Replications between checkpoint flushes.
     pub checkpoint_every: u64,
-    /// Checkpoint generations retained / consulted on resume.
-    pub checkpoint_generations: u32,
     /// Server-policy watchdog applied to every job.
     pub watchdog: Option<Watchdog>,
     /// The runner that carries each attempt.
@@ -271,7 +269,6 @@ fn attempt(job: &Arc<Job>, config: &SupervisorConfig, stop: &Arc<AtomicBool>) ->
     let options = WorkerOptions {
         job_dir: job.dir.clone(),
         checkpoint_every: config.checkpoint_every,
-        checkpoint_generations: config.checkpoint_generations,
         heartbeat_interval: match &config.isolation {
             Isolation::Process(isolation) => isolation.heartbeat_interval,
             Isolation::Thread => HEARTBEAT_INTERVAL,
@@ -390,8 +387,6 @@ fn run_process(
         .arg(&options.job_dir)
         .arg("--checkpoint-every")
         .arg(options.checkpoint_every.to_string())
-        .arg("--checkpoint-generations")
-        .arg(options.checkpoint_generations.to_string())
         .arg("--heartbeat-ms")
         .arg(options.heartbeat_interval.as_millis().to_string())
         .stdin(Stdio::null())

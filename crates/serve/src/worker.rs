@@ -35,7 +35,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use ahs_core::{AhsError, BiasMode, UnsafetyCurve, UnsafetyEvaluator};
-use ahs_des::{generation_path, Watchdog};
+use ahs_des::Watchdog;
 use ahs_obs::{atomic_write, heartbeat_write, Json, ProgressSink};
 
 use crate::job::{read_curve, set_key, write_curve, AdmissionPolicy, JobSpec};
@@ -57,8 +57,6 @@ pub struct WorkerOptions {
     pub job_dir: PathBuf,
     /// Replications between checkpoint flushes.
     pub checkpoint_every: u64,
-    /// Checkpoint generations retained / consulted on resume.
-    pub checkpoint_generations: u32,
     /// Heartbeat cadence.
     pub heartbeat_interval: Duration,
     /// Server-policy watchdog forwarded by the supervisor.
@@ -181,24 +179,30 @@ fn evaluate(options: &WorkerOptions, stop: &Arc<AtomicBool>) -> Result<Evaluated
         }
     }
 
-    let checkpoint = options.job_dir.join("checkpoint.json");
-    // Resume whenever any retained checkpoint generation survives.
-    let resume =
-        (0..options.checkpoint_generations).any(|g| generation_path(&checkpoint, g).exists());
     let progress = Arc::new(
         ProgressSink::file(&options.job_dir.join("telemetry.jsonl"))
             .map_err(|e| WorkerError::fatal(format!("opening telemetry sink: {e}")))?,
     );
-    let eval = evaluator_for_spec(
-        &spec,
-        &checkpoint,
-        options.checkpoint_every,
-        options.checkpoint_generations,
-        options.watchdog,
-        resume,
-    )
-    .with_interrupt(stop.clone())
-    .with_progress(progress.clone());
+    // Exactly the evaluator `ahs evaluate` would build for the same
+    // spec, checkpointed into the job directory: it resumes from there
+    // whenever a retained generation survives an earlier attempt.
+    let mut eval = UnsafetyEvaluator::new(spec.params.clone())
+        .with_seed(spec.seed)
+        .with_threads(spec.threads)
+        .with_replications(spec.replications)
+        .with_checkpoint(
+            options.job_dir.join("checkpoint.json"),
+            options.checkpoint_every,
+        )
+        .with_quarantine_budget(spec.quarantine_budget)
+        .with_interrupt(stop.clone())
+        .with_progress(progress.clone());
+    if spec.plain {
+        eval = eval.with_bias(BiasMode::None);
+    }
+    if let Some(watchdog) = options.watchdog {
+        eval = eval.with_watchdog(watchdog);
+    }
 
     let start = Instant::now();
     let curve = eval.evaluate(&spec.grid())?;
@@ -209,19 +213,8 @@ fn evaluate(options: &WorkerOptions, stop: &Arc<AtomicBool>) -> Result<Evaluated
         });
     }
     // The attempt is the only manifest writer, so provenance is
-    // recorded by whatever actually produced the estimates. Built from
-    // a fresh non-resume evaluator, so a resumed job's manifest equals
-    // an uninterrupted one's.
-    let manifest = evaluator_for_spec(
-        &spec,
-        &checkpoint,
-        options.checkpoint_every,
-        options.checkpoint_generations,
-        options.watchdog,
-        false,
-    )
-    .with_progress(progress.clone())
-    .manifest("ahs serve", &curve, wall_seconds);
+    // recorded by whatever actually produced the estimates.
+    let manifest = eval.manifest("ahs serve", &curve, wall_seconds);
     let manifest_path = options.job_dir.join("manifest.json");
     if let Err(e) = manifest.write(&manifest_path) {
         eprintln!(
@@ -234,36 +227,6 @@ fn evaluate(options: &WorkerOptions, stop: &Arc<AtomicBool>) -> Result<Evaluated
         wall_seconds,
         telemetry_dropped: progress.dropped(),
     })
-}
-
-/// The evaluator for one attempt over `spec` — exactly the
-/// configuration `ahs evaluate` would build for the same spec, with
-/// the checkpoint namespaced into the job directory.
-fn evaluator_for_spec(
-    spec: &JobSpec,
-    checkpoint: &Path,
-    checkpoint_every: u64,
-    checkpoint_generations: u32,
-    watchdog: Option<Watchdog>,
-    resume: bool,
-) -> UnsafetyEvaluator {
-    let mut eval = UnsafetyEvaluator::new(spec.params.clone())
-        .with_seed(spec.seed)
-        .with_threads(spec.threads)
-        .with_replications(spec.replications)
-        .with_checkpoint(checkpoint, checkpoint_every)
-        .with_checkpoint_generations(checkpoint_generations)
-        .with_quarantine_budget(spec.quarantine_budget);
-    if spec.plain {
-        eval = eval.with_bias(BiasMode::None);
-    }
-    if let Some(watchdog) = watchdog {
-        eval = eval.with_watchdog(watchdog);
-    }
-    if resume {
-        eval = eval.with_resume(checkpoint);
-    }
-    eval
 }
 
 /// The heartbeat thread, stopped and joined on drop — also when a

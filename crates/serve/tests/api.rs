@@ -359,7 +359,6 @@ fn attempt_over(tag: &str, job_json: &str, admitted: &JobSpec) -> (u8, Json) {
     let options = WorkerOptions {
         job_dir: dir.clone(),
         checkpoint_every: 100,
-        checkpoint_generations: 2,
         heartbeat_interval: Duration::from_millis(50),
         watchdog: None,
         expect_spec: Some(admitted.digest()),

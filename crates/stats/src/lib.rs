@@ -4,7 +4,7 @@
 //! (Hamouda et al., DSN 2009): running moments, confidence intervals,
 //! relative-precision stopping rules (the paper stops each point after at
 //! least 10 000 batches once the 95% interval is within 0.1 relative
-//! half-width), batch means, histograms, and time-grid curve accumulators
+//! half-width), histograms, and time-grid curve accumulators
 //! for transient measures such as the unsafety `S(t)`.
 //!
 //! # Example
@@ -26,7 +26,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod batch;
 mod ci;
 mod curve;
 mod histogram;
@@ -34,7 +33,6 @@ mod stopping;
 mod summary;
 mod welford;
 
-pub use batch::BatchMeans;
 pub use ci::{normal_quantile, student_t_quantile, ConfidenceInterval};
 pub use curve::{Curve, CurvePoint, TimeGrid};
 pub use histogram::Histogram;

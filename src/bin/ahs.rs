@@ -5,7 +5,7 @@
 //!              [--platoons P] [--horizon H] [--points K]
 //!              [--reps R | --paper] [--seed S] [--threads T] [--plain]
 //!              [--manifest PATH | --no-manifest] [--telemetry PATH] [--progress]
-//!              [--checkpoint PATH [--checkpoint-every N]] [--resume PATH]
+//!              [--checkpoint PATH [--checkpoint-every N]]
 //!              [--quarantine-budget B] [--watchdog-events E] [--watchdog-seconds W]
 //! ahs check [--n N] [--platoons P] [--strategy S | --all] [--max-states S]
 //!           [--capacity C] [--allow PATTERN]... [--no-default-allow]
@@ -13,7 +13,7 @@
 //!           [--failpoints SPEC]
 //! ahs serve [--addr HOST:PORT] [--state-dir DIR] [--workers W]
 //!           [--queue-capacity Q] [--restart-budget R]
-//!           [--checkpoint-every N] [--checkpoint-generations G]
+//!           [--checkpoint-every N]
 //!           [--max-reps R] [--max-threads T] [--quarantine-cap B]
 //!           [--max-connections C] [--mem-limit MB] [--cpu-limit SECS]
 //!           [--watchdog-events E] [--watchdog-seconds W]
@@ -124,19 +124,16 @@ evaluate flags:
   --progress      emit JSON-lines progress events to stderr
 
 robustness flags (evaluate):
-  --checkpoint P        write crash-safe study checkpoints to P; when P is a
+  --checkpoint P        write crash-safe study checkpoints to P, and resume
+                        from P when a checkpoint is already there (bitwise-
+                        identical result; falls back to the previous
+                        generation when the latest is corrupt; refuses one
+                        from another seed or configuration); when P is a
                         directory (or ends with /), the file is namespaced
                         per study as study-<seed>-<params digest>.checkpoint
                         .json, so simultaneous runs never clobber each other
                         (the default manifest moves there too)
   --checkpoint-every N  replications between checkpoints (default 100000)
-  --checkpoint-generations G
-                        checkpoint generations to retain / consult on
-                        resume (default 2: latest + one fallback)
-  --resume P            resume from the checkpoint at P (bitwise-identical
-                        result; falls back to the newest valid retained
-                        generation when the latest is corrupt); accepts the
-                        same per-study directory form as --checkpoint
   --quarantine-budget B tolerate up to B panicking replications (default 0)
   --watchdog-events E   fail any replication exceeding E events
   --watchdog-seconds W  fail any replication exceeding W seconds wall-clock
@@ -169,7 +166,6 @@ serve flags:
   --queue-capacity Q  queued jobs before 429 shedding    (default 16)
   --restart-budget R  restarts per job before failure    (default 2)
   --checkpoint-every N   replications between job checkpoints (default 10000)
-  --checkpoint-generations G  checkpoint generations per job   (default 2)
   --max-reps R        admission cap on reps per job      (default 2000000)
   --max-threads T     admission clamp on threads per job (default: all cores)
   --quarantine-cap B  admission cap on quarantine budget (default 1000)
@@ -367,8 +363,6 @@ const EVALUATE_FLAGS: Accepted = Accepted {
         "--telemetry",
         "--checkpoint",
         "--checkpoint-every",
-        "--checkpoint-generations",
-        "--resume",
         "--quarantine-budget",
         "--watchdog-events",
         "--watchdog-seconds",
@@ -436,19 +430,6 @@ fn cmd_evaluate(args: &[String]) -> Result<ExitCode, String> {
         };
         eval = eval.with_checkpoint(&target, every);
         checkpoint_file = Some(target);
-    }
-    let generations: u32 = f.parse("--checkpoint-generations", 2u32)?;
-    if generations == 0 {
-        return Err("--checkpoint-generations must be positive".into());
-    }
-    eval = eval.with_checkpoint_generations(generations);
-    if let Some(path) = f.value("--resume")? {
-        let target = if path.ends_with('/') || Path::new(path).is_dir() {
-            study_checkpoint_path(Path::new(path), seed, &params)
-        } else {
-            PathBuf::from(path)
-        };
-        eval = eval.with_resume(target);
     }
     eval = eval.with_quarantine_budget(f.parse("--quarantine-budget", 0u64)?);
     if let Some(watchdog) = parse_watchdog(&f)? {
@@ -539,7 +520,7 @@ fn cmd_evaluate(args: &[String]) -> Result<ExitCode, String> {
             "interrupted: study stopped after {} replications{}",
             curve.replications(),
             if checkpoint_file.is_some() {
-                "; resume with --resume <checkpoint>"
+                "; re-run with the same --checkpoint to resume"
             } else {
                 " (no --checkpoint configured, progress is lost)"
             }
@@ -557,7 +538,6 @@ const SERVE_FLAGS: Accepted = Accepted {
         "--queue-capacity",
         "--restart-budget",
         "--checkpoint-every",
-        "--checkpoint-generations",
         "--max-reps",
         "--max-threads",
         "--quarantine-cap",
@@ -591,11 +571,6 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
     config.checkpoint_every = f.parse("--checkpoint-every", config.checkpoint_every)?;
     if config.checkpoint_every == 0 {
         return Err("--checkpoint-every must be positive".into());
-    }
-    config.checkpoint_generations =
-        f.parse("--checkpoint-generations", config.checkpoint_generations)?;
-    if config.checkpoint_generations == 0 {
-        return Err("--checkpoint-generations must be positive".into());
     }
 
     let mut policy = AdmissionPolicy::default();
@@ -673,7 +648,6 @@ const SERVE_WORKER_FLAGS: Accepted = Accepted {
     values: &[
         "--job-dir",
         "--checkpoint-every",
-        "--checkpoint-generations",
         "--heartbeat-ms",
         "--mem-limit",
         "--cpu-limit",
@@ -695,6 +669,13 @@ fn cmd_serve_worker(args: &[String]) -> Result<ExitCode, String> {
     configure_failpoints(&f)?;
     let Some(job_dir) = f.value("--job-dir")? else {
         return Err("serve-worker requires --job-dir (internal mode; use `ahs serve`)".into());
+    };
+    // The supervisor always passes its interval; the one default lives
+    // in `ServeConfig`.
+    let Some(checkpoint_every) = parse_positive(&f, "--checkpoint-every")? else {
+        return Err(
+            "serve-worker requires --checkpoint-every (internal mode; use `ahs serve`)".into(),
+        );
     };
     // Self-applied budgets, before the attempt parses or compiles
     // anything, so a runaway allocation or CPU spin dies inside this
@@ -719,8 +700,7 @@ fn cmd_serve_worker(args: &[String]) -> Result<ExitCode, String> {
     };
     let options = WorkerOptions {
         job_dir: PathBuf::from(job_dir),
-        checkpoint_every: f.parse("--checkpoint-every", 10_000u64)?,
-        checkpoint_generations: f.parse("--checkpoint-generations", 2u32)?,
+        checkpoint_every,
         heartbeat_interval: std::time::Duration::from_millis(f.parse("--heartbeat-ms", 200u64)?),
         watchdog: parse_watchdog(&f)?,
         expect_spec,

@@ -315,8 +315,9 @@ fn checkpoint_directory_namespaces_per_study() {
         "file name must embed the seed: {checkpoints:?}"
     );
 
-    // `--resume DIR/` finds the same per-study file (a completed
-    // checkpoint resumes to an identical, already-final study).
+    // Re-running with the same `--checkpoint DIR/` finds the same
+    // per-study file (a completed checkpoint resumes to an identical,
+    // already-final study).
     let out = ahs()
         .args([
             "evaluate",
@@ -332,8 +333,10 @@ fn checkpoint_directory_namespaces_per_study() {
             "4",
             "--seed",
             "11",
-            "--resume",
+            "--checkpoint",
             &ckpt_dir,
+            "--checkpoint-every",
+            "100",
             "--no-manifest",
         ])
         .output()
@@ -347,6 +350,95 @@ fn checkpoint_directory_namespaces_per_study() {
     assert!(
         text.contains("resumed from checkpoint watermark"),
         "resume-from-directory must pick up the study file:\n{text}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Runs a small checkpointed `ahs evaluate` over `checkpoint` with
+/// `seed`, writing its manifest to `manifest`.
+fn evaluate_checkpointed(
+    checkpoint: &std::path::Path,
+    manifest: &std::path::Path,
+    seed: &str,
+) -> std::process::Output {
+    ahs()
+        .args([
+            "evaluate",
+            "--n",
+            "2",
+            "--lambda",
+            "5e-3",
+            "--reps",
+            "500",
+            "--points",
+            "2",
+            "--horizon",
+            "4",
+            "--seed",
+            seed,
+            "--checkpoint-every",
+            "100",
+        ])
+        .arg("--checkpoint")
+        .arg(checkpoint)
+        .arg("--manifest")
+        .arg(manifest)
+        .output()
+        .expect("binary runs")
+}
+
+#[test]
+fn checkpoint_file_resumes_and_refuses_another_study() {
+    // `--checkpoint FILE` resumes whenever FILE already holds a
+    // checkpoint; one taken with another seed is refused, not
+    // overwritten.
+    let dir = std::env::temp_dir().join(format!("ahs_cli_ckpt_file_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let checkpoint = dir.join("run.ckpt.json");
+    let estimates = |p: &std::path::Path| {
+        let text = std::fs::read_to_string(p).expect("manifest written");
+        let start = text.find("\"estimates\":").expect("has estimates");
+        let end = text[start..].find(']').expect("estimates close");
+        text[start..start + end].to_owned()
+    };
+
+    let first = evaluate_checkpointed(&checkpoint, &dir.join("first.json"), "11");
+    assert!(
+        first.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&first.stderr)
+    );
+    let second = evaluate_checkpointed(&checkpoint, &dir.join("second.json"), "11");
+    assert!(
+        second.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&second.stderr)
+    );
+    let text = String::from_utf8(second.stdout).unwrap();
+    assert!(
+        text.contains("resumed from checkpoint watermark"),
+        "the second run must resume:\n{text}"
+    );
+    assert_eq!(
+        estimates(&dir.join("first.json")),
+        estimates(&dir.join("second.json")),
+        "a resumed run reproduces the estimates byte for byte"
+    );
+
+    let before = std::fs::read(&checkpoint).unwrap();
+    let other = evaluate_checkpointed(&checkpoint, &dir.join("other.json"), "12");
+    assert_eq!(other.status.code(), Some(1));
+    let err = String::from_utf8(other.stderr).unwrap();
+    assert!(err.contains("master seed mismatch"), "{err}");
+    assert_eq!(
+        std::fs::read(&checkpoint).unwrap(),
+        before,
+        "a refused checkpoint keeps its bytes"
+    );
+    assert!(
+        !dir.join("other.json").exists(),
+        "no manifest for a refused run"
     );
     std::fs::remove_dir_all(&dir).ok();
 }
