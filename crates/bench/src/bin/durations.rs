@@ -6,6 +6,12 @@ use ahs_obs::{Json, RunManifest};
 use ahs_stats::format_markdown;
 
 fn main() {
+    // No flags: a stray `--reps` (or a typo) must not rewrite the
+    // committed manifest as if it had been understood.
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("error: unknown argument `{arg}` (`durations` takes no arguments)");
+        std::process::exit(2);
+    }
     let start = std::time::Instant::now();
     let samples = 400u32;
     let seed = 42u64;

@@ -5,6 +5,12 @@ use ahs_obs::RunManifest;
 use ahs_stats::format_markdown;
 
 fn main() {
+    // No flags: a stray `--reps` (or a typo) must not rewrite the
+    // committed manifest as if it had been understood.
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("error: unknown argument `{arg}` (`tables` takes no arguments)");
+        std::process::exit(2);
+    }
     let start = std::time::Instant::now();
     let [t1, t2, t3] = tables();
     println!("### Table 1 — Failure modes and associated maneuvers\n");

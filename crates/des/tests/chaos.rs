@@ -334,10 +334,11 @@ fn chaos_sweep_covers_every_registered_failpoint() {
     cover(&mut covered, &["des::sim::step"]);
 
     // --- The sweep's reason to exist: nothing in the obs/des layers
-    // escaped. The `ahs-serve` points have their own serial sweep
-    // (`crates/serve/tests/chaos.rs`); the partition check below keeps
-    // the two sweeps jointly exhaustive — a failpoint registered under
-    // a new (or typo'd) layer fails here until a sweep claims it.
+    // escaped. The `ahs-serve` and `ahs-serve-worker` points have
+    // their own serial sweep (`tests/serve_chaos.rs` at the workspace
+    // root); the partition check below keeps the two sweeps jointly
+    // exhaustive — a failpoint registered under a new (or typo'd)
+    // layer fails here until a sweep claims it.
     let all: HashSet<&'static str> = ahs_inject::catalog()
         .iter()
         .filter(|d| d.layer != "ahs-serve" && d.layer != "ahs-serve-worker")

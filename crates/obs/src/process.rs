@@ -13,13 +13,13 @@
 //! `kill(2)` — the only other `unsafe` in the workspace, confined to
 //! this module behind the crate's `deny(unsafe_code)`. On non-Unix
 //! targets every function returns [`std::io::ErrorKind::Unsupported`]
-//! and [`rlimit_supported`] is `false`, which is the signal for callers
-//! to run attempts in-process instead.
+//! and [`rlimit_supported`] is `false`: `ahs serve` then rejects
+//! rlimit budgets, and a drain kills worker processes outright.
 #![allow(unsafe_code)]
 
 /// Whether this platform can apply `setrlimit`-based budgets (and
-/// deliver SIGTERM). False on non-Unix targets, where `ahs serve` runs
-/// job attempts in-process.
+/// deliver SIGTERM). False on non-Unix targets, where `ahs serve`
+/// rejects `--mem-limit`/`--cpu-limit`.
 #[must_use]
 pub fn rlimit_supported() -> bool {
     cfg!(unix)

@@ -373,7 +373,7 @@ pub struct Job {
     /// Telemetry events dropped across all attempts.
     pub telemetry_dropped: AtomicU64,
     /// PID of the isolated worker process currently evaluating this
-    /// job (0 when none — in-process attempts, or between attempts).
+    /// job (0 between attempts).
     pub worker_pid: AtomicU32,
 }
 

@@ -4,8 +4,8 @@
 //! here: a zero-dependency HTTP/1.1 server with a bounded job queue
 //! and per-job supervision built entirely from the workspace's
 //! existing crash-safe primitives. The robustness contract, proven by
-//! the chaos tier (`tests/chaos.rs`) and the determinism tier
-//! (`tests/determinism.rs`):
+//! the workspace's serve tiers (`tests/serve_chaos.rs`,
+//! `tests/serve_determinism.rs`, `tests/serve_process.rs`):
 //!
 //! * **Bitwise determinism under concurrency** — every attempt builds
 //!   its own model and replication state from its spec; a job's
@@ -25,14 +25,13 @@
 //!   state directory resumes every one of them bitwise.
 //! * **One attempt protocol** — every job attempt reads its spec from
 //!   `job.json` and answers with a heartbeat, an `outcome.json` and an
-//!   exit code (0 / 75 / 1), mapped into one restart policy. With
-//!   [`Isolation::Process`] (what `ahs serve` picks wherever rlimits
-//!   exist) the attempt runs in a re-execed worker process
-//!   (`ahs serve-worker`) under self-applied `setrlimit` budgets,
-//!   heartbeat-supervised, so a SIGKILL, SIGSEGV, or allocation abort
-//!   kills one attempt — never another job, never the server — and
-//!   restarts from the latest good checkpoint generation, bitwise.
-//!   [`Isolation::Thread`] runs the same protocol in-process.
+//!   exit code (0 / 75 / 1), mapped into one restart policy. Every
+//!   attempt runs in a re-execed worker process (`ahs serve-worker`,
+//!   configured by [`ProcessIsolation`]) under self-applied
+//!   `setrlimit` budgets, heartbeat-supervised, so a SIGKILL, SIGSEGV,
+//!   or allocation abort kills one attempt — never another job, never
+//!   the server — and restarts from the latest good checkpoint
+//!   generation, bitwise.
 //! * **Chaos-hardened** — the `serve::*` failpoints (accept,
 //!   job-enqueue, worker-spawn/exec/heartbeat/reap, response-write)
 //!   each degrade to a typed error, a counted degradation, or a
@@ -52,5 +51,5 @@ mod worker;
 
 pub use job::{AdmissionPolicy, Job, JobSpec, Phase, SubmitError, JOB_SCHEMA, JOB_SPEC_SCHEMA};
 pub use server::{DrainReport, ServeConfig, Server};
-pub use supervisor::{Isolation, ProcessIsolation};
+pub use supervisor::ProcessIsolation;
 pub use worker::{run_worker, WorkerOptions, WORKER_EXIT_DRAINED, WORKER_OUTCOME_SCHEMA};

@@ -31,7 +31,7 @@ use ahs_obs::{write_with_retry, Json, RunOutcome};
 
 use crate::http::{read_request, write_response, Request, RequestError};
 use crate::job::{read_curve, AdmissionPolicy, Job, JobSpec, Phase, SubmitError};
-use crate::supervisor::{run_supervised, Isolation, SupervisorConfig};
+use crate::supervisor::{run_supervised, ProcessIsolation, SupervisorConfig};
 
 /// How often the drain watcher checks the shutdown flag — the only
 /// timed wait in the server, and off the job path.
@@ -62,14 +62,16 @@ pub struct ServeConfig {
     /// Concurrent connection handlers; connections beyond this are
     /// shed with a 503 instead of spawning unbounded threads.
     pub max_connections: usize,
-    /// Which runner carries each job attempt: in-process (the
-    /// default), or re-execed worker processes with resource budgets.
-    pub isolation: Isolation,
+    /// How each job attempt's worker process is started and watched:
+    /// the binary to re-exec, its resource budgets and its heartbeat.
+    pub isolation: ProcessIsolation,
 }
 
 impl ServeConfig {
-    /// Defaults for serving from `state_dir` on a loopback port.
-    pub fn new(state_dir: impl Into<PathBuf>) -> ServeConfig {
+    /// Defaults for serving from `state_dir` on a loopback port, each
+    /// job attempt re-execing `worker_exe` (a binary that understands
+    /// the hidden `serve-worker` mode, normally the `ahs` binary).
+    pub fn new(state_dir: impl Into<PathBuf>, worker_exe: impl Into<PathBuf>) -> ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:2009".to_owned(),
             state_dir: state_dir.into(),
@@ -79,7 +81,7 @@ impl ServeConfig {
             restart_budget: 2,
             checkpoint_every: 10_000,
             max_connections: 64,
-            isolation: Isolation::Thread,
+            isolation: ProcessIsolation::new(worker_exe),
         }
     }
 }

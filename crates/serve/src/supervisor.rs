@@ -3,27 +3,20 @@
 //!
 //! Every attempt speaks the one protocol of [`crate::worker`]: spec
 //! in from `job.json`; heartbeat, `outcome.json` and `manifest.json`
-//! out; exit 0 / 75 / 1. [`Isolation`] only picks the runner:
+//! out; exit 0 / 75 / 1. The attempt re-execs the worker binary as a
+//! hidden `ahs serve-worker`, which applies `setrlimit` budgets to
+//! itself before running the protocol. The supervisor sees the
+//! worker's death as EOF on its stdout pipe and watches its heartbeat,
+//! so *any* death — SIGKILL, SIGSEGV, rlimit-induced aborts, a wedge —
+//! costs one restart, and is reaped as soon as it happens.
 //!
-//! * **Process**: the attempt re-execs the current binary as a hidden
-//!   `ahs serve-worker`, which applies `setrlimit` budgets to itself
-//!   before running the protocol. The supervisor sees the worker's
-//!   death as EOF on its stdout pipe and watches its heartbeat, so
-//!   *any* death — SIGKILL, SIGSEGV, rlimit-induced aborts, a wedge —
-//!   costs one restart, and is reaped as soon as it happens.
-//! * **Thread** (in-process, for platforms without rlimits): the
-//!   supervisor thread runs the same protocol under `catch_unwind`,
-//!   a panic standing in for exit 101. An abort, OOM or stack
-//!   overflow still takes the whole server with it.
-//!
-//! Either way the exit and the outcome document go through one
-//! mapping ([`classify_worker_exit`]) into one restart policy, and a
-//! restarted attempt resumes bitwise from the latest good checkpoint
-//! generation. Unrecoverable causes (bad parameters, checkpoint
-//! validation failure, IO that outlived its retries) fail the job with
-//! a typed message instead of burning restarts.
+//! The exit and the outcome document go through one mapping
+//! ([`classify_worker_exit`]) into one restart policy, and a restarted
+//! attempt resumes bitwise from the latest good checkpoint generation.
+//! Unrecoverable causes (bad parameters, checkpoint validation
+//! failure, IO that outlived its retries) fail the job with a typed
+//! message instead of burning restarts.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -36,25 +29,12 @@ use ahs_des::{SimError, Watchdog};
 use ahs_obs::{heartbeat_read, send_sigterm};
 
 use crate::job::{Job, JobSpec, Phase};
-use crate::worker::{run_worker, WorkerOptions, WorkerOutcome};
+use crate::worker::{WorkerOptions, WorkerOutcome};
 
 /// Default heartbeat cadence of an attempt.
 const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(200);
 
-/// Where each job attempt runs.
-#[derive(Debug, Clone)]
-pub enum Isolation {
-    /// On the supervisor's own thread, under `catch_unwind`. An abort
-    /// kills every tenant at once; kept for platforms without rlimit
-    /// support and for in-process tests.
-    Thread,
-    /// In a child process re-execed from `worker_exe`, with optional
-    /// `setrlimit` budgets — the containment boundary that survives
-    /// SIGKILL, SIGSEGV, and allocation aborts.
-    Process(ProcessIsolation),
-}
-
-/// Knobs for [`Isolation::Process`].
+/// How each job attempt's worker process is started and watched.
 #[derive(Debug, Clone)]
 pub struct ProcessIsolation {
     /// Binary to re-exec (normally `std::env::current_exe()`); it must
@@ -74,9 +54,9 @@ pub struct ProcessIsolation {
 }
 
 impl ProcessIsolation {
-    /// Process isolation via `worker_exe` with default budgets: no
-    /// rlimits, 200ms heartbeats declared stale after 30s, 30s of
-    /// drain grace.
+    /// Worker processes re-execed from `worker_exe` with default
+    /// budgets: no rlimits, 200ms heartbeats declared stale after 30s,
+    /// 30s of drain grace.
     pub fn new(worker_exe: impl Into<PathBuf>) -> ProcessIsolation {
         ProcessIsolation {
             worker_exe: worker_exe.into(),
@@ -98,11 +78,11 @@ pub(crate) struct SupervisorConfig {
     pub checkpoint_every: u64,
     /// Server-policy watchdog applied to every job.
     pub watchdog: Option<Watchdog>,
-    /// The runner that carries each attempt.
-    pub isolation: Isolation,
+    /// How each attempt's worker process is started and watched.
+    pub isolation: ProcessIsolation,
 }
 
-/// The verdict on one attempt, whichever runner ran it.
+/// The verdict on one attempt.
 enum AttemptEnd {
     /// Final estimates are in hand (and the attempt wrote the
     /// manifest).
@@ -221,8 +201,8 @@ pub(crate) fn run_supervised(
     }
 }
 
-/// One attempt, in either runner: failpoints, a clean slate, the run
-/// itself, then the outcome document classified by exit.
+/// One attempt: failpoints, a clean slate, the worker process itself,
+/// then the outcome document classified by exit.
 fn attempt(job: &Arc<Job>, config: &SupervisorConfig, stop: &Arc<AtomicBool>) -> AttemptEnd {
     // The spawn failpoint models a worker dying before (panic) or while
     // (error) picking the job up: panic-shaped faults are restartable
@@ -249,7 +229,7 @@ fn attempt(job: &Arc<Job>, config: &SupervisorConfig, stop: &Arc<AtomicBool>) ->
     }
     // The exec failpoint models starting the worker failing (missing
     // binary, fork failure): a restartable crash, like a real spawn
-    // error in the process runner.
+    // error.
     match ahs_inject::eval("serve::worker::exec") {
         Some(ahs_inject::Fault::Error(_) | ahs_inject::Fault::Panic(_)) => {
             return AttemptEnd::Crashed {
@@ -269,19 +249,13 @@ fn attempt(job: &Arc<Job>, config: &SupervisorConfig, stop: &Arc<AtomicBool>) ->
     let options = WorkerOptions {
         job_dir: job.dir.clone(),
         checkpoint_every: config.checkpoint_every,
-        heartbeat_interval: match &config.isolation {
-            Isolation::Process(isolation) => isolation.heartbeat_interval,
-            Isolation::Thread => HEARTBEAT_INTERVAL,
-        },
+        heartbeat_interval: config.isolation.heartbeat_interval,
         watchdog: config.watchdog,
         expect_spec: job.spec.as_ref().map(JobSpec::digest),
     };
-    let (exit, termed) = match &config.isolation {
-        Isolation::Thread => run_in_process(&options, stop),
-        Isolation::Process(isolation) => match run_process(job, &options, isolation, stop) {
-            Ok(ended) => ended,
-            Err(reason) => return AttemptEnd::Crashed { reason },
-        },
+    let (exit, termed) = match run_process(job, &options, &config.isolation, stop) {
+        Ok(ended) => ended,
+        Err(reason) => return AttemptEnd::Crashed { reason },
     };
 
     // The reap failpoint models losing the worker's outcome document
@@ -364,16 +338,8 @@ fn attempt(job: &Arc<Job>, config: &SupervisorConfig, stop: &Arc<AtomicBool>) ->
     }
 }
 
-/// The in-process runner: the attempt runs on this supervisor thread.
-/// A panic reads as exit 101, exactly as a panicking worker process
-/// exits; an abort still takes the whole server down.
-fn run_in_process(options: &WorkerOptions, stop: &Arc<AtomicBool>) -> (WorkerExit, bool) {
-    let code = catch_unwind(AssertUnwindSafe(|| run_worker(options, stop))).map_or(101, i32::from);
-    (WorkerExit::Code(code), stop.load(Ordering::Relaxed))
-}
-
-/// The process runner: re-exec the worker with `options` on its argv,
-/// then watch exit + heartbeat. `Err` when the child never started.
+/// Re-execs the worker with `options` on its argv, then watches exit
+/// and heartbeat. `Err` when the child never started.
 fn run_process(
     job: &Job,
     options: &WorkerOptions,

@@ -1,6 +1,5 @@
 //! The one job-attempt protocol: what runs inside the hidden
-//! `ahs serve-worker` process, and — under the in-process runner — on
-//! a supervisor thread.
+//! `ahs serve-worker` process.
 //!
 //! An attempt reads the job's spec from `job.json` in its namespaced
 //! state directory, heartbeats a file for the supervisor's staleness
@@ -26,7 +25,7 @@
 //!
 //! Resource budgets are not part of the protocol: the `serve-worker`
 //! entry point applies `setrlimit` to its own process before calling
-//! [`run_worker`], so an in-process attempt can never cap the server.
+//! [`run_worker`], so a caller of [`run_worker`] is never capped by it.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -230,7 +229,7 @@ fn evaluate(options: &WorkerOptions, stop: &Arc<AtomicBool>) -> Result<Evaluated
 }
 
 /// The heartbeat thread, stopped and joined on drop — also when a
-/// panicking in-process attempt unwinds past it.
+/// panicking attempt unwinds past it.
 struct Heartbeat {
     done: Arc<AtomicBool>,
     handle: Option<JoinHandle<()>>,

@@ -179,9 +179,8 @@ serve flags:
                       watchdog applied to every job (server policy)
   --failpoints SPEC   arm deterministic fault injection (inject builds only)
 
-serve runs each job attempt in a re-execed `ahs serve-worker` process
-wherever rlimits are supported, so crashes and resource-limit kills stay
-contained (elsewhere attempts run in the server process); it exposes
+serve runs each job attempt in a re-execed `ahs serve-worker` process, so
+crashes and resource-limit kills stay contained; it exposes
 POST/GET /v1/jobs, GET /v1/jobs/{id}[/manifest], and GET /v1/healthz
 (schemas in tests/serve-api.schema.json, API guide in docs/serving.md); on
 SIGINT/SIGTERM it drains in-flight jobs at chunk boundaries and exits 75
@@ -547,18 +546,22 @@ const SERVE_FLAGS: Accepted = Accepted {
         "--watchdog-events",
         "--watchdog-seconds",
         "--failpoints",
-        // Removed; still taken so the error can say why.
-        "--isolation",
     ],
     switches: &[],
 };
 
 fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
-    use ahs_safety::serve::{AdmissionPolicy, Isolation, ProcessIsolation, ServeConfig, Server};
+    use ahs_safety::serve::{AdmissionPolicy, ServeConfig, Server};
 
     let f = Flags::new(args);
     configure_failpoints(&f)?;
-    let mut config = ServeConfig::new(f.value("--state-dir")?.unwrap_or("results/serve"));
+    // Every job attempt re-execs this binary as `ahs serve-worker`.
+    let worker_exe =
+        std::env::current_exe().map_err(|e| format!("resolving the worker binary: {e}"))?;
+    let mut config = ServeConfig::new(
+        f.value("--state-dir")?.unwrap_or("results/serve"),
+        worker_exe,
+    );
     if let Some(addr) = f.value("--addr")? {
         config.addr = addr.to_owned();
     }
@@ -590,36 +593,21 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
     if config.max_connections == 0 {
         return Err("--max-connections must be positive".into());
     }
-    if f.has("--isolation") {
-        let reason = "the platform picks worker processes wherever rlimits are supported";
-        return Err(format!("--isolation was removed: {reason}"));
-    }
-    // The platform decides where attempts run: worker processes
-    // wherever rlimits (and POSIX signals) exist, in-process elsewhere.
-    if rlimit_supported() {
-        let worker_exe =
-            std::env::current_exe().map_err(|e| format!("resolving the worker binary: {e}"))?;
-        let mut isolation = ProcessIsolation::new(worker_exe);
-        isolation.mem_limit_mb = parse_positive(&f, "--mem-limit")?;
-        isolation.cpu_limit_secs = parse_positive(&f, "--cpu-limit")?;
-        config.isolation = Isolation::Process(isolation);
-    } else if f.has("--mem-limit") || f.has("--cpu-limit") {
+    if !rlimit_supported() && (f.has("--mem-limit") || f.has("--cpu-limit")) {
         return Err("--mem-limit/--cpu-limit are not supported on this platform".into());
     }
+    config.isolation.mem_limit_mb = parse_positive(&f, "--mem-limit")?;
+    config.isolation.cpu_limit_secs = parse_positive(&f, "--cpu-limit")?;
 
     let state_dir = config.state_dir.clone();
     let (workers, queue_capacity) = (config.workers, config.queue_capacity);
-    let runner = match &config.isolation {
-        Isolation::Thread => "in-process attempts",
-        Isolation::Process(_) => "process isolation",
-    };
     let server =
         Server::start(config, interrupt_flag()).map_err(|e| format!("starting server: {e}"))?;
     // The CI smoke job parses this line to discover the bound port.
     println!("ahs-serve listening on http://{}", server.local_addr());
     println!(
         "state dir {}; {workers} worker(s); queue capacity {queue_capacity}; \
-         {runner}; stop with SIGINT/SIGTERM (drains, exit 75 \
+         process isolation; stop with SIGINT/SIGTERM (drains, exit 75 \
          while jobs are resumable)",
         state_dir.display()
     );
@@ -667,16 +655,20 @@ fn cmd_serve_worker(args: &[String]) -> Result<ExitCode, String> {
     // environment passes straight through — so a chaos sweep reaches
     // inside worker processes too.
     configure_failpoints(&f)?;
-    let Some(job_dir) = f.value("--job-dir")? else {
-        return Err("serve-worker requires --job-dir (internal mode; use `ahs serve`)".into());
-    };
-    // The supervisor always passes its interval; the one default lives
-    // in `ServeConfig`.
-    let Some(checkpoint_every) = parse_positive(&f, "--checkpoint-every")? else {
-        return Err(
-            "serve-worker requires --checkpoint-every (internal mode; use `ahs serve`)".into(),
-        );
-    };
+    // The supervisor always passes the job directory, its checkpoint
+    // interval and its heartbeat cadence; the one default of each
+    // lives in the server's configuration.
+    let required =
+        |flag: &str| format!("serve-worker requires {flag} (internal mode; use `ahs serve`)");
+    let job_dir = f.value("--job-dir")?.ok_or_else(|| required("--job-dir"))?;
+    let checkpoint_every =
+        parse_positive(&f, "--checkpoint-every")?.ok_or_else(|| required("--checkpoint-every"))?;
+    let heartbeat_ms = f
+        .value("--heartbeat-ms")?
+        .ok_or_else(|| required("--heartbeat-ms"))?;
+    let heartbeat_ms: u64 = heartbeat_ms
+        .parse()
+        .map_err(|e| format!("invalid value `{heartbeat_ms}` for --heartbeat-ms: {e}"))?;
     // Self-applied budgets, before the attempt parses or compiles
     // anything, so a runaway allocation or CPU spin dies inside this
     // process, never in the server. Failure to apply one is a warning:
@@ -701,7 +693,7 @@ fn cmd_serve_worker(args: &[String]) -> Result<ExitCode, String> {
     let options = WorkerOptions {
         job_dir: PathBuf::from(job_dir),
         checkpoint_every,
-        heartbeat_interval: std::time::Duration::from_millis(f.parse("--heartbeat-ms", 200u64)?),
+        heartbeat_interval: std::time::Duration::from_millis(heartbeat_ms),
         watchdog: parse_watchdog(&f)?,
         expect_spec,
     };

@@ -497,10 +497,43 @@ fn serve_starts_lists_health_and_drains_clean() {
 }
 
 #[test]
+fn serve_worker_requires_the_heartbeat_cadence() {
+    // The hidden worker mode takes its heartbeat cadence from the
+    // supervisor, like its checkpoint interval: without the flag it
+    // refuses to run, before touching the job directory — even one
+    // holding a runnable spec.
+    let dir = std::env::temp_dir().join(format!("ahs_cli_serve_worker_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec = r#"{"seq":1,"n":2,"lambda":5e-3,"horizon":4,"points":2,"reps":100,"seed":1,"threads":1,"plain":true}"#;
+    std::fs::write(dir.join("job.json"), spec).unwrap();
+    let out = ahs()
+        .arg("serve-worker")
+        .arg("--job-dir")
+        .arg(&dir)
+        .args(["--checkpoint-every", "10"])
+        .output()
+        .expect("binary runs");
+    let left: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        err.contains("--heartbeat-ms") && err.contains("internal mode"),
+        "{err}"
+    );
+    assert_eq!(left, ["job.json"], "a refused worker must write nothing");
+}
+
+#[test]
 fn serve_rejects_the_removed_isolation_flag() {
     // The platform picks the job runner; a leftover `--isolation` is an
-    // error before anything binds, not a silently ignored flag.
-    let dir = std::env::temp_dir().join("ahs_cli_serve_isolation_test");
+    // unknown flag, an error before anything binds, not silently ignored.
+    let dir = std::env::temp_dir().join(format!("ahs_cli_serve_isolation_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
     let out = ahs()
         .args(["serve", "--isolation", "thread", "--addr", "127.0.0.1:0"])
         .arg("--state-dir")
@@ -509,7 +542,7 @@ fn serve_rejects_the_removed_isolation_flag() {
         .expect("binary runs");
     assert_eq!(out.status.code(), Some(1));
     let err = String::from_utf8(out.stderr).unwrap();
-    assert!(err.contains("--isolation was removed"), "{err}");
+    assert!(err.contains("`--isolation`"), "{err}");
     assert!(
         !dir.exists(),
         "a rejected serve must not create its state dir"

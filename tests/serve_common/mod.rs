@@ -1,11 +1,8 @@
-//! Shared harness for the workspace-level serve integration tests: a
-//! tiny HTTP/1.1 client, status polling, solo-evaluation baselines for
-//! bitwise comparisons, and process-isolation plumbing around the real
-//! `ahs` binary.
-//!
-//! This mirrors `crates/serve/tests/common/mod.rs`, but through the
-//! umbrella crate — these tests exercise the service the way a
-//! deployment does, worker re-exec included.
+//! Shared harness for the serve integration tests: servers whose job
+//! attempts re-exec the `ahs` binary under test, a tiny HTTP/1.1
+//! client, status polling, and solo-evaluation baselines for bitwise
+//! comparisons. Every test exercises the service the way a deployment
+//! does, worker re-exec included.
 
 // Each test binary uses a different subset of this harness.
 #![allow(dead_code)]
@@ -13,17 +10,20 @@
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ahs_safety::core::{BiasMode, Params, UnsafetyCurve, UnsafetyEvaluator};
 use ahs_safety::des::generation_path;
 use ahs_safety::obs::Json;
-use ahs_safety::serve::ProcessIsolation;
+use ahs_safety::serve::{DrainReport, ServeConfig, Server};
 use ahs_safety::stats::TimeGrid;
 
 /// One request over a fresh connection. `None` when the server
-/// dropped the connection without a response — crucially an immediate
-/// EOF, never a hang.
+/// dropped the connection without a response (the injected accept /
+/// response-write outcomes) — crucially an immediate EOF, never a
+/// hang.
 pub fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> Option<(u16, String)> {
     let mut stream = TcpStream::connect(addr).ok()?;
     stream
@@ -99,16 +99,32 @@ pub fn state_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// The `ahs` binary under test — re-execed as `ahs serve-worker` by
-/// process-isolated servers.
+/// The `ahs` binary under test — re-execed as `ahs serve-worker` for
+/// every job attempt.
 pub fn worker_exe() -> PathBuf {
     PathBuf::from(env!("CARGO_BIN_EXE_ahs"))
 }
 
-/// Process isolation over the binary under test, with the default
-/// budgets.
-pub fn process_isolation() -> ProcessIsolation {
-    ProcessIsolation::new(worker_exe())
+/// Starts a server over `dir` on an ephemeral loopback port, its
+/// attempts re-execing [`worker_exe`], after `tweak` adjusts the
+/// defaults.
+pub fn start_in(dir: &Path, tweak: impl FnOnce(&mut ServeConfig)) -> Server {
+    let mut config = ServeConfig::new(dir, worker_exe());
+    config.addr = "127.0.0.1:0".to_owned();
+    tweak(&mut config);
+    Server::start(config, Arc::new(AtomicBool::new(false))).expect("server starts")
+}
+
+/// [`start_in`] over a fresh [`state_dir`], which is returned too.
+pub fn start_server(tag: &str, tweak: impl FnOnce(&mut ServeConfig)) -> (Server, PathBuf) {
+    let dir = state_dir(tag);
+    (start_in(&dir, tweak), dir)
+}
+
+/// Raises the shutdown flag and waits out the drain.
+pub fn shutdown(server: Server) -> DrainReport {
+    server.stop_flag().store(true, Ordering::Relaxed);
+    server.join()
 }
 
 /// Whether any retained checkpoint generation exists at `base` — the
@@ -117,7 +133,7 @@ pub fn checkpoint_exists(base: &Path) -> bool {
     (0..4).any(|g| generation_path(base, g).exists())
 }
 
-/// SIGKILL a process — the death `catch_unwind` can never see.
+/// SIGKILL a process — uncatchable, so nothing in it gets to clean up.
 pub fn kill9(pid: u64) {
     let status = std::process::Command::new("kill")
         .args(["-9", &pid.to_string()])

@@ -1,47 +1,27 @@
-//! Process-isolation integration tests: the server from the umbrella
-//! crate supervising real re-execed `ahs serve-worker` processes.
+//! Process-isolation integration tests: the server supervising real
+//! re-execed `ahs serve-worker` processes.
 //!
 //! These are the acceptance scenarios for the containment boundary:
 //! a SIGKILLed worker is reaped, restarted from its latest checkpoint
 //! generation, and finishes bitwise-identical to a crash-free solo
 //! run; a worker driven past its memory budget dies alone — in its own
 //! process — while a concurrent job and the server itself are
-//! unaffected; and the in-process runner, speaking the same attempt
-//! protocol, writes the same estimates as a worker process.
+//! unaffected; and a worker binary that cannot start fails its job
+//! with a typed message once the restart budget is spent, leaving the
+//! server healthy.
 
 #![cfg(unix)]
 
 mod serve_common;
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ahs_safety::obs::Json;
-use ahs_safety::serve::{Isolation, ServeConfig, Server};
 use serve_common::*;
-
-fn start_process_server(
-    tag: &str,
-    mut tweak: impl FnMut(&mut ServeConfig),
-) -> (Server, std::path::PathBuf) {
-    let dir = state_dir(tag);
-    let mut config = ServeConfig::new(&dir);
-    config.addr = "127.0.0.1:0".to_owned();
-    config.isolation = Isolation::Process(process_isolation());
-    tweak(&mut config);
-    let server = Server::start(config, Arc::new(AtomicBool::new(false))).expect("server starts");
-    (server, dir)
-}
-
-fn shutdown(server: Server) -> ahs_safety::serve::DrainReport {
-    server.stop_flag().store(true, Ordering::Relaxed);
-    server.join()
-}
 
 #[test]
 fn sigkilled_worker_is_reaped_restarted_and_bitwise_identical() {
-    let (server, dir) = start_process_server("sigkill", |c| c.checkpoint_every = 2_000);
+    let (server, dir) = start_server("sigkill", |c| c.checkpoint_every = 2_000);
     let addr = server.local_addr();
 
     const SEED: u64 = 41;
@@ -86,38 +66,7 @@ fn sigkilled_worker_is_reaped_restarted_and_bitwise_identical() {
     );
     let report = shutdown(server);
     assert_eq!(report.outcome().code(), 0);
-
-    // The in-process runner speaks the same protocol: the same spec
-    // through a default-config server writes a manifest whose
-    // estimates are byte-identical to the process-mode manifest.
-    let thread_dir = state_dir("sigkill-in-process");
-    let mut config = ServeConfig::new(&thread_dir);
-    config.addr = "127.0.0.1:0".to_owned();
-    let server = Server::start(config, Arc::new(AtomicBool::new(false))).expect("server starts");
-    let thread_name = submit(server.local_addr(), &job_body(SEED, REPS, 1));
-    wait_for_state(
-        server.local_addr(),
-        &thread_name,
-        "finished",
-        Duration::from_secs(180),
-    );
-    let estimates = |dir: &std::path::Path, name: &str| {
-        let path = dir.join("jobs").join(name).join("manifest.json");
-        let manifest = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        manifest
-            .get("estimates")
-            .expect("manifest estimates")
-            .render()
-    };
-    assert_eq!(
-        estimates(&thread_dir, &thread_name),
-        estimates(&dir, &name),
-        "in-process and process-mode manifests must carry identical estimates"
-    );
-    let report = shutdown(server);
-    assert_eq!(report.outcome().code(), 0);
     std::fs::remove_dir_all(&dir).ok();
-    std::fs::remove_dir_all(&thread_dir).ok();
 }
 
 /// Plants a queued job whose only checkpoint generation is a JSON
@@ -147,12 +96,10 @@ fn mem_limited_worker_dies_alone_while_its_neighbor_finishes() {
         eprintln!("skipping: no rlimit support on this platform");
         return;
     }
-    let (server, dir) = start_process_server("memlimit", |c| {
+    let (server, dir) = start_server("memlimit", |c| {
         c.workers = 2;
         c.restart_budget = 1;
-        if let Isolation::Process(isolation) = &mut c.isolation {
-            isolation.mem_limit_mb = Some(1024);
-        }
+        c.isolation.mem_limit_mb = Some(1024);
         plant_checkpoint_bomb(&c.state_dir.join("jobs").join("job-000001"));
     });
     let addr = server.local_addr();
@@ -195,5 +142,36 @@ fn mem_limited_worker_dies_alone_while_its_neighbor_finishes() {
 
     let report = shutdown(server);
     assert_eq!(report.outcome().code(), 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn unrunnable_worker_binary_fails_the_job_and_spares_the_server() {
+    // A real spawn error, not an injected one: every attempt fails to
+    // start its worker, each failure costs a restart, and the job ends
+    // `failed` with the cause and the spent budget named.
+    let (server, dir) = start_server("no-worker", |c| {
+        c.restart_budget = 2;
+        c.isolation.worker_exe = c.state_dir.join("no-such-ahs-binary");
+    });
+    let addr = server.local_addr();
+    let name = submit(addr, &job_body(19, 100, 1));
+
+    let doc = wait_for_state(addr, &name, "failed", Duration::from_secs(60));
+    let error = doc
+        .get("error")
+        .and_then(Json::as_str)
+        .unwrap_or_default()
+        .to_owned();
+    assert!(
+        error.contains("spawning worker process") && error.contains("restart budget of 2"),
+        "failure must name the spawn error and the exhausted budget: {error}"
+    );
+    assert_eq!(doc.get("restarts").and_then(Json::as_u64), Some(2));
+    let health = get_json(addr, "/v1/healthz");
+    assert_eq!(health.get("status").and_then(Json::as_str), Some("ok"));
+
+    let report = shutdown(server);
+    assert_eq!(report.failed, 1);
     std::fs::remove_dir_all(&dir).ok();
 }
