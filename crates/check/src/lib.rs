@@ -189,14 +189,12 @@ impl Checker {
         interrupt: Option<&AtomicBool>,
     ) -> Result<CheckOutcome, CheckError> {
         let graph = StateGraph::explore(model, self.config.max_states, interrupt)?;
-        let mut violations = properties::evaluate(model, &graph, &self.config);
+        let properties::Evaluation {
+            mut violations,
+            dead_activities,
+            max_tokens,
+        } = properties::evaluate(model, &graph, &self.config);
         confirm_violations(model, &graph, &mut violations);
-        let max_tokens = properties::max_tokens_observed(model, &graph);
-        let dead_activities = if graph.complete() {
-            properties::exact_dead_set(model, &graph)
-        } else {
-            Vec::new()
-        };
         Ok(CheckOutcome {
             model: model.name().to_owned(),
             graph,

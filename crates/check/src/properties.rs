@@ -26,8 +26,6 @@
 //! the initial marking (the BFS tree path): the minimal counterexample,
 //! ready for forced-schedule replay through the DES executor.
 
-use std::collections::HashSet;
-
 use ahs_san::{Marking, PlaceId, PlaceValue, SanModel};
 
 use crate::graph::{StateGraph, TraceStep};
@@ -94,27 +92,129 @@ pub struct Violation {
     pub replay_confirmed: Option<bool>,
 }
 
-/// Evaluates every property against the explored graph.
-pub fn evaluate(model: &SanModel, graph: &StateGraph, config: &CheckConfig) -> Vec<Violation> {
-    let mut out = Vec::new();
-    out.extend(boundedness(model, graph, config));
-    if graph.complete() {
-        out.extend(absorption(model, graph, config));
-        out.extend(escalation(model, graph, config));
-        out.extend(dead_activities(model, graph));
+/// What [`evaluate`] found: the violations, the exact dead set (empty
+/// on a truncated graph) and the largest simple-place token count.
+pub(crate) struct Evaluation {
+    pub(crate) violations: Vec<Violation>,
+    pub(crate) dead_activities: Vec<String>,
+    pub(crate) max_tokens: u64,
+}
+
+/// Evaluates every property against the explored graph, decoding each
+/// marking once.
+pub(crate) fn evaluate(model: &SanModel, graph: &StateGraph, config: &CheckConfig) -> Evaluation {
+    let simple = simple_places(model);
+    let sinks = sink_places(model, &config.absorbing_allowlist);
+    let complete = graph.complete();
+    let mut max_tokens = 0;
+    let mut over_capacity = Capped::default();
+    let mut unlisted = Capped::default();
+    let mut allowed_terminals = Vec::new();
+    graph.for_each_marking(|i, m| {
+        for &p in &simple {
+            let t = m.tokens(p);
+            max_tokens = max_tokens.max(t);
+            if t > config.capacity {
+                over_capacity.push((i, p, t));
+            }
+        }
+        if complete && graph.is_terminal(i) {
+            if sinks.iter().any(|&p| m.is_marked(p)) {
+                allowed_terminals.push(i as u32);
+            } else {
+                unlisted.push(i);
+            }
+        }
+    });
+
+    let mut violations = boundedness(model, graph, config, over_capacity);
+    let mut dead_activities = Vec::new();
+    if complete {
+        violations.extend(absorption(model, graph, unlisted));
+        if !config.absorbing_allowlist.is_empty() {
+            violations.extend(escalation(model, graph, allowed_terminals));
+        }
+        dead_activities = exact_dead_set(model, graph);
+        violations.extend(dead_activities.iter().map(|name| {
+            Violation {
+                property: PropertyKind::DeadActivity,
+                subject: name.clone(),
+                message: "activity fires in no reachable marking (exact: the whole \
+                      reachable graph was explored)"
+                    .to_owned(),
+                state: None,
+                trace: Vec::new(),
+                replay_confirmed: None,
+            }
+        }));
     }
-    out
+    Evaluation {
+        violations,
+        dead_activities,
+        max_tokens,
+    }
+}
+
+/// The first [`MAX_PER_PROPERTY`] findings of one property, and how
+/// many more there were.
+struct Capped<T> {
+    kept: Vec<T>,
+    suppressed: usize,
+}
+
+impl<T> Default for Capped<T> {
+    fn default() -> Self {
+        Capped {
+            kept: Vec::new(),
+            suppressed: 0,
+        }
+    }
+}
+
+impl<T> Capped<T> {
+    fn push(&mut self, finding: T) {
+        if self.kept.len() == MAX_PER_PROPERTY {
+            self.suppressed += 1;
+        } else {
+            self.kept.push(finding);
+        }
+    }
+
+    /// One violation per kept finding, the last noting the suppressed.
+    fn into_violations(self, violation: impl FnMut(T) -> Violation) -> Vec<Violation> {
+        let mut out: Vec<Violation> = self.kept.into_iter().map(violation).collect();
+        if self.suppressed > 0 {
+            if let Some(last) = out.last_mut() {
+                last.message.push_str(&format!(
+                    " ({} further violation(s) suppressed)",
+                    self.suppressed
+                ));
+            }
+        }
+        out
+    }
 }
 
 /// Whether the marking marks a place whose name contains one of the
 /// `allowlist` patterns: the sink convention shared by this checker's
 /// absorption property and the linter's absorbing pass.
 pub fn is_allowlisted(model: &SanModel, m: &Marking, allowlist: &[String]) -> bool {
-    allowlist.iter().any(|pattern| {
-        model
-            .place_ids()
-            .any(|p| m.is_marked(p) && model.place_name(p).contains(pattern.as_str()))
-    })
+    sink_places(model, allowlist)
+        .into_iter()
+        .any(|p| m.is_marked(p))
+}
+
+/// The places whose name contains one of the `allowlist` patterns.
+fn sink_places(model: &SanModel, allowlist: &[String]) -> Vec<PlaceId> {
+    model
+        .place_ids()
+        .filter(|&p| {
+            let name = model.place_name(p);
+            allowlist
+                .iter()
+                .any(|pattern| name.contains(pattern.as_str()))
+        })
+        .collect()
 }
 
 /// A short human-readable summary of a marking: the marked places.
@@ -153,53 +253,44 @@ fn anchored(
     }
 }
 
-fn absorption(model: &SanModel, graph: &StateGraph, config: &CheckConfig) -> Vec<Violation> {
-    let mut unlisted = Vec::new();
-    graph.for_each_marking(|i, m| {
-        if graph.is_terminal(i) && !is_allowlisted(model, m, &config.absorbing_allowlist) {
-            unlisted.push(i);
-        }
-    });
-    let mut out = Vec::new();
-    let mut suppressed = 0usize;
-    for i in unlisted {
-        if out.len() == MAX_PER_PROPERTY {
-            suppressed += 1;
-            continue;
-        }
-        out.push(anchored(
+fn absorption(model: &SanModel, graph: &StateGraph, unlisted: Capped<usize>) -> Vec<Violation> {
+    unlisted.into_violations(|i| {
+        anchored(
             PropertyKind::Absorption,
             model,
             graph,
             i,
             "reachable absorbing state not covered by the sink allowlist".to_owned(),
-        ));
-    }
-    note_suppressed(&mut out, suppressed);
-    out
+        )
+    })
 }
 
 /// Backward reachability from the allowed terminals: every state not in
 /// the backward-reachable set can never reach an allowed sink.
-fn escalation(model: &SanModel, graph: &StateGraph, config: &CheckConfig) -> Vec<Violation> {
-    if config.absorbing_allowlist.is_empty() {
-        return Vec::new();
-    }
+fn escalation(model: &SanModel, graph: &StateGraph, mut queue: Vec<u32>) -> Vec<Violation> {
     let n = graph.len();
-    // Reverse adjacency.
-    let mut rev: Vec<Vec<u32>> = vec![Vec::new(); n];
+    // Reverse adjacency in CSR form: the predecessors of state `j` are
+    // `preds[start[j]..start[j + 1]]`.
+    let mut start = vec![0u32; n + 1];
     for i in 0..n {
         for e in graph.successors(i) {
-            rev[e.target as usize].push(i as u32);
+            start[e.target as usize + 1] += 1;
         }
     }
-    let mut reaches = vec![false; n];
-    let mut queue: Vec<u32> = Vec::new();
-    graph.for_each_marking(|i, m| {
-        if graph.is_terminal(i) && is_allowlisted(model, m, &config.absorbing_allowlist) {
-            queue.push(i as u32);
+    for j in 0..n {
+        start[j + 1] += start[j];
+    }
+    let mut next = start.clone();
+    let mut preds = vec![0u32; start[n] as usize];
+    for i in 0..n {
+        for e in graph.successors(i) {
+            let slot = &mut next[e.target as usize];
+            preds[*slot as usize] = i as u32;
+            *slot += 1;
         }
-    });
+    }
+
+    let mut reaches = vec![false; n];
     for &i in &queue {
         reaches[i as usize] = true;
     }
@@ -207,24 +298,19 @@ fn escalation(model: &SanModel, graph: &StateGraph, config: &CheckConfig) -> Vec
     while head < queue.len() {
         let i = queue[head] as usize;
         head += 1;
-        for &p in &rev[i] {
+        for &p in &preds[start[i] as usize..start[i + 1] as usize] {
             if !reaches[p as usize] {
                 reaches[p as usize] = true;
                 queue.push(p);
             }
         }
     }
-    let mut out = Vec::new();
-    let mut suppressed = 0usize;
-    for (i, ok) in reaches.iter().enumerate() {
-        if *ok {
-            continue;
-        }
-        if out.len() == MAX_PER_PROPERTY {
-            suppressed += 1;
-            continue;
-        }
-        out.push(anchored(
+    let mut stranded = Capped::default();
+    for i in (0..n).filter(|&i| !reaches[i]) {
+        stranded.push(i);
+    }
+    stranded.into_violations(|i| {
+        anchored(
             PropertyKind::Escalation,
             model,
             graph,
@@ -232,87 +318,63 @@ fn escalation(model: &SanModel, graph: &StateGraph, config: &CheckConfig) -> Vec
             "no path from this state reaches an allowlisted sink (escalation \
              chain can be stranded here forever)"
                 .to_owned(),
-        ));
-    }
-    note_suppressed(&mut out, suppressed);
-    out
+        )
+    })
 }
 
 /// The exact dead set: activities appearing on no edge of the complete
 /// graph.
 pub fn exact_dead_set(model: &SanModel, graph: &StateGraph) -> Vec<String> {
-    let mut fired: HashSet<usize> = HashSet::new();
+    let mut fired = vec![false; model.num_activities()];
     for i in 0..graph.len() {
         for e in graph.successors(i) {
-            fired.insert(e.activity.index());
+            fired[e.activity.index()] = true;
         }
     }
-    (0..model.num_activities())
-        .filter(|i| !fired.contains(i))
-        .map(|i| model.activities()[i].name().to_owned())
+    model
+        .activities()
+        .iter()
+        .zip(fired)
+        .filter(|&(_, fired)| !fired)
+        .map(|(a, _)| a.name().to_owned())
         .collect()
 }
 
-fn dead_activities(model: &SanModel, graph: &StateGraph) -> Vec<Violation> {
-    exact_dead_set(model, graph)
-        .into_iter()
-        .map(|name| Violation {
-            property: PropertyKind::DeadActivity,
-            subject: name,
-            message: "activity fires in no reachable marking (exact: the whole \
-                      reachable graph was explored)"
-                .to_owned(),
-            state: None,
-            trace: Vec::new(),
-            replay_confirmed: None,
-        })
-        .collect()
+fn boundedness(
+    model: &SanModel,
+    graph: &StateGraph,
+    config: &CheckConfig,
+    over_capacity: Capped<(usize, PlaceId, u64)>,
+) -> Vec<Violation> {
+    over_capacity.into_violations(|(i, p, t)| {
+        let mut v = anchored(
+            PropertyKind::Boundedness,
+            model,
+            graph,
+            i,
+            format!(
+                "place `{}` holds {t} tokens, exceeding the capacity bound {}",
+                model.place_name(p),
+                config.capacity
+            ),
+        );
+        v.subject = model.place_name(p).to_owned();
+        v
+    })
 }
 
-fn boundedness(model: &SanModel, graph: &StateGraph, config: &CheckConfig) -> Vec<Violation> {
-    // Classify places once off the initial marking (PlaceDecl kinds are
-    // not public; the value discriminant is).
-    let simple: Vec<PlaceId> = model
+/// The simple (token-holding) places. `PlaceDecl` kinds are not public;
+/// the initial marking's value discriminant is.
+fn simple_places(model: &SanModel) -> Vec<PlaceId> {
+    model
         .place_ids()
         .filter(|&p| matches!(model.initial_marking().value(p), PlaceValue::Tokens(_)))
-        .collect();
-    let mut out = Vec::new();
-    let mut suppressed = 0usize;
-    graph.for_each_marking(|i, m| {
-        for &p in &simple {
-            let t = m.tokens(p);
-            if t <= config.capacity {
-                continue;
-            }
-            if out.len() == MAX_PER_PROPERTY {
-                suppressed += 1;
-                continue;
-            }
-            let mut v = anchored(
-                PropertyKind::Boundedness,
-                model,
-                graph,
-                i,
-                format!(
-                    "place `{}` holds {t} tokens, exceeding the capacity bound {}",
-                    model.place_name(p),
-                    config.capacity
-                ),
-            );
-            v.subject = model.place_name(p).to_owned();
-            out.push(v);
-        }
-    });
-    note_suppressed(&mut out, suppressed);
-    out
+        .collect()
 }
 
 /// Largest simple-place token count observed anywhere in the graph.
 pub fn max_tokens_observed(model: &SanModel, graph: &StateGraph) -> u64 {
-    let simple: Vec<PlaceId> = model
-        .place_ids()
-        .filter(|&p| matches!(model.initial_marking().value(p), PlaceValue::Tokens(_)))
-        .collect();
+    let simple = simple_places(model);
     let mut max = 0;
     graph.for_each_marking(|_, m| {
         for &p in &simple {
@@ -320,13 +382,4 @@ pub fn max_tokens_observed(model: &SanModel, graph: &StateGraph) -> u64 {
         }
     });
     max
-}
-
-fn note_suppressed(out: &mut [Violation], suppressed: usize) {
-    if suppressed > 0 {
-        if let Some(last) = out.last_mut() {
-            last.message
-                .push_str(&format!(" ({suppressed} further violation(s) suppressed)"));
-        }
-    }
 }

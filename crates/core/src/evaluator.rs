@@ -554,8 +554,15 @@ impl UnsafetyEvaluator {
             if retained {
                 let (cp, generation) = StudyCheckpoint::load_with_fallback(path)?;
                 if generation > 0 {
+                    // A crash between the rotation rename and the new
+                    // write leaves generation 0 absent, not corrupt.
+                    let why = if generation_path(path, 0).exists() {
+                        "corrupt or unreadable"
+                    } else {
+                        "missing (an interrupted rotation)"
+                    };
                     eprintln!(
-                        "warning: checkpoint {} was corrupt or unreadable; \
+                        "warning: checkpoint {} was {why}; \
                          resuming from retained generation {generation} \
                          (watermark {})",
                         path.display(),

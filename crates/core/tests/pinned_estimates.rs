@@ -141,10 +141,6 @@ fn exact_unsafety_n1_is_pinned() {
 }
 
 #[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "97 917-state chain; run under --release (CI model-check job)"
-)]
 fn exact_unsafety_n2_is_pinned() {
     assert_exact_pinned(2, &EXACT_N2_BITS);
 }
@@ -206,10 +202,6 @@ fn exact_order_digests_n1_are_pinned() {
 }
 
 #[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "97 917-state chain; run under --release (CI model-check job)"
-)]
 fn exact_order_digests_n2_are_pinned() {
     assert_order_pinned(2, ORDER_N2);
 }

@@ -3,6 +3,7 @@
 use crate::error::CtmcError;
 use crate::intern::{Interner, PackedState};
 use crate::sparse::{RowBuilder, SparseMatrix};
+use crate::transient::Uniformization;
 
 /// A continuous-time Markov model described by its transition function.
 ///
@@ -34,6 +35,8 @@ pub struct StateSpace<S> {
     rates: SparseMatrix,
     /// Total exit rate per state.
     exit_rates: Vec<f64>,
+    /// What transient solves keep for later ones; empty in a clone.
+    pub(crate) uniformization: Uniformization,
 }
 
 impl<S: PackedState> StateSpace<S> {
@@ -119,6 +122,7 @@ impl<S: PackedState> StateSpace<S> {
             initial,
             rates,
             exit_rates,
+            uniformization: Uniformization::default(),
         })
     }
 
@@ -223,6 +227,7 @@ impl<S: PackedState> StateSpace<S> {
             initial: self.initial.clone(),
             rates,
             exit_rates,
+            uniformization: Uniformization::default(),
         }
     }
 }

@@ -20,7 +20,13 @@
 //! * [`transient_distribution`] — uniformization (Fox–Glynn-style
 //!   normalized Poisson weights) for `π(t)`, over a multi-lane gather
 //!   kernel that sums the same terms in the same order as a plain row
-//!   gather.
+//!   gather. The first solve on a space costs `O(nnz · (qt + √qt))`
+//!   and leaves the kernel and up to six iterates `π(0) Pᵏ` on the
+//!   [`StateSpace`] (12 bytes per kernel entry, 8 bytes per state per
+//!   iterate; ~9 MB + ~5 MB at n = 2); a later solve resumes from the
+//!   kept iterate with the largest `k` at or below its left truncation
+//!   point, so an increasing grid of `t` costs about one Poisson sweep,
+//!   bit for bit the answers of solving each `t` on a fresh space.
 //! * [`expected_hitting_time`] — mean first-passage times into an
 //!   absorbing set.
 //!

@@ -477,12 +477,6 @@ fn cmd_evaluate(args: &[String]) -> Result<ExitCode, String> {
             curve.resume_lineage()
         );
     }
-    if let Some(generation) = curve.resume_fallback() {
-        eprintln!(
-            "warning: latest checkpoint was corrupt; resumed from retained \
-             generation {generation}"
-        );
-    }
     if curve.quarantined() > 0 {
         eprintln!(
             "warning: {} replication(s) panicked and were quarantined",

@@ -444,6 +444,44 @@ fn checkpoint_file_resumes_and_refuses_another_study() {
 }
 
 #[test]
+fn fallback_warning_tells_a_missing_latest_checkpoint_from_a_corrupt_one() {
+    // A crash between the rotation rename and the new write leaves
+    // only the older generation: the resume says generation 0 is
+    // missing, not that it is corrupt. A damaged one is corrupt.
+    let dir = std::env::temp_dir().join(format!("ahs_cli_ckpt_missing_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let checkpoint = dir.join("run.ckpt.json");
+    let first = evaluate_checkpointed(&checkpoint, &dir.join("first.json"), "11");
+    assert!(
+        first.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&first.stderr)
+    );
+    assert!(
+        dir.join("run.ckpt.1.json").exists(),
+        "an older generation is kept"
+    );
+    std::fs::remove_file(&checkpoint).unwrap();
+
+    let second = evaluate_checkpointed(&checkpoint, &dir.join("second.json"), "11");
+    let err = String::from_utf8_lossy(&second.stderr);
+    assert!(second.status.success(), "stderr: {err}");
+    assert!(
+        err.contains("was missing (an interrupted rotation); resuming from retained generation 1"),
+        "{err}"
+    );
+    assert!(!err.contains("corrupt"), "{err}");
+
+    std::fs::write(&checkpoint, b"{ not a checkpoint").unwrap();
+    let third = evaluate_checkpointed(&checkpoint, &dir.join("third.json"), "11");
+    let err = String::from_utf8_lossy(&third.stderr);
+    assert!(third.status.success(), "stderr: {err}");
+    assert!(err.contains("was corrupt or unreadable;"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn serve_starts_lists_health_and_drains_clean() {
     // Smoke the service end to end over real HTTP: bind an ephemeral
     // port, check /v1/healthz, submit nothing, SIGTERM-equivalent is

@@ -137,3 +137,49 @@ fn ctmc_layer_reachable_from_umbrella() {
     let exact = 2.0 / 7.0 * (1.0 - (-7.0_f64).exp());
     assert!((p_down - exact).abs() < 1e-9);
 }
+
+#[test]
+fn transient_solves_on_one_space_agree_across_threads() {
+    use ahs_safety::core::{AhsModel, Strategy};
+    use ahs_safety::ctmc::{poisson_weights, transient_distribution, SanMarkovModel, StateSpace};
+
+    // Two threads solve different t on one n = 1 AHS space at once,
+    // both resuming from the iterates a t = 2 h solve kept; each π must
+    // equal, bit for bit, the one a fresh space gives.
+    let params = Params::builder()
+        .n(1)
+        .strategy(Strategy::Dd)
+        .build()
+        .unwrap();
+    let (san, _) = AhsModel::build(&params).unwrap().into_san();
+    let adapter = SanMarkovModel::new(&san).unwrap();
+    let explore = || StateSpace::explore(&adapter, 1 << 16).unwrap();
+    let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+
+    let space = explore();
+    // Both resume from the t = 2 h solve's iterate at its left
+    // truncation point L, at least: L(2) > 0 and L is increasing in t.
+    let q = space.max_exit_rate() * 1.02 + 1e-12; // the solver's rate
+    let left = |t: f64| poisson_weights(q * t, 1e-12).0;
+    assert!(0 < left(2.0) && left(2.0) <= left(6.0) && left(6.0) <= left(10.0));
+
+    transient_distribution(&space, 2.0, 1e-12);
+    let start = std::sync::Barrier::new(2);
+    let solve = |t: f64| {
+        start.wait();
+        transient_distribution(&space, t, 1e-12)
+    };
+    let (six, ten) = std::thread::scope(|s| {
+        let six = s.spawn(|| solve(6.0));
+        let ten = s.spawn(|| solve(10.0));
+        (six.join().unwrap(), ten.join().unwrap())
+    });
+    assert_eq!(
+        bits(six),
+        bits(transient_distribution(&explore(), 6.0, 1e-12))
+    );
+    assert_eq!(
+        bits(ten),
+        bits(transient_distribution(&explore(), 10.0, 1e-12))
+    );
+}
