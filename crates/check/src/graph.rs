@@ -96,7 +96,7 @@ impl StateGraph {
     /// # Errors
     ///
     /// Returns [`CheckError::Interrupted`] when `interrupt` is set
-    /// mid-exploration (polled every [`INTERRUPT_POLL`] states), and
+    /// mid-exploration (polled every 1024 states), and
     /// [`CheckError::StateStoreFull`] when the packed state store runs
     /// out of offsets before the budget is reached.
     pub fn explore(

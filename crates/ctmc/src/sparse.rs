@@ -4,7 +4,7 @@
 ///
 /// Stores generator rates and (transposed) uniformized
 /// transition-probability matrices; the solvers iterate its rows and
-/// hand `Pᵀ` to [`LaneMatrix`] for the `M·x` products. Column indices
+/// hand `Pᵀ` to a lane-blocked copy of it for the `M·x` products. Column indices
 /// are `u32`, halving the index bytes a product streams.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SparseMatrix {

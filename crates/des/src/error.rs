@@ -61,12 +61,6 @@ pub enum SimError {
         /// Why the step could not be taken.
         reason: String,
     },
-    /// A transient run was given an observation grid that is empty,
-    /// not finite and non-negative, or not strictly increasing.
-    InvalidGrid {
-        /// The first violation found.
-        reason: String,
-    },
     /// An observer run was asked of a biased SSA executor: the observer
     /// would see the biased measure with no likelihood ratio to undo it.
     BiasedObserver,
@@ -115,7 +109,6 @@ impl std::fmt::Display for SimError {
                 f,
                 "forced schedule diverges at step {step} (activity `{activity}`): {reason}"
             ),
-            SimError::InvalidGrid { reason } => write!(f, "invalid observation grid: {reason}"),
             SimError::BiasedObserver => write!(
                 f,
                 "an observer run cannot carry an importance-sampling bias; \
@@ -174,10 +167,6 @@ mod tests {
             reason: "schema mismatch".into(),
         };
         assert!(e.to_string().contains("schema mismatch"), "{e}");
-        let e = SimError::InvalidGrid {
-            reason: "the grid is empty".into(),
-        };
-        assert!(e.to_string().contains("grid is empty"), "{e}");
         assert!(SimError::BiasedObserver.to_string().contains("bias"));
         let e = SimError::Internal {
             context: "positive total rate with an empty rate table".into(),

@@ -11,10 +11,11 @@
 //! On top of the executor, [`Study`] runs independent replications —
 //! optionally in parallel — until a [`StoppingRule`](ahs_stats::StoppingRule)
 //! is satisfied, producing first-passage probability curves such as the
-//! paper's unsafety `S(t)`, transient curves, and the expected totals of
-//! Möbius-style rate/impulse reward variables ([`RewardSpec`],
-//! [`Study::reward`]). [`SplittingStudy`] (fixed-effort multilevel
-//! splitting, an independent rare-event method used for
+//! paper's unsafety `S(t)` ([`Study::first_passage`]) and the expected
+//! totals of Möbius-style rate/impulse reward variables ([`RewardSpec`],
+//! [`Study::reward`]). Every replication runs the one SSA loop, which
+//! reports to an [`Observer`]. [`SplittingStudy`] (fixed-effort
+//! multilevel splitting, an independent rare-event method used for
 //! cross-validation) completes the layer.
 //!
 //! # Example
@@ -64,7 +65,7 @@ pub use checkpoint::{
     CHECKPOINT_SCHEMA,
 };
 pub use error::SimError;
-pub use observer::{NullObserver, Observer, TraceObserver};
+pub use observer::{Observer, TraceObserver};
 pub use replay::{ReplayOutcome, ReplayStep};
 pub use replication::{Backend, CurveEstimate, Study};
 pub use reward::RewardSpec;

@@ -5,9 +5,11 @@ use ahs_san::{ActivityId, Marking, SanModel};
 /// Callbacks invoked by the executor during a single run.
 ///
 /// The executor calls `on_start` once, `on_event` after every completed
-/// activity (timed and instantaneous) with the post-firing marking, and
-/// `on_end` when the run terminates (horizon reached, deadlock, or an
-/// observer requested the stop).
+/// activity (timed and instantaneous) with the post-firing marking,
+/// `should_stop` on every stable marking, and `on_end` when the run
+/// terminates (horizon reached, deadlock, or an observer requested the
+/// stop). First passage, reward accumulation and traced runs are all
+/// observers of the one SSA loop.
 pub trait Observer {
     /// Called once with the (stabilized) initial marking.
     fn on_start(&mut self, _marking: &Marking) {}
@@ -16,8 +18,9 @@ pub trait Observer {
     /// *after* the firing.
     fn on_event(&mut self, _time: f64, _activity: ActivityId, _marking: &Marking) {}
 
-    /// Return `true` to terminate the run early; polled after every
-    /// event once the marking is stable.
+    /// Return `true` to terminate the run early at `time`; polled on
+    /// the stabilized start marking and after every timed event once
+    /// its cascade has stabilized.
     fn should_stop(&mut self, _time: f64, _marking: &Marking) -> bool {
         false
     }
@@ -25,12 +28,6 @@ pub trait Observer {
     /// Called when the run ends, with the final time and marking.
     fn on_end(&mut self, _time: f64, _marking: &Marking) {}
 }
-
-/// An observer that does nothing.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NullObserver;
-
-impl Observer for NullObserver {}
 
 /// Records every event as `(time, activity name)` — a debugging aid.
 ///
@@ -174,20 +171,5 @@ mod tests {
         sim.run_with_observer(1000.0, &mut rng, &mut trace).unwrap();
         let names: Vec<&str> = trace.events().iter().map(|(_, n)| n.as_str()).collect();
         assert_eq!(names, ["a", "boom", "b"]);
-    }
-
-    #[test]
-    fn null_observer_never_stops() {
-        let mut o = NullObserver;
-        // No marking is needed for the default should_stop; build a tiny one.
-        let mut b = ahs_san::SanBuilder::new("m");
-        let p = b.place_with_tokens("p", 1).unwrap();
-        b.timed_activity("a", ahs_san::Delay::exponential(1.0))
-            .unwrap()
-            .input_place(p)
-            .build()
-            .unwrap();
-        let model = b.build().unwrap();
-        assert!(!o.should_stop(0.0, model.initial_marking()));
     }
 }

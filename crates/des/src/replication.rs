@@ -325,27 +325,6 @@ impl Study {
         })
     }
 
-    /// Estimates the transient probability curve `t ↦ P(pred holds at
-    /// t)` over `grid` (for conditions that may toggle off again).
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`first_passage`](Study::first_passage).
-    pub fn transient<F>(
-        &self,
-        pred: F,
-        grid: &TimeGrid,
-        backend: Backend,
-    ) -> Result<CurveEstimate, SimError>
-    where
-        F: Fn(&Marking) -> bool + Send + Sync,
-    {
-        self.run_study(grid, backend, |sim, rng| {
-            let obs = sim.run_transient(&pred, grid.points(), rng)?;
-            Ok(RepOutcome::Weighted(obs))
-        })
-    }
-
     /// Estimates the expected total of a reward variable over
     /// `[0, horizon]`: one observation per replication, accumulated on
     /// the one-point grid `[horizon]`. Importance sampling is not
@@ -374,7 +353,7 @@ impl Study {
         self.run_study(&grid, backend, |sim, rng| {
             let mut obs = RewardObserver::new(spec);
             sim.run_with_observer(horizon, rng, &mut obs)?;
-            Ok(RepOutcome::Weighted(vec![(obs.total, 1.0)]))
+            Ok(RepOutcome::Reward(obs.total))
         })
     }
 
@@ -870,8 +849,9 @@ enum RepOutcome {
     /// First-passage time (`None` = censored at the horizon) and its
     /// likelihood weight.
     FirstPassage(Option<f64>, f64),
-    /// One `(value, weight)` observation per grid point.
-    Weighted(Vec<(f64, f64)>),
+    /// The reward total, observed with unit weight at the one grid
+    /// point.
+    Reward(f64),
 }
 
 /// Validates and records one replication outcome. Validation happens
@@ -888,23 +868,7 @@ fn record_outcome(curve: &mut Curve, outcome: RepOutcome) -> Result<(), SimError
             }
             curve.record_first_passage(hit_time, weight);
         }
-        RepOutcome::Weighted(obs) => {
-            if obs.len() != curve.grid().len() {
-                return Err(SimError::Internal {
-                    context: format!(
-                        "replication produced {} observations for {} grid points",
-                        obs.len(),
-                        curve.grid().len()
-                    ),
-                });
-            }
-            if let Some((_, w)) = obs.iter().find(|(_, w)| !(w.is_finite() && *w >= 0.0)) {
-                return Err(SimError::Internal {
-                    context: format!("replication produced invalid likelihood weight {w}"),
-                });
-            }
-            curve.record_weighted(&obs);
-        }
+        RepOutcome::Reward(total) => curve.record_weighted(&[(total, 1.0)]),
     }
     Ok(())
 }
@@ -1038,39 +1002,6 @@ mod tests {
             .first_passage(move |m| m.is_marked(down), &grid, Backend::Markov)
             .unwrap();
         assert_eq!(a.curve.points(0.95)[0].y, b.curve.points(0.95)[0].y);
-    }
-
-    #[test]
-    fn transient_study_on_repairable_component() {
-        // Failure 1.0, repair 4.0: P(down at t) -> λ/(λ+μ)(1-e^{-(λ+μ)t}).
-        let mut b = SanBuilder::new("repairable");
-        let up = b.place_with_tokens("up", 1).unwrap();
-        let down = b.place("down").unwrap();
-        b.timed_activity("fail", Delay::exponential(1.0))
-            .unwrap()
-            .input_place(up)
-            .output_place(down)
-            .build()
-            .unwrap();
-        b.timed_activity("repair", Delay::exponential(4.0))
-            .unwrap()
-            .input_place(down)
-            .output_place(up)
-            .build()
-            .unwrap();
-        let model = b.build().unwrap();
-        let study = Study::new(model)
-            .with_seed(23)
-            .with_fixed_replications(30_000)
-            .with_threads(2);
-        let grid = TimeGrid::new(vec![0.2, 1.0, 5.0]);
-        let est = study
-            .transient(move |m| m.is_marked(down), &grid, Backend::Markov)
-            .unwrap();
-        for (pt, &t) in est.curve.points(0.95).iter().zip(grid.points()) {
-            let truth = 0.2 * (1.0 - (-5.0_f64 * t).exp());
-            assert!((pt.y - truth).abs() < 0.015, "t={t}: {} vs {truth}", pt.y);
-        }
     }
 
     #[test]

@@ -11,7 +11,7 @@ use rand::Rng;
 use crate::bias::BiasScheme;
 use crate::error::SimError;
 use crate::observer::Observer;
-use crate::run::{FirstPassage, GridObservations, Observed, RunMode, RunTally, DEFAULT_MAX_EVENTS};
+use crate::run::{FirstPassage, RunTally, DEFAULT_MAX_EVENTS};
 use crate::watchdog::Watchdog;
 
 /// Outcome of one first-passage replication.
@@ -258,33 +258,7 @@ impl<'m> MarkovSimulator<'m> {
             t0.is_finite() && t0 >= 0.0 && t0 <= horizon,
             "start time {t0} must lie in [0, {horizon}]"
         );
-        self.run_mode(start, t0, horizon, rng, &mut FirstPassage(target))
-    }
-
-    /// Runs one replication observing `pred` at each grid instant,
-    /// returning per-instant `(indicator, likelihood ratio at that
-    /// instant)` pairs. The run ends at the last instant.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidGrid`] unless the grid is non-empty,
-    /// finite, non-negative and strictly increasing; otherwise the same
-    /// failure modes as
-    /// [`run_first_passage`](MarkovSimulator::run_first_passage).
-    pub fn run_transient<R, F>(
-        &self,
-        pred: F,
-        grid: &[f64],
-        rng: &mut R,
-    ) -> Result<Vec<(f64, f64)>, SimError>
-    where
-        R: Rng + ?Sized,
-        F: Fn(&Marking) -> bool,
-    {
-        let mut obs = GridObservations::new(pred, grid)?;
-        let start = self.model.initial_marking().clone();
-        self.run_mode(start, 0.0, obs.horizon(), rng, &mut obs)?;
-        Ok(obs.into_observations())
+        self.run_observed(start, t0, horizon, rng, &mut FirstPassage(target))
     }
 
     /// Runs one unbiased replication to `horizon`, reporting every
@@ -311,47 +285,48 @@ impl<'m> MarkovSimulator<'m> {
             return Err(SimError::BiasedObserver);
         }
         let start = self.model.initial_marking().clone();
-        let (outcome, _) = self.run_mode(start, 0.0, horizon, rng, &mut Observed(observer))?;
+        let (outcome, _) = self.run_observed(start, 0.0, horizon, rng, observer)?;
         Ok(outcome.end_time)
     }
 
     /// Runs [`run_loop`](MarkovSimulator::run_loop) on the parked
     /// scratch.
-    fn run_mode<R, M>(
+    fn run_observed<R, O>(
         &self,
         start: Marking,
         t0: f64,
         horizon: f64,
         rng: &mut R,
-        mode: &mut M,
+        observer: &mut O,
     ) -> Result<(RunOutcome, Marking), SimError>
     where
         R: Rng + ?Sized,
-        M: RunMode,
+        O: Observer + ?Sized,
     {
         let mut scratch = self.take_scratch();
-        let result = self.run_loop(start, t0, horizon, rng, mode, &mut scratch);
+        let result = self.run_loop(start, t0, horizon, rng, observer, &mut scratch);
         self.park_scratch(scratch);
         result
     }
 
-    /// The SSA loop every mode runs: stabilize, then per step sum the
-    /// enabled rates, sample the sojourn, let the mode observe up to
-    /// the next event, pick the winner, select its case, fire and
-    /// stabilize. The likelihood ratio takes each sojourn as the
-    /// sampled `tau`, plus the survival factor of the final interval.
-    fn run_loop<R, M>(
+    /// The SSA loop every run goes through: stabilize, then per step
+    /// ask the observer whether to stop, sum the enabled rates, sample
+    /// the sojourn, pick the winner, select its case, fire and
+    /// stabilize, reporting each completion to the observer. The
+    /// likelihood ratio takes each sojourn as the sampled `tau`, plus
+    /// the survival factor of the final interval.
+    fn run_loop<R, O>(
         &self,
         mut marking: Marking,
         t0: f64,
         horizon: f64,
         rng: &mut R,
-        mode: &mut M,
+        observer: &mut O,
         scratch: &mut SsaScratch,
     ) -> Result<(RunOutcome, Marking), SimError>
     where
         R: Rng + ?Sized,
-        M: RunMode,
+        O: Observer + ?Sized,
     {
         self.model.prime_cache(&mut scratch.cache, &marking);
         let fired = self
@@ -359,34 +334,26 @@ impl<'m> MarkovSimulator<'m> {
             .stabilize_cached(&mut marking, rng, &mut scratch.cache)?;
         let mut tally = RunTally::new(self.max_events, self.watchdog);
         tally.cascade(fired);
-        mode.start(&marking);
+        observer.on_start(&marking);
         for &a in scratch.cache.fired() {
-            mode.on_event(t0, a, &marking);
+            observer.on_event(t0, a, &marking);
         }
         let mut t = t0;
         let mut log_lr = 0.0_f64;
 
         let stopped = loop {
-            if mode.stop(t, &marking) {
+            if observer.should_stop(t, &marking) {
                 break true;
             }
             let (total_true, total_biased) = self.enabled_rates(&marking, scratch)?;
-            let excess = total_true - total_biased;
-            let deadlock = total_biased <= 0.0;
-            let tau = if deadlock {
-                f64::INFINITY
-            } else {
-                sample_exp(total_biased, rng)
-            };
-            let t_next = t + tau;
-            let done = mode.before_event(t_next.min(horizon), &marking, |g| {
-                (log_lr - excess * (g - t)).exp()
-            });
-            if deadlock {
+            if total_biased <= 0.0 {
                 // Nothing can ever happen again.
                 break false;
             }
-            if done || t_next > horizon {
+            let excess = total_true - total_biased;
+            let tau = sample_exp(total_biased, rng);
+            let t_next = t + tau;
+            if t_next > horizon {
                 // Survival of the final interval under both measures.
                 log_lr -= excess * (horizon - t);
                 break false;
@@ -401,20 +368,20 @@ impl<'m> MarkovSimulator<'m> {
                 .select_case_cached(a, &marking, rng, &mut scratch.cache)?;
             self.model
                 .fire_cached(a, case, &mut marking, &mut scratch.cache);
-            mode.on_event(t, a, &marking);
+            observer.on_event(t, a, &marking);
             let fired = self
                 .model
                 .stabilize_cached(&mut marking, rng, &mut scratch.cache)?;
             tally.cascade(fired);
             for &ia in scratch.cache.fired() {
-                mode.on_event(t, ia, &marking);
+                observer.on_event(t, ia, &marking);
             }
             tally.step()?;
         };
 
         let end_time = if stopped { t } else { horizon };
         let weight = log_lr.exp();
-        mode.end(end_time, &marking);
+        observer.on_end(end_time, &marking);
         tally.flush(self.metrics.as_deref(), weight);
         Ok((
             RunOutcome {
@@ -616,61 +583,6 @@ mod tests {
     }
 
     #[test]
-    fn transient_probabilities_match_closed_form() {
-        let (model, down) = single_failure(1.0);
-        let sim = MarkovSimulator::new(&model).unwrap();
-        let mut rng = SmallRng::seed_from_u64(4);
-        let grid = [0.5, 1.0, 2.0];
-        let mut sums = [0.0_f64; 3];
-        let n = 20_000;
-        for _ in 0..n {
-            let obs = sim
-                .run_transient(|m| m.is_marked(down), &grid, &mut rng)
-                .unwrap();
-            for (i, (v, w)) in obs.iter().enumerate() {
-                sums[i] += v * w;
-            }
-        }
-        for (i, &g) in grid.iter().enumerate() {
-            let p_hat = sums[i] / f64::from(n);
-            let p = 1.0 - (-g).exp();
-            assert!(
-                (p_hat - p).abs() < 0.02,
-                "t={g}: estimate {p_hat}, truth {p}"
-            );
-        }
-    }
-
-    #[test]
-    fn biased_transient_matches_closed_form() {
-        let (model, down) = single_failure(1e-3);
-        let fail = model.find_activity("fail").unwrap();
-        let sim = MarkovSimulator::new(&model)
-            .unwrap()
-            .with_bias(BiasScheme::new().with_multiplier(fail, 200.0));
-        let mut rng = SmallRng::seed_from_u64(5);
-        let grid = [1.0, 2.0];
-        let mut est = [WeightedStats::new(), WeightedStats::new()];
-        for _ in 0..30_000 {
-            let obs = sim
-                .run_transient(|m| m.is_marked(down), &grid, &mut rng)
-                .unwrap();
-            for (i, (v, w)) in obs.iter().enumerate() {
-                est[i].push(*v, *w);
-            }
-        }
-        for (i, &g) in grid.iter().enumerate() {
-            let truth = 1.0 - (-1e-3 * g).exp();
-            let rel = (est[i].mean() - truth).abs() / truth;
-            assert!(
-                rel < 0.1,
-                "t={g}: IS estimate {} vs truth {truth}",
-                est[i].mean()
-            );
-        }
-    }
-
-    #[test]
     fn deadlock_ends_run_cleanly() {
         let (model, down) = single_failure(100.0);
         let sim = MarkovSimulator::new(&model).unwrap();
@@ -726,25 +638,9 @@ mod tests {
             .with_watchdog(Watchdog::new().with_max_events(100));
         let mut rng = SmallRng::seed_from_u64(11);
         assert!(matches!(
-            sim.run_with_observer(1e9, &mut rng, &mut crate::NullObserver),
+            sim.run_with_observer(1e9, &mut rng, &mut FirstPassage(|_: &Marking| false)),
             Err(SimError::Runaway { events: 101, .. })
         ));
-    }
-
-    #[test]
-    fn bad_grid_is_a_typed_error() {
-        let (model, down) = single_failure(1.0);
-        let sim = MarkovSimulator::new(&model).unwrap();
-        let mut rng = SmallRng::seed_from_u64(9);
-        for grid in crate::run::BAD_GRIDS {
-            assert!(
-                matches!(
-                    sim.run_transient(|m| m.is_marked(down), grid, &mut rng),
-                    Err(SimError::InvalidGrid { .. })
-                ),
-                "{grid:?}"
-            );
-        }
     }
 
     #[test]
@@ -756,7 +652,7 @@ mod tests {
             .with_bias(BiasScheme::new().with_multiplier(fail, 10.0));
         let mut rng = SmallRng::seed_from_u64(10);
         assert_eq!(
-            sim.run_with_observer(1.0, &mut rng, &mut crate::NullObserver),
+            sim.run_with_observer(1.0, &mut rng, &mut FirstPassage(|_: &Marking| false)),
             Err(SimError::BiasedObserver)
         );
     }

@@ -116,26 +116,6 @@ fn biased_backend_is_thread_count_invariant() {
     assert_eq!(mk(1), mk(4));
 }
 
-#[test]
-fn transient_is_thread_count_invariant() {
-    let run = |threads: usize| {
-        let (m, ko) = model();
-        let grid = TimeGrid::new(vec![1.0, 3.0]);
-        Study::new(m)
-            .with_seed(123)
-            .with_fixed_replications(3_000)
-            .with_threads(threads)
-            .transient(move |mk| mk.is_marked(ko), &grid, Backend::Markov)
-            .unwrap()
-            .curve
-            .points(0.95)
-            .iter()
-            .map(|p| (p.y, p.half_width))
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(run(1), run(4));
-}
-
 /// A rate + impulse reward (time with component 1 down, plus one per
 /// latch firing) over 5 000 replications: five chunks, so the fold
 /// crosses chunk boundaries.

@@ -9,12 +9,12 @@
 //! therefore has a twin whose gates omit `touches`; the twin is
 //! asserted unsound, so no comparison below is vacuous.
 //!
-//! The tier also pins an order-sensitive digest of every run mode of
-//! the executor, and checks that the modes take one path through the
-//! model.
+//! The tier also pins an order-sensitive digest of every entry point
+//! of the executor, and checks that first passage and an observer run
+//! take one path through the model.
 
 use ahs_des::{replication_rng, Backend, BiasScheme, MarkovSimulator, Study};
-use ahs_san::{Delay, Marking, PlaceId, SanBuilder, SanModel};
+use ahs_san::{ActivityId, Delay, Marking, PlaceId, SanBuilder, SanModel};
 use ahs_stats::TimeGrid;
 use rand::rngs::SmallRng;
 
@@ -120,26 +120,6 @@ fn ssa_replications_match_unsound_twin_bitwise() {
                 "biased {biased}, rep {rep}"
             );
         }
-    }
-}
-
-#[test]
-fn transient_curves_match_unsound_twin_bitwise() {
-    let (m, ko) = model(true);
-    let (twin, _) = model(false);
-    let grid = [1.0, 3.0, HORIZON];
-    let ssa_inc = MarkovSimulator::new(&m).unwrap();
-    let ssa_full = MarkovSimulator::new(&twin).unwrap();
-    for rep in 0..100 {
-        let mut r1 = replication_rng(SEED ^ 3, rep);
-        let mut r2 = replication_rng(SEED ^ 3, rep);
-        let a = ssa_inc
-            .run_transient(|mk| mk.is_marked(ko), &grid, &mut r1)
-            .unwrap();
-        let b = ssa_full
-            .run_transient(|mk| mk.is_marked(ko), &grid, &mut r2)
-            .unwrap();
-        assert_eq!(a, b, "ssa rep {rep}");
     }
 }
 
@@ -274,42 +254,61 @@ fn shared_rate_group_matches_closure_twin_bitwise() {
     }
 }
 
-/// The run modes are one loop with different hooks, so they take one
-/// path: seeded alike, a transient run sees the absorbing target at the
-/// horizon exactly when a first-passage run hits it by then.
+/// Stops on `ko` like first passage does, and records whether it
+/// stopped and how many timed events fired.
+struct StopOnTarget<'m> {
+    model: &'m SanModel,
+    ko: PlaceId,
+    hit: bool,
+    timed_events: u64,
+}
+
+impl ahs_des::Observer for StopOnTarget<'_> {
+    fn on_event(&mut self, _time: f64, activity: ActivityId, _marking: &Marking) {
+        self.timed_events += u64::from(!self.model.activity(activity).is_instantaneous());
+    }
+
+    fn should_stop(&mut self, _time: f64, marking: &Marking) -> bool {
+        self.hit = marking.is_marked(self.ko);
+        self.hit
+    }
+}
+
+/// First passage is an observer of the one loop, so both entry points
+/// take one path: seeded alike, a first-passage run and an observer run
+/// whose `should_stop` is the same target end at the same instant after
+/// the same timed events, and stop on the target exactly together.
 #[test]
-fn transient_and_first_passage_follow_one_path() {
-    // Short enough that the biased runs miss the target now and then.
+fn first_passage_and_observer_follow_one_path() {
+    // Short enough that the runs miss the target now and then.
     const H: f64 = 2.0;
     let (m, ko) = model(true);
-    let target = |mk: &Marking| mk.is_marked(ko);
     let ssa = MarkovSimulator::new(&m).unwrap();
-    let ssa_biased = MarkovSimulator::new(&m).unwrap().with_bias(fail_bias(&m));
-    let mut hits = [0_u32; 2];
+    let mut hits = 0_u32;
     for rep in 0..300 {
         let rng = || replication_rng(SEED ^ 5, rep);
-        let pairs = [
-            (
-                ssa.run_transient(target, &[H], &mut rng()).unwrap(),
-                ssa.run_first_passage(target, H, &mut rng()).unwrap(),
-            ),
-            (
-                ssa_biased.run_transient(target, &[H], &mut rng()).unwrap(),
-                ssa_biased.run_first_passage(target, H, &mut rng()).unwrap(),
-            ),
-        ];
-        for (i, (obs, fp)) in pairs.iter().enumerate() {
-            assert_eq!(
-                obs[0].0 == 1.0,
-                fp.hit_time.is_some(),
-                "pair {i}, rep {rep}"
-            );
-            hits[i] += u32::from(fp.hit_time.is_some());
-        }
+        let fp = ssa
+            .run_first_passage(|mk| mk.is_marked(ko), H, &mut rng())
+            .unwrap();
+        let mut obs = StopOnTarget {
+            model: &m,
+            ko,
+            hit: false,
+            timed_events: 0,
+        };
+        let end = ssa.run_with_observer(H, &mut rng(), &mut obs).unwrap();
+        assert_eq!(
+            fp.hit_time.map(f64::to_bits),
+            obs.hit.then_some(end.to_bits()),
+            "rep {rep}"
+        );
+        assert_eq!(fp.end_time.to_bits(), end.to_bits(), "rep {rep}");
+        assert_eq!(fp.events, obs.timed_events, "rep {rep}");
+        hits += u32::from(fp.hit_time.is_some());
     }
     assert!(
-        hits.iter().all(|&h| h > 0 && h < 300),
-        "hits {hits:?}: every pair must see both outcomes"
+        hits > 0 && hits < 300,
+        "hits {hits}: both outcomes must occur"
     );
 }
 
@@ -334,14 +333,6 @@ impl Digest {
         self.push(o.end_time.to_bits());
         self.push(o.final_weight.to_bits());
         self.push(o.events);
-    }
-
-    fn push_observations(&mut self, obs: &[(f64, f64)]) {
-        self.push(obs.len() as u64);
-        for &(v, w) in obs {
-            self.push(v.to_bits());
-            self.push(w.to_bits());
-        }
     }
 }
 
@@ -372,13 +363,13 @@ impl ahs_des::Observer for DigestObserver<'_> {
     }
 }
 
-/// Every run mode, plain and biased, 300 replications each, digested
-/// bit by bit in replication order. A refactor of the run loop must
-/// keep every digest: a changed digest means a changed sample.
+/// Every entry point, first passage plain and biased and an observer
+/// run, 300 replications each, digested bit by bit in replication
+/// order. A refactor of the run loop must keep every digest: a
+/// changed digest means a changed sample.
 #[test]
 fn every_executor_mode_keeps_its_digest() {
     let (m, ko) = model(true);
-    let grid = [1.0, 3.0, HORIZON];
     let ssa = MarkovSimulator::new(&m).unwrap();
     let ssa_biased = MarkovSimulator::new(&m).unwrap().with_bias(fail_bias(&m));
     let target = |mk: &Marking| mk.is_marked(ko);
@@ -404,18 +395,6 @@ fn every_executor_mode_keeps_its_digest() {
             }),
         ),
         (
-            "ssa transient",
-            digest(12, &|rng, d| {
-                d.push_observations(&ssa.run_transient(target, &grid, rng).unwrap())
-            }),
-        ),
-        (
-            "ssa transient, biased",
-            digest(13, &|rng, d| {
-                d.push_observations(&ssa_biased.run_transient(target, &grid, rng).unwrap())
-            }),
-        ),
-        (
             "ssa observer",
             digest(14, &|rng, d| {
                 let mut obs = DigestObserver { digest: d, ko };
@@ -424,11 +403,9 @@ fn every_executor_mode_keeps_its_digest() {
             }),
         ),
     ];
-    let pinned: [u64; 5] = [
+    let pinned: [u64; 3] = [
         0xc3c0_e8de_9275_93a4,
         0x04ae_df2b_b962_4813,
-        0x2dee_aec9_d452_dd8d,
-        0x6624_77d1_c9cc_8a90,
         0xc80a_ba7a_03ff_0768,
     ];
     for (name, got) in &got {

@@ -1,13 +1,11 @@
-//! Integration tests of the replication study layer: biased transient
-//! estimation, state-dependent bias schemes, and reward/splitting
-//! interplay on a common model.
+//! Integration tests of the replication study layer: state-dependent
+//! bias schemes and reward/splitting interplay on a common model.
 
 use ahs_des::{Backend, BiasScheme, RewardSpec, SplittingStudy, Study};
 use ahs_san::{Delay, PlaceId, SanBuilder, SanModel};
 use ahs_stats::TimeGrid;
 
-/// Two-component system; both down = system failure (repairable, so
-/// the transient probability is non-monotone in general).
+/// Two-component system; both down = system failure (repairable).
 fn two_components(fail: f64, repair: f64) -> (SanModel, Vec<PlaceId>) {
     let mut b = SanBuilder::new("pair");
     let mut downs = Vec::new();
@@ -29,40 +27,6 @@ fn two_components(fail: f64, repair: f64) -> (SanModel, Vec<PlaceId>) {
         downs.push(down);
     }
     (b.build().unwrap(), downs)
-}
-
-#[test]
-fn biased_transient_matches_plain_transient() {
-    let (model, downs) = two_components(0.05, 2.0);
-    let fails: Vec<_> = (0..2)
-        .map(|i| model.find_activity(&format!("fail{i}")).unwrap())
-        .collect();
-    let d = downs.clone();
-    let pred = move |m: &ahs_san::Marking| d.iter().all(|&p| m.is_marked(p));
-    let grid = TimeGrid::new(vec![2.0, 6.0, 10.0]);
-
-    let study = Study::new(model)
-        .with_seed(31)
-        .with_fixed_replications(60_000)
-        .with_threads(2);
-    let plain = study.transient(&pred, &grid, Backend::Markov).unwrap();
-    let biased = study
-        .transient(
-            &pred,
-            &grid,
-            Backend::BiasedMarkov(BiasScheme::new().with_multipliers(fails, 8.0)),
-        )
-        .unwrap();
-
-    for i in 0..grid.len() {
-        let a = plain.curve.interval(i, 0.999);
-        let b = biased.curve.interval(i, 0.999);
-        assert!(
-            a.overlaps(&b),
-            "t={}: plain {a} vs biased {b}",
-            grid.points()[i]
-        );
-    }
 }
 
 #[test]
@@ -114,8 +78,8 @@ fn state_dependent_bias_is_unbiased() {
 
 #[test]
 fn reward_and_splitting_coexist_on_one_model() {
-    // Same model, three questions: downtime reward, first-passage via
-    // splitting, and a transient curve.
+    // Same model, two questions: downtime reward and first-passage via
+    // splitting.
     let (model, downs) = two_components(0.3, 1.5);
     let d0 = downs[0];
 

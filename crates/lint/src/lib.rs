@@ -5,7 +5,7 @@
 //! an accidentally absorbing marking silently skews the unsafety curve
 //! rather than crashing. This crate is the model-level analogue of a
 //! compiler's lint stage: it takes any built
-//! [`SanModel`](ahs_san::SanModel), runs a fixed pipeline of
+//! [`SanModel`], runs a fixed pipeline of
 //! verification passes over it, and produces a severity-ranked
 //! [`Report`] (human-readable and JSON).
 //!
@@ -34,7 +34,7 @@
 //!
 //! Reachability is bounded ([`LintConfig::max_states`]): the passes
 //! read `ahs-check`'s micro-step marking graph
-//! ([`StateGraph`](ahs_check::StateGraph)), explored once per lint
+//! ([`StateGraph`]), explored once per lint
 //! up to that budget. When the budget truncates exploration,
 //! absence-based findings (pass 3) are downgraded from error to warning
 //! because absence is no longer proven, and

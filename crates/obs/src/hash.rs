@@ -2,11 +2,11 @@
 //!
 //! Several layers need a cheap digest whose value must never change
 //! across releases: the bench runner keys per-point checkpoint files
-//! by a digest of the parameter JSON, `ahs evaluate --checkpoint
-//! <dir>` names per-study checkpoint files the same way, and
-//! `ahs-serve` hands each worker attempt the digest of the job spec it
-//! admitted. They all call this one implementation so the values agree
-//! across layers.
+//! by a digest of the parameter JSON,
+//! `ahs evaluate --checkpoint <dir>` names per-study checkpoint files
+//! the same way, and `ahs-serve` hands each worker attempt the digest
+//! of the job spec it admitted. They all call this one implementation
+//! so the values agree across layers.
 
 /// FNV-1a 64-bit hash of `bytes`.
 ///

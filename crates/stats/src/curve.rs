@@ -140,10 +140,9 @@ impl Curve {
         }
     }
 
-    /// Records one replication of a general transient measure: one
-    /// `(value, weight)` observation per grid point (e.g. the indicator
-    /// of a non-absorbing condition with its point-specific likelihood
-    /// ratio under importance sampling).
+    /// Records one replication of a general measure: one
+    /// `(value, weight)` observation per grid point (e.g. a reward
+    /// total with unit weight).
     ///
     /// # Panics
     ///

@@ -4,8 +4,8 @@
 //! (Hamouda et al., DSN 2009): running moments, confidence intervals,
 //! relative-precision stopping rules (the paper stops each point after at
 //! least 10 000 batches once the 95% interval is within 0.1 relative
-//! half-width), histograms, and time-grid curve accumulators
-//! for transient measures such as the unsafety `S(t)`.
+//! half-width), and time-grid curve accumulators for transient
+//! measures such as the unsafety `S(t)`.
 //!
 //! # Example
 //!
@@ -28,14 +28,12 @@
 
 mod ci;
 mod curve;
-mod histogram;
 mod stopping;
 mod summary;
 mod welford;
 
 pub use ci::{normal_quantile, student_t_quantile, ConfidenceInterval};
 pub use curve::{Curve, CurvePoint, TimeGrid};
-pub use histogram::Histogram;
 pub use stopping::StoppingRule;
 pub use summary::{format_csv, format_markdown, RowWidthError, Table};
 pub use welford::{RunningStats, WeightedStats};

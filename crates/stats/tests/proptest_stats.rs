@@ -1,6 +1,6 @@
 //! Property-based tests of the statistical primitives.
 
-use ahs_stats::{normal_quantile, Histogram, RunningStats, TimeGrid, WeightedStats};
+use ahs_stats::{normal_quantile, RunningStats, TimeGrid, WeightedStats};
 use proptest::prelude::*;
 
 proptest! {
@@ -129,32 +129,6 @@ proptest! {
         prop_assert!((scaled.mean() - base.mean() * factor).abs() < 1e-9 * factor.max(1.0));
         // Kish ESS is invariant under weight scaling.
         prop_assert!((scaled.effective_sample_size() - base.effective_sample_size()).abs() < 1e-6);
-    }
-
-    #[test]
-    fn histogram_counts_everything(
-        xs in prop::collection::vec(-5f64..15.0, 1..200),
-    ) {
-        let mut h = Histogram::new(0.0, 10.0, 7);
-        for &x in &xs {
-            h.record(x);
-        }
-        let binned: u64 = (0..h.num_bins()).map(|i| h.bin_count(i)).sum();
-        prop_assert_eq!(binned + h.underflow() + h.overflow(), xs.len() as u64);
-    }
-
-    #[test]
-    fn histogram_quantiles_are_monotone(
-        xs in prop::collection::vec(0f64..10.0, 5..200),
-        qa in 0f64..1.0,
-        qb in 0f64..1.0,
-    ) {
-        let mut h = Histogram::new(0.0, 10.0, 16);
-        for &x in &xs {
-            h.record(x);
-        }
-        let (lo, hi) = if qa < qb { (qa, qb) } else { (qb, qa) };
-        prop_assert!(h.quantile(lo) <= h.quantile(hi) + 1e-9);
     }
 
     #[test]
