@@ -72,7 +72,8 @@ pub struct CurveEstimate {
     /// raised (SIGINT/SIGTERM or a manual request). When a checkpoint
     /// path is configured the final state was flushed there first.
     pub interrupted: bool,
-    /// Replications whose body panicked and was quarantined.
+    /// Replications of the final prefix whose body panicked and was
+    /// quarantined, in replication order.
     pub quarantined: Vec<QuarantinedRep>,
     /// Watermarks of the checkpoints this run (transitively) resumed
     /// from, oldest first; empty for a fresh run.
@@ -88,20 +89,18 @@ struct CheckpointPlan {
 
 /// A replication study: a model plus sampling configuration.
 ///
-/// Replications are deterministic given the master seed — replication
-/// `i` always consumes random stream `i` regardless of thread
-/// scheduling, and worker chunks are merged into the final curve in
-/// replication order, so a fixed-budget study produces **bitwise
-/// identical** estimates for any thread count (the determinism test
-/// tier enforces this). Precision-rule studies are deterministic per
-/// replication too, but the total replication count may vary slightly
-/// with scheduling because the rule fires between chunks.
+/// Replication `i` always consumes random stream `i`, and the study
+/// keeps one merged state, the contiguous replication prefix `[0, W)`:
+/// worker chunks are folded into it in replication order, and the
+/// stopping rule is checked after each fold. The first `W` at which the
+/// rule holds ends the study; chunks computed past it are discarded. So
+/// any study gives **bitwise identical** estimates and replication
+/// counts at any thread count (the determinism tier enforces this).
 ///
-/// The same two properties make studies resumable: a checkpoint stores
-/// the merged estimator state over the completed replication prefix
-/// `[0, W)`, and a resumed study replays replications `W..` with
-/// identical streams and merge order (the recovery test tier enforces
-/// bitwise-identical resume at 1, 2, and 4 threads).
+/// A checkpoint stores the prefix, so a resumed study replays
+/// replications `W..` with identical streams and merge order, and a
+/// finished study's final checkpoint resumes with no new replication
+/// (the recovery tier enforces this at 1, 2, and 4 threads).
 ///
 /// The default stopping rule mirrors the paper: at least 10 000
 /// replications and a 95% confidence interval within 0.1 relative
@@ -190,9 +189,9 @@ impl Study {
         self
     }
 
-    /// Attaches a telemetry sink shared by all workers (replication
-    /// counts, per-run tallies, weight diagnostics, chunk merges,
-    /// quarantined replications, per-worker throughput).
+    /// Attaches a telemetry sink shared by all workers (replications
+    /// and chunks merged into the prefix, per-run tallies, weight
+    /// diagnostics, quarantined replications, per-worker throughput).
     #[must_use]
     pub fn with_metrics(mut self, metrics: Arc<Metrics>) -> Self {
         self.metrics = Some(metrics);
@@ -200,8 +199,10 @@ impl Study {
     }
 
     /// Attaches a JSON-lines progress sink; the study emits
-    /// `study_started`, `chunk_done`, `checkpoint_written`,
-    /// `replication_quarantined`, and `study_finished` events.
+    /// `study_started`, `replication_quarantined` and `chunk_done` (as
+    /// chunks are folded into the prefix, in replication order; `total`
+    /// counts the prefix's replications), `checkpoint_written`, and
+    /// `study_finished` events.
     #[must_use]
     pub fn with_progress(mut self, progress: Arc<ProgressSink>) -> Self {
         self.progress = Some(progress);
@@ -219,7 +220,9 @@ impl Study {
     /// Allows up to `budget` replications to panic: each one is
     /// quarantined (recorded, excluded from the estimates, reported in
     /// metrics and the result) instead of aborting the study. The
-    /// default budget is 0 — the first panic surfaces as
+    /// budget counts the panics of the replication prefix, so the same
+    /// study fails or succeeds at any thread count. The default budget
+    /// is 0 — the first panic surfaces as
     /// [`SimError::QuarantineOverflow`].
     #[must_use]
     pub fn with_quarantine_budget(mut self, budget: u64) -> Self {
@@ -299,11 +302,12 @@ impl Study {
     ///
     /// # Errors
     ///
-    /// Returns the first [`SimError`] raised by any replication
-    /// (event-budget exhaustion, watchdog violations, invalid rates,
-    /// SAN-level errors), a checkpoint failure, or
-    /// [`SimError::QuarantineOverflow`] when more replications panic
-    /// than the quarantine budget allows.
+    /// Returns the [`SimError`] of the first failing replication of the
+    /// prefix, in replication order (event-budget exhaustion, watchdog
+    /// violations, invalid rates, SAN-level errors), a checkpoint
+    /// failure, or [`SimError::QuarantineOverflow`] when more
+    /// replications of the prefix panic than the quarantine budget
+    /// allows.
     pub fn first_passage<F>(
         &self,
         target: F,
@@ -471,24 +475,22 @@ impl Study {
         }
         let lineage = lineage; // frozen; shared by checkpoints and the result
 
-        // `global` feeds the stopping checks (merge order immaterial);
-        // `ordered` maintains the contiguous replication prefix merged
-        // in start order — the deterministic state that checkpoints
-        // snapshot and the final estimate is read from.
-        let global = Mutex::new(initial.clone());
-        let ordered = Mutex::new(OrderedState {
-            prefix: initial,
-            prefix_end: start_watermark,
+        // The rule may already hold on a resumed prefix.
+        let last = grid.len() - 1;
+        let satisfied = |c: &Curve| self.rule.is_satisfied(c.estimator(last).product_stats());
+        let stopped = satisfied(&initial);
+        let prefix = Mutex::new(Prefix {
+            curve: initial,
+            end: start_watermark,
+            quarantined: initial_quarantined,
             pending: BTreeMap::new(),
+            stopped,
             last_flush: start_watermark,
         });
-        let quarantined: Mutex<Vec<QuarantinedRep>> = Mutex::new(initial_quarantined);
         let next_rep = AtomicU64::new(start_watermark);
-        let done = AtomicBool::new(false);
+        let done = AtomicBool::new(stopped);
         let interrupted = AtomicBool::new(false);
         let failure: Mutex<Option<SimError>> = Mutex::new(None);
-        let converged = AtomicBool::new(false);
-        let ran_chunks = AtomicBool::new(false);
 
         let fail = |e: SimError| {
             let mut f = lock(&failure);
@@ -498,19 +500,33 @@ impl Study {
             done.store(true, Ordering::SeqCst);
         };
 
-        let make_checkpoint =
-            |curve: Curve, watermark: u64, quarantined: Vec<QuarantinedRep>| StudyCheckpoint {
-                seed: self.seed,
-                chunk: self.chunk,
-                watermark,
-                model_name: self.model.name().to_owned(),
-                model_fingerprint: fingerprint,
-                confidence: self.rule.confidence(),
-                stopping: self.stopping_spec(),
-                curve,
-                quarantined,
-                lineage: lineage.clone(),
-            };
+        // The prefix `[0, end)` as a checkpoint document.
+        let snapshot = |p: &Prefix| StudyCheckpoint {
+            seed: self.seed,
+            chunk: self.chunk,
+            watermark: p.end,
+            model_name: self.model.name().to_owned(),
+            model_fingerprint: fingerprint,
+            confidence: self.rule.confidence(),
+            stopping: self.stopping_spec(),
+            curve: p.curve.clone(),
+            quarantined: p.quarantined.clone(),
+            lineage: lineage.clone(),
+        };
+        let save = |plan: &CheckpointPlan, cp: &StudyCheckpoint, last: bool| {
+            cp.write_rotated(&plan.path)?;
+            if let Some(p) = &self.progress {
+                let mut fields = vec![
+                    ("watermark", cp.watermark.into()),
+                    ("path", Json::str(plan.path.display().to_string())),
+                ];
+                if last {
+                    fields.push(("final", true.into()));
+                }
+                p.emit("checkpoint_written", fields);
+            }
+            Ok::<(), SimError>(())
+        };
 
         if let Some(p) = &self.progress {
             p.emit(
@@ -582,8 +598,12 @@ impl Study {
                     }
                     end = end.min(max);
                 }
-                let mut local = Curve::new(grid.clone());
-                let mut chunk_quarantined = 0_u64;
+                let mut chunk = Chunk {
+                    end,
+                    curve: Curve::new(grid.clone()),
+                    quarantined: Vec::new(),
+                    error: None,
+                };
                 for rep in start..end {
                     let mut rng = replication_rng(self.seed, rep);
                     // The simulator holds configuration plus a parked
@@ -595,7 +615,7 @@ impl Study {
                     // and never leaves stale state behind, because a
                     // taken scratch is re-primed before use anyway.
                     // Recording happens out here, after validation, so
-                    // a panic can never leave `local` half-updated
+                    // a panic can never leave the chunk half-updated
                     // either.
                     let result = catch_unwind(AssertUnwindSafe(|| {
                         // Chaos hook, deliberately *inside* the unwind
@@ -618,125 +638,104 @@ impl Study {
                         }
                         work(&sim, &mut rng)
                     }));
-                    match result {
-                        Ok(Ok(outcome)) => {
-                            if let Err(e) = record_outcome(&mut local, outcome) {
-                                fail(e);
-                                return;
-                            }
-                        }
+                    // An error, or more panics than the whole budget,
+                    // fails the study if this chunk is ever folded: stop
+                    // computing it.
+                    match result.map(|r| r.and_then(|o| record_outcome(&mut chunk.curve, o))) {
+                        Ok(Ok(())) => {}
                         Ok(Err(e)) => {
-                            fail(e);
-                            return;
+                            chunk.error = Some(e);
+                            break;
                         }
                         Err(payload) => {
-                            let message = panic_message(payload.as_ref());
-                            chunk_quarantined += 1;
+                            chunk.quarantined.push(QuarantinedRep {
+                                replication: rep,
+                                message: panic_message(payload.as_ref()),
+                            });
+                            if chunk.quarantined.len() as u64 > self.quarantine_budget {
+                                break;
+                            }
+                        }
+                    }
+                }
+                worker_reps += chunk.curve.samples();
+                // Fold every chunk that now continues the prefix, one at
+                // a time, until the rule holds; later chunks are dropped
+                // unseen, with their panics and errors.
+                let flush = {
+                    let mut guard = lock(&prefix);
+                    let p = &mut *guard;
+                    if !p.stopped {
+                        p.pending.insert(start, chunk);
+                    }
+                    while let Some(entry) = p.pending.first_entry() {
+                        if *entry.key() != p.end {
+                            break;
+                        }
+                        let (chunk_start, chunk) = entry.remove_entry();
+                        for q in chunk.quarantined {
                             if let Some(m) = &self.metrics {
                                 m.record_quarantined();
                             }
-                            if let Some(p) = &self.progress {
-                                p.emit(
+                            if let Some(sink) = &self.progress {
+                                sink.emit(
                                     "replication_quarantined",
                                     vec![
-                                        ("replication", rep.into()),
-                                        ("message", Json::str(message.clone())),
+                                        ("replication", q.replication.into()),
+                                        ("message", Json::str(q.message.clone())),
                                     ],
                                 );
                             }
-                            let total = {
-                                let mut q = lock(&quarantined);
-                                q.push(QuarantinedRep {
-                                    replication: rep,
-                                    message: message.clone(),
-                                });
-                                q.len() as u64
-                            };
+                            let total = p.quarantined.len() as u64 + 1;
                             if total > self.quarantine_budget {
                                 fail(SimError::QuarantineOverflow {
                                     quarantined: total,
                                     budget: self.quarantine_budget,
-                                    message,
+                                    message: q.message,
                                 });
                                 return;
                             }
+                            p.quarantined.push(q);
                         }
-                    }
-                }
-                let completed = (end - start) - chunk_quarantined;
-                worker_reps += completed;
-                let mut g = lock(&global);
-                g.merge(&local);
-                let merged_total = g.samples();
-                let last = grid.len() - 1;
-                let stats = *g.estimator(last).product_stats();
-                drop(g);
-                // Advance the contiguous prefix and decide whether this
-                // merge crossed a checkpoint boundary.
-                let flush = {
-                    let mut ord = lock(&ordered);
-                    ord.pending.insert(start, (end, local));
-                    loop {
-                        let front = ord.pending.keys().next().copied();
-                        match front {
-                            Some(s) if s == ord.prefix_end => {
-                                if let Some((e, c)) = ord.pending.remove(&s) {
-                                    ord.prefix.merge(&c);
-                                    ord.prefix_end = e;
-                                }
-                            }
-                            _ => break,
+                        if let Some(e) = chunk.error {
+                            fail(e);
+                            return;
+                        }
+                        p.curve.merge(&chunk.curve);
+                        p.end = chunk.end;
+                        if let Some(m) = &self.metrics {
+                            m.add_replications(chunk.curve.samples());
+                            m.record_chunk_merge();
+                        }
+                        if let Some(sink) = &self.progress {
+                            sink.emit(
+                                "chunk_done",
+                                vec![
+                                    ("start", chunk_start.into()),
+                                    ("replications", chunk.curve.samples().into()),
+                                    ("total", p.curve.samples().into()),
+                                ],
+                            );
+                        }
+                        if satisfied(&p.curve) {
+                            p.stopped = true;
+                            p.pending.clear();
+                            done.store(true, Ordering::SeqCst);
                         }
                     }
                     match &self.checkpoint {
-                        Some(plan)
-                            if ord.prefix_end.saturating_sub(ord.last_flush) >= plan.every =>
-                        {
-                            ord.last_flush = ord.prefix_end;
-                            Some((ord.prefix_end, ord.prefix.clone()))
+                        Some(plan) if p.end.saturating_sub(p.last_flush) >= plan.every => {
+                            p.last_flush = p.end;
+                            Some((plan, snapshot(p)))
                         }
                         _ => None,
                     }
                 };
-                if let (Some((watermark, snapshot)), Some(plan)) = (flush, &self.checkpoint) {
-                    let quarantined_below: Vec<QuarantinedRep> = lock(&quarantined)
-                        .iter()
-                        .filter(|r| r.replication < watermark)
-                        .cloned()
-                        .collect();
-                    let cp = make_checkpoint(snapshot, watermark, quarantined_below);
-                    if let Err(e) = cp.write_rotated(&plan.path) {
+                if let Some((plan, cp)) = flush {
+                    if let Err(e) = save(plan, &cp, false) {
                         fail(e);
                         return;
                     }
-                    if let Some(p) = &self.progress {
-                        p.emit(
-                            "checkpoint_written",
-                            vec![
-                                ("watermark", watermark.into()),
-                                ("path", Json::str(plan.path.display().to_string())),
-                            ],
-                        );
-                    }
-                }
-                ran_chunks.store(true, Ordering::SeqCst);
-                if let Some(m) = &self.metrics {
-                    m.add_replications(completed);
-                    m.record_chunk_merge();
-                }
-                if let Some(p) = &self.progress {
-                    p.emit(
-                        "chunk_done",
-                        vec![
-                            ("start", start.into()),
-                            ("replications", completed.into()),
-                            ("total", merged_total.into()),
-                        ],
-                    );
-                }
-                if self.rule.is_satisfied(&stats) {
-                    converged.store(self.rule.precision_reached(&stats), Ordering::SeqCst);
-                    done.store(true, Ordering::SeqCst);
                 }
             }
             if let Some(m) = &self.metrics {
@@ -760,42 +759,20 @@ impl Study {
         if let Some(e) = into_inner(failure) {
             return Err(e);
         }
-        let OrderedState {
-            prefix: curve,
-            prefix_end,
-            pending,
-            ..
-        } = into_inner(ordered);
-        // Every grabbed chunk completes before its worker exits, so the
-        // chunk set is contiguous whenever no failure occurred.
-        debug_assert!(pending.is_empty(), "non-contiguous chunks left pending");
-        debug_assert_eq!(curve.samples(), into_inner(global).samples());
-        let quarantined = into_inner(quarantined);
-        let interrupted = interrupted.load(Ordering::SeqCst);
-        let replications = curve.samples();
-        let last = grid.len() - 1;
-        let stats = *curve.estimator(last).product_stats();
-        // A fully-resumed study runs no chunks, so the in-loop check
-        // never fires; evaluate the rule on the final state instead.
-        let converged = if ran_chunks.load(Ordering::SeqCst) {
-            converged.load(Ordering::SeqCst)
-        } else {
-            self.rule.is_satisfied(&stats) && self.rule.precision_reached(&stats)
-        };
+        let prefix = into_inner(prefix);
+        // Every grabbed chunk below the watermark completes before its
+        // worker exits, so nothing is left pending without a failure.
+        debug_assert!(
+            prefix.pending.is_empty(),
+            "non-contiguous chunks left pending"
+        );
         if let Some(plan) = &self.checkpoint {
-            let cp = make_checkpoint(curve.clone(), prefix_end, quarantined.clone());
-            cp.write_rotated(&plan.path)?;
-            if let Some(p) = &self.progress {
-                p.emit(
-                    "checkpoint_written",
-                    vec![
-                        ("watermark", prefix_end.into()),
-                        ("path", Json::str(plan.path.display().to_string())),
-                        ("final", true.into()),
-                    ],
-                );
-            }
+            save(plan, &snapshot(&prefix), true)?;
         }
+        let stats = prefix.curve.estimator(last).product_stats();
+        let converged = prefix.stopped && self.rule.precision_reached(stats);
+        let interrupted = interrupted.load(Ordering::SeqCst);
+        let replications = prefix.curve.samples();
         if let Some(p) = &self.progress {
             p.emit(
                 "study_finished",
@@ -803,16 +780,16 @@ impl Study {
                     ("replications", replications.into()),
                     ("converged", converged.into()),
                     ("interrupted", interrupted.into()),
-                    ("quarantined", (quarantined.len() as u64).into()),
+                    ("quarantined", (prefix.quarantined.len() as u64).into()),
                 ],
             );
         }
         Ok(CurveEstimate {
-            curve,
+            curve: prefix.curve,
             replications,
             converged,
             interrupted,
-            quarantined,
+            quarantined: prefix.quarantined,
             resume_lineage: lineage,
         })
     }
@@ -828,19 +805,34 @@ impl std::fmt::Debug for Study {
     }
 }
 
-/// The contiguous-prefix merge state shared by workers: chunks arrive
-/// in any order but are folded into `prefix` strictly by start index,
-/// so the floating-point merge order — and therefore the bits of every
-/// estimate — is a pure function of the chunk set.
-struct OrderedState {
-    prefix: Curve,
-    /// Replications `[0, prefix_end)` are merged into `prefix`.
-    prefix_end: u64,
-    /// Out-of-order chunks waiting for their predecessors:
-    /// `start -> (end, curve)`.
-    pending: BTreeMap<u64, (u64, Curve)>,
+/// The contiguous replication prefix shared by workers: chunks arrive
+/// in any order but are folded into `curve` strictly by start index,
+/// so the floating-point merge order, and with it the bits of every
+/// estimate and the watermark the rule stops at, is a pure function of
+/// the seed and the chunk size.
+struct Prefix {
+    curve: Curve,
+    /// Replications `[0, end)` are merged into `curve`.
+    end: u64,
+    /// The quarantined replications below `end`, in replication order.
+    quarantined: Vec<QuarantinedRep>,
+    /// Out-of-order chunks waiting for their predecessors, by start.
+    pending: BTreeMap<u64, Chunk>,
+    /// The stopping rule held on the prefix: `end` is final.
+    stopped: bool,
     /// Watermark of the last checkpoint flush.
     last_flush: u64,
+}
+
+/// A worker's finished chunk of replications `[start, end)`, waiting to
+/// be folded into the prefix.
+struct Chunk {
+    end: u64,
+    curve: Curve,
+    /// Its panicking replications, in replication order.
+    quarantined: Vec<QuarantinedRep>,
+    /// The replication error that cut the chunk short, or none.
+    error: Option<SimError>,
 }
 
 /// What one replication contributes, produced inside `catch_unwind`

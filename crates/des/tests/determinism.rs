@@ -2,15 +2,16 @@
 //! bitwise-identical estimates regardless of worker thread count.
 //!
 //! This guards the `split_seed`/`replication_rng` per-replication
-//! stream design and the chunk-ordered merge in `Study::run_study`
-//! against future parallelism changes.
+//! stream design and the contiguous-prefix merge in `Study::run_study`
+//! (which also decides when a precision-ruled study stops) against
+//! future parallelism changes.
 
 use std::sync::Arc;
 
 use ahs_des::{Backend, BiasScheme, RewardSpec, Study};
 use ahs_obs::Metrics;
 use ahs_san::{Delay, PlaceId, SanBuilder, SanModel};
-use ahs_stats::TimeGrid;
+use ahs_stats::{StoppingRule, TimeGrid, WeightedStats};
 
 /// A small repairable system with an instantaneous cascade: two
 /// components failing/repairing plus an instantaneous "system down"
@@ -81,6 +82,49 @@ fn first_passage_is_thread_count_invariant() {
         assert_eq!(
             baseline, run,
             "estimates differ between 1 and {threads} threads"
+        );
+    }
+}
+
+/// A precision-ruled study (95% CI within 0.01 relative half-width at
+/// t = 4) in chunks of 100: it stops after a few dozen chunks, so
+/// workers have chunks in flight when the rule first holds.
+fn precision_study(threads: usize) -> Study {
+    let (m, _) = model();
+    Study::new(m)
+        .with_seed(0x9_2009)
+        .with_rule(
+            StoppingRule::relative_precision(0.95, 0.01)
+                .with_min_samples(1_000)
+                .with_max_samples(200_000),
+        )
+        .with_chunk(100)
+        .with_threads(threads)
+}
+
+fn run_precision(threads: usize) -> (u64, Vec<WeightedStats>) {
+    let (_, ko) = model();
+    let grid = TimeGrid::new(vec![1.5, 4.0]);
+    let est = precision_study(threads)
+        .first_passage(move |mk| mk.is_marked(ko), &grid, Backend::Markov)
+        .unwrap();
+    assert!(est.converged, "precision study did not converge");
+    (est.replications, est.curve.estimators().to_vec())
+}
+
+#[test]
+fn precision_rule_is_thread_count_invariant() {
+    let baseline = run_precision(1);
+    assert!(baseline.0 > 1_000, "rule held at the minimum sample count");
+    for threads in [2, 4] {
+        let run = run_precision(threads);
+        assert_eq!(
+            baseline.0, run.0,
+            "replication count differs between 1 and {threads} threads"
+        );
+        assert_eq!(
+            baseline.1, run.1,
+            "estimators differ between 1 and {threads} threads"
         );
     }
 }
@@ -177,4 +221,19 @@ fn metrics_account_for_every_replication() {
     assert_eq!(snap.workers.len(), 2);
     let worker_total: u64 = snap.workers.iter().map(|w| w.replications).sum();
     assert_eq!(worker_total, 2_000);
+
+    // A 2-thread precision-ruled study: chunks past the stopping
+    // watermark are computed but never merged, so the metrics count
+    // exactly the replications of the result.
+    let metrics = Arc::new(Metrics::new());
+    let est = precision_study(2)
+        .with_metrics(metrics.clone())
+        .first_passage(move |mk| mk.is_marked(ko), &grid, Backend::Markov)
+        .unwrap();
+    assert!(est.converged);
+    let snap = metrics.snapshot();
+    assert_eq!(snap.replications, est.replications);
+    assert_eq!(snap.chunk_merges, est.replications / 100);
+    let worker_total: u64 = snap.workers.iter().map(|w| w.replications).sum();
+    assert!(worker_total >= est.replications);
 }

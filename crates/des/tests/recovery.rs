@@ -10,10 +10,12 @@ use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use ahs_des::{generation_path, Backend, RewardSpec, SimError, Study, StudyCheckpoint, Watchdog};
+use ahs_des::{
+    generation_path, Backend, CurveEstimate, RewardSpec, SimError, Study, StudyCheckpoint, Watchdog,
+};
 use ahs_obs::{Metrics, ProgressSink};
 use ahs_san::{Delay, PlaceId, SanBuilder, SanModel};
-use ahs_stats::TimeGrid;
+use ahs_stats::{StoppingRule, TimeGrid};
 
 /// The determinism-tier fixture: two failing components with a repair
 /// loop and an instantaneous "system down" latch.
@@ -74,6 +76,30 @@ fn study(threads: usize, seed: u64) -> (Study, PlaceId) {
     (s, ko)
 }
 
+/// A precision-ruled study (95% CI within 0.01 relative half-width)
+/// in chunks of 100; it stops after a few dozen chunks, wherever the
+/// rule first holds on the replication prefix.
+fn precision_study(threads: usize, seed: u64) -> (Study, PlaceId) {
+    let (m, ko) = model();
+    let s = Study::new(m)
+        .with_seed(seed)
+        .with_rule(
+            StoppingRule::relative_precision(0.95, 0.01)
+                .with_min_samples(1_000)
+                .with_max_samples(200_000),
+        )
+        .with_chunk(100)
+        .with_threads(threads);
+    (s, ko)
+}
+
+/// Builds a study at a thread count and master seed.
+type MakeStudy = fn(usize, u64) -> (Study, PlaceId);
+
+/// The two kinds of study every resume case runs: a fixed budget of
+/// 600 replications and a precision rule.
+const STUDIES: [(&str, MakeStudy); 2] = [("fixed", study), ("precision", precision_study)];
+
 fn scratch_dir(test: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("ahs-recovery-{}-{test}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -109,60 +135,63 @@ impl Write for RaiseAfter {
 #[test]
 fn interrupted_study_resumes_bitwise_identical_at_any_thread_count() {
     let dir = scratch_dir("resume");
-    let (baseline_study, ko) = study(1, 2009);
-    let baseline = baseline_study
-        .first_passage(move |m| m.is_marked(ko), &grid(), Backend::Markov)
-        .unwrap();
-    assert_eq!(baseline.replications, 600);
-    assert!(baseline.resume_lineage.is_empty());
-
-    for threads in [1_usize, 2, 4] {
-        let cp_path = dir.join(format!("study-{threads}.checkpoint.json"));
-
-        // Phase 1: run with checkpoints and an interrupt raised after
-        // the second completed chunk ("kill" mid-study).
-        let flag = Arc::new(AtomicBool::new(false));
-        let sink = Arc::new(ProgressSink::to_writer(Box::new(RaiseAfter {
-            needle: "chunk_done",
-            remaining: 2,
-            flag: flag.clone(),
-        })));
-        let (s, ko) = study(threads, 2009);
-        let first = s
-            .with_checkpoint(&cp_path, 100)
-            .with_interrupt(flag)
-            .with_progress(sink)
+    for (kind, make) in STUDIES {
+        let (baseline_study, ko) = make(1, 2009);
+        let baseline = baseline_study
             .first_passage(move |m| m.is_marked(ko), &grid(), Backend::Markov)
             .unwrap();
-        assert!(
-            first.interrupted || first.replications == 600,
-            "study neither interrupted nor complete at {threads} threads"
-        );
+        assert!(baseline.replications >= 600, "{kind}");
+        assert!(baseline.resume_lineage.is_empty());
 
-        // The final flush left a loadable, chunk-aligned checkpoint.
-        let cp = StudyCheckpoint::load(&cp_path).unwrap();
-        assert_eq!(cp.watermark, first.replications);
-        assert!(cp.watermark > 0, "no replication survived the interrupt");
-        assert!(cp.watermark.is_multiple_of(100) || cp.watermark == 600);
+        for threads in [1_usize, 2, 4] {
+            let cp_path = dir.join(format!("{kind}-{threads}.checkpoint.json"));
 
-        // Phase 2: resume and run to completion.
-        let watermark = cp.watermark;
-        let (s, ko) = study(threads, 2009);
-        let resumed = s
-            .with_resume(cp)
-            .first_passage(move |m| m.is_marked(ko), &grid(), Backend::Markov)
-            .unwrap();
-        assert_eq!(resumed.replications, 600);
-        assert!(!resumed.interrupted);
-        assert_eq!(resumed.resume_lineage, vec![watermark]);
+            // Phase 1: run with checkpoints and an interrupt raised after
+            // the second completed chunk ("kill" mid-study).
+            let flag = Arc::new(AtomicBool::new(false));
+            let sink = Arc::new(ProgressSink::to_writer(Box::new(RaiseAfter {
+                needle: "chunk_done",
+                remaining: 2,
+                flag: flag.clone(),
+            })));
+            let (s, ko) = make(threads, 2009);
+            let first = s
+                .with_checkpoint(&cp_path, 100)
+                .with_interrupt(flag)
+                .with_progress(sink)
+                .first_passage(move |m| m.is_marked(ko), &grid(), Backend::Markov)
+                .unwrap();
+            assert!(
+                first.interrupted || first.replications == baseline.replications,
+                "{kind} study neither interrupted nor complete at {threads} threads"
+            );
 
-        // The headline guarantee: estimator state is bit-for-bit the
-        // uninterrupted run's, at every thread count.
-        assert_eq!(
-            resumed.curve.estimators(),
-            baseline.curve.estimators(),
-            "resumed study diverged from uninterrupted run at {threads} threads"
-        );
+            // The final flush left a loadable, chunk-aligned checkpoint.
+            let cp = StudyCheckpoint::load(&cp_path).unwrap();
+            assert_eq!(cp.watermark, first.replications);
+            assert!(cp.watermark > 0, "no replication survived the interrupt");
+            assert!(cp.watermark.is_multiple_of(100));
+
+            // Phase 2: resume and run to completion.
+            let watermark = cp.watermark;
+            let (s, ko) = make(threads, 2009);
+            let resumed = s
+                .with_resume(cp)
+                .first_passage(move |m| m.is_marked(ko), &grid(), Backend::Markov)
+                .unwrap();
+            assert_eq!(resumed.replications, baseline.replications, "{kind}");
+            assert_eq!(resumed.converged, baseline.converged, "{kind}");
+            assert!(!resumed.interrupted);
+            assert_eq!(resumed.resume_lineage, vec![watermark]);
+
+            // The headline guarantee: estimator state is bit-for-bit the
+            // uninterrupted 1-thread run's, at every thread count.
+            assert_eq!(
+                resumed.curve.estimators(),
+                baseline.curve.estimators(),
+                "resumed {kind} study diverged from uninterrupted run at {threads} threads"
+            );
+        }
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -413,6 +442,80 @@ fn quarantine_overflow_is_a_typed_error_not_a_hang() {
     }
 }
 
+/// A precision-ruled study of a failing component whose target
+/// predicate panics once a rare, independent `glitch` has fired: the
+/// same replications panic whichever worker runs them.
+fn glitching_study(threads: usize, budget: u64) -> Result<CurveEstimate, SimError> {
+    let mut b = SanBuilder::new("glitch-fixture");
+    let up = b.place_with_tokens("up", 1).unwrap();
+    let down = b.place("down").unwrap();
+    let armed = b.place_with_tokens("armed", 1).unwrap();
+    let glitched = b.place("glitched").unwrap();
+    b.timed_activity("fail", Delay::exponential(1.0))
+        .unwrap()
+        .input_place(up)
+        .output_place(down)
+        .build()
+        .unwrap();
+    b.timed_activity("glitch", Delay::exponential(0.002))
+        .unwrap()
+        .input_place(armed)
+        .output_place(glitched)
+        .build()
+        .unwrap();
+    let grid = TimeGrid::new(vec![1.0]);
+    Study::new(b.build().unwrap())
+        .with_seed(3)
+        .with_rule(
+            StoppingRule::relative_precision(0.95, 0.02)
+                .with_min_samples(1_000)
+                .with_max_samples(200_000),
+        )
+        .with_chunk(100)
+        .with_threads(threads)
+        .with_quarantine_budget(budget)
+        .first_passage(
+            move |m| {
+                assert!(!m.is_marked(glitched), "glitch");
+                m.is_marked(down)
+            },
+            &grid,
+            Backend::Markov,
+        )
+}
+
+#[test]
+fn quarantine_budget_counts_only_the_prefix() {
+    let solo = glitching_study(1, 1_000).unwrap();
+    let panics = solo.quarantined.len() as u64;
+    assert!(panics > 0, "no replication glitched");
+    for threads in [1_usize, 2, 4] {
+        // Exactly the prefix's panics fit the budget: panics in chunks
+        // computed past the stopping watermark do not count.
+        let est = glitching_study(threads, panics).unwrap();
+        assert_eq!(est.replications, solo.replications, "{threads} threads");
+        assert_eq!(est.quarantined, solo.quarantined, "{threads} threads");
+        assert_eq!(est.curve.estimators(), solo.curve.estimators());
+
+        // One less overflows at the prefix's last panic.
+        match glitching_study(threads, panics - 1).unwrap_err() {
+            SimError::QuarantineOverflow {
+                quarantined,
+                message,
+                ..
+            } => {
+                assert_eq!(quarantined, panics, "{threads} threads");
+                assert_eq!(
+                    message,
+                    solo.quarantined.last().unwrap().message,
+                    "{threads} threads"
+                );
+            }
+            other => panic!("expected QuarantineOverflow, got {other:?}"),
+        }
+    }
+}
+
 #[test]
 fn watchdog_bounds_runaway_replications() {
     let (m, _) = model();
@@ -486,26 +589,33 @@ fn resume_rejects_mismatched_configuration() {
 #[test]
 fn completed_checkpoint_resumes_to_identical_result_without_new_work() {
     let dir = scratch_dir("complete");
-    let cp_path = dir.join("full.checkpoint.json");
-    let (s, ko) = study(1, 5);
-    let full = s
-        .with_checkpoint(&cp_path, 100)
-        .first_passage(move |m| m.is_marked(ko), &grid(), Backend::Markov)
-        .unwrap();
-    assert_eq!(full.replications, 600);
+    for (kind, make) in STUDIES {
+        let cp_path = dir.join(format!("{kind}.checkpoint.json"));
+        let (s, ko) = make(1, 5);
+        let full = s
+            .with_checkpoint(&cp_path, 100)
+            .first_passage(move |m| m.is_marked(ko), &grid(), Backend::Markov)
+            .unwrap();
+        assert!(full.converged, "{kind}");
 
-    let cp = StudyCheckpoint::load(&cp_path).unwrap();
-    assert_eq!(cp.watermark, 600);
-    let metrics = Arc::new(Metrics::new());
-    let (s, ko) = study(1, 5);
-    let resumed = s
-        .with_resume(cp)
-        .with_metrics(metrics.clone())
-        .first_passage(move |m| m.is_marked(ko), &grid(), Backend::Markov)
-        .unwrap();
-    assert_eq!(resumed.replications, 600);
-    assert_eq!(resumed.curve.estimators(), full.curve.estimators());
-    // No replication re-ran.
-    assert_eq!(metrics.snapshot().replications, 0);
+        let cp = StudyCheckpoint::load(&cp_path).unwrap();
+        assert_eq!(cp.watermark, full.replications);
+        let metrics = Arc::new(Metrics::new());
+        let (s, ko) = make(1, 5);
+        let resumed = s
+            .with_resume(cp)
+            .with_metrics(metrics.clone())
+            .first_passage(move |m| m.is_marked(ko), &grid(), Backend::Markov)
+            .unwrap();
+        assert_eq!(resumed.replications, full.replications, "{kind}");
+        assert!(resumed.converged, "{kind}");
+        assert_eq!(
+            resumed.curve.estimators(),
+            full.curve.estimators(),
+            "{kind}"
+        );
+        // No replication re-ran.
+        assert_eq!(metrics.snapshot().replications, 0, "{kind}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use ahs_obs::Json;
+
 /// Severity of a diagnostic, ordered from least to most severe.
 ///
 /// The CLI's exit code and the CI gate key off [`Severity::Error`]:
@@ -141,40 +143,39 @@ impl Report {
     /// workspace root and is what the CI gate consumes; treat field
     /// renames as breaking changes.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(256 + self.diagnostics.len() * 128);
-        s.push_str("{\"schema\":\"ahs-lint-report/v1\",\"model\":");
-        push_json_string(&mut s, &self.model);
-        s.push_str(",\"exploration\":{\"states\":");
-        s.push_str(&self.states_explored.to_string());
-        s.push_str(",\"complete\":");
-        s.push_str(if self.exploration_complete {
-            "true"
-        } else {
-            "false"
-        });
-        s.push_str("},\"summary\":{\"error\":");
-        s.push_str(&self.count(Severity::Error).to_string());
-        s.push_str(",\"warning\":");
-        s.push_str(&self.count(Severity::Warning).to_string());
-        s.push_str(",\"info\":");
-        s.push_str(&self.count(Severity::Info).to_string());
-        s.push_str("},\"diagnostics\":[");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str("{\"pass\":");
-            push_json_string(&mut s, d.pass);
-            s.push_str(",\"severity\":");
-            push_json_string(&mut s, d.severity.label());
-            s.push_str(",\"subject\":");
-            push_json_string(&mut s, &d.subject);
-            s.push_str(",\"message\":");
-            push_json_string(&mut s, &d.message);
-            s.push('}');
-        }
-        s.push_str("]}");
-        s
+        let diagnostics = self
+            .diagnostics
+            .iter()
+            .map(|d| {
+                Json::obj(vec![
+                    ("pass", Json::str(d.pass)),
+                    ("severity", Json::str(d.severity.label())),
+                    ("subject", Json::str(&d.subject)),
+                    ("message", Json::str(&d.message)),
+                ])
+            })
+            .collect();
+        Json::obj(vec![
+            ("schema", Json::str("ahs-lint-report/v1")),
+            ("model", Json::str(&self.model)),
+            (
+                "exploration",
+                Json::obj(vec![
+                    ("states", self.states_explored.into()),
+                    ("complete", self.exploration_complete.into()),
+                ]),
+            ),
+            (
+                "summary",
+                Json::obj(vec![
+                    ("error", self.count(Severity::Error).into()),
+                    ("warning", self.count(Severity::Warning).into()),
+                    ("info", self.count(Severity::Info).into()),
+                ]),
+            ),
+            ("diagnostics", Json::Arr(diagnostics)),
+        ])
+        .render()
     }
 }
 
@@ -205,25 +206,6 @@ impl fmt::Display for Report {
             self.count(Severity::Info)
         )
     }
-}
-
-/// Appends `value` to `out` as a JSON string literal (RFC 8259 escaping).
-fn push_json_string(out: &mut String, value: &str) {
-    out.push('"');
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! Run manifests: JSON provenance records for studies and benchmarks.
 
 use std::path::Path;
+use std::sync::OnceLock;
 
 use crate::fsio::write_with_retry;
 use crate::json::Json;
@@ -13,23 +14,38 @@ pub const MANIFEST_SCHEMA: &str = "ahs-run-manifest/v1";
 /// The revision of the source tree that produced a run.
 ///
 /// Prefers the `AHS_GIT_REVISION` environment variable (for builds
-/// outside a checkout), then asks `git rev-parse HEAD`, and falls back
-/// to `"unknown"`.
+/// outside a checkout, and for `ahs serve` workers, which inherit their
+/// server's), then asks `git rev-parse HEAD`, and falls back to
+/// `"unknown"`. Resolved once per process: later calls neither read the
+/// variable again nor start `git`.
 pub fn git_revision() -> String {
-    if let Ok(rev) = std::env::var("AHS_GIT_REVISION") {
-        let rev = rev.trim().to_owned();
-        if !rev.is_empty() {
-            return rev;
-        }
-    }
-    std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map(|s| s.trim().to_owned())
-        .filter(|s| !s.is_empty())
+    static REVISION: OnceLock<String> = OnceLock::new();
+    REVISION
+        .get_or_init(|| {
+            let env = std::env::var("AHS_GIT_REVISION").ok();
+            pick_revision(env.as_deref(), || {
+                std::process::Command::new("git")
+                    .args(["rev-parse", "HEAD"])
+                    .output()
+                    .ok()
+                    .filter(|out| out.status.success())
+                    .and_then(|out| String::from_utf8(out.stdout).ok())
+            })
+        })
+        .clone()
+}
+
+/// The env → git → `"unknown"` choice behind [`git_revision`]: `git`
+/// runs only when `env` is unset or blank.
+fn pick_revision(env: Option<&str>, git: impl FnOnce() -> Option<String>) -> String {
+    env.map(str::trim)
+        .filter(|rev| !rev.is_empty())
+        .map(str::to_owned)
+        .or_else(|| {
+            git()
+                .map(|rev| rev.trim().to_owned())
+                .filter(|rev| !rev.is_empty())
+        })
         .unwrap_or_else(|| "unknown".to_owned())
 }
 
@@ -308,13 +324,14 @@ mod tests {
 
     #[test]
     fn git_revision_prefers_env() {
-        // Serialize against other tests touching the var via a lock on
-        // a process-wide mutex.
-        static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        let _guard = ENV_LOCK.lock().unwrap();
-        std::env::set_var("AHS_GIT_REVISION", "deadbeef");
-        let rev = git_revision();
-        std::env::remove_var("AHS_GIT_REVISION");
-        assert_eq!(rev, "deadbeef");
+        let no_git =
+            || -> Option<String> { panic!("git must not run when the env names a revision") };
+        assert_eq!(pick_revision(Some("deadbeef"), no_git), "deadbeef");
+        assert_eq!(pick_revision(Some(" deadbeef\n"), no_git), "deadbeef");
+        let git = || Some("cafef00d\n".to_owned());
+        assert_eq!(pick_revision(Some("  "), git), "cafef00d");
+        assert_eq!(pick_revision(None, git), "cafef00d");
+        assert_eq!(pick_revision(None, || Some(" ".to_owned())), "unknown");
+        assert_eq!(pick_revision(None, || None), "unknown");
     }
 }

@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 
 use ahs_core::{AhsError, UnsafetyCurve};
 use ahs_des::{SimError, Watchdog};
-use ahs_obs::{heartbeat_read, send_sigterm};
+use ahs_obs::{git_revision, heartbeat_read, send_sigterm};
 
 use crate::job::{Job, JobSpec, Phase};
 use crate::worker::{WorkerOptions, WorkerOutcome};
@@ -355,6 +355,9 @@ fn run_process(
         .arg(options.checkpoint_every.to_string())
         .arg("--heartbeat-ms")
         .arg(options.heartbeat_interval.as_millis().to_string())
+        // The server's revision, resolved at its first spawn: the worker
+        // reports it in its manifest without starting `git` itself.
+        .env("AHS_GIT_REVISION", git_revision())
         .stdin(Stdio::null())
         .stderr(Stdio::inherit());
     if let Some(digest) = options.expect_spec {
