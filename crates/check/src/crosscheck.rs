@@ -25,8 +25,11 @@ use ahs_san::SanModel;
 use crate::graph::StateGraph;
 use crate::CheckError;
 
+/// `to_ctmc` entry of a state with no CTMC counterpart.
+const UNMAPPED: u32 = u32::MAX;
+
 /// The outcome of a cross-validation run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CrossCheck {
     /// Stable markings in the checker's graph.
     pub checker_stable_states: usize,
@@ -78,72 +81,93 @@ pub fn cross_validate(
     // canonical packed form, so no marking is decoded and no second
     // index is built. Since both sides hold distinct markings, the sets
     // are equal iff every stable checker state maps and the counts
-    // agree.
-    let mut to_ctmc: Vec<Option<u32>> = vec![None; graph.len()];
+    // agree. `UNMAPPED` marks unstable and unmatched states.
+    let mut to_ctmc: Vec<u32> = vec![UNMAPPED; graph.len()];
     let mut checker_stable_states = 0;
     let mut unmapped = 0;
     for i in (0..graph.len()).filter(|&i| graph.is_stable(i)) {
         checker_stable_states += 1;
-        to_ctmc[i] = space.index_of_packed(graph.packed(i)).map(|c| c as u32);
-        unmapped += usize::from(to_ctmc[i].is_none());
+        match space.index_of_packed(graph.packed(i)) {
+            Some(c) => to_ctmc[i] = c as u32,
+            None => unmapped += 1,
+        }
     }
     let state_sets_match = unmapped == 0 && checker_stable_states == space.len();
 
-    // Stable→stable support derived from the micro-step graph: follow
-    // each timed edge of a stable state through the instantaneous
-    // closure to every stable marking it can end in. `seen[j] == stamp`
-    // marks `j` as visited by the current closure.
-    let mut checker_pairs: Vec<(u32, u32)> = Vec::new();
+    // Stable→stable support derived from the micro-step graph, one
+    // source row at a time: follow each timed edge of stable state `i`
+    // through the instantaneous closure to every stable marking it can
+    // end in, then compare the row with the CTMC row of `i`'s image.
+    // `seen[j] == stamp` marks `j` as visited by the current closure.
+    let mut checker_transition_pairs = 0;
+    let mut rows_match = true;
+    // CTMC entries in the rows compared so far. The map is injective,
+    // so no row is compared twice; every pair set agrees iff every
+    // compared row does and these rows hold every CTMC entry.
+    let mut compared_entries = 0;
+    let mut row: Vec<u32> = Vec::new();
     let mut closure: Vec<u32> = Vec::new();
     let mut seen: Vec<u32> = vec![0; graph.len()];
     let mut stamp = 0u32;
     for i in (0..graph.len()).filter(|&i| graph.is_stable(i)) {
+        row.clear();
         for e in graph.successors(i) {
             stamp += 1;
             closure.clear();
-            closure.push(e.target);
-            seen[e.target as usize] = stamp;
+            closure.push(e.target() as u32);
+            seen[e.target()] = stamp;
             let mut head = 0;
             while head < closure.len() {
                 let j = closure[head] as usize;
                 head += 1;
                 if graph.is_stable(j) {
                     if j != i {
-                        checker_pairs.push((i as u32, j as u32));
+                        row.push(j as u32);
                     }
                     continue;
                 }
                 for e2 in graph.successors(j) {
-                    if seen[e2.target as usize] != stamp {
-                        seen[e2.target as usize] = stamp;
-                        closure.push(e2.target);
+                    if seen[e2.target()] != stamp {
+                        seen[e2.target()] = stamp;
+                        closure.push(e2.target() as u32);
                     }
                 }
             }
         }
-    }
-    checker_pairs.sort_unstable();
-    checker_pairs.dedup();
+        row.sort_unstable();
+        row.dedup();
+        checker_transition_pairs += row.len();
+        if !rows_match {
+            continue;
+        }
 
-    // In CTMC indices the pairs are still distinct (the map is
-    // injective); sorted, they line up with `edges()`, which the CSR
-    // builder emits sorted and merged. An unmapped endpoint is a
-    // mismatch.
-    let translated: Option<Vec<(usize, usize)>> = checker_pairs
-        .iter()
-        .map(|&(i, j)| Some((to_ctmc[i as usize]? as usize, to_ctmc[j as usize]? as usize)))
-        .collect();
+        // In CTMC indices the row's targets are still distinct; sorted,
+        // they line up with the CSR row, which the builder emits sorted
+        // and merged. An unmapped endpoint is a mismatch.
+        let r = to_ctmc[i];
+        if r == UNMAPPED {
+            rows_match = row.is_empty();
+            continue;
+        }
+        for j in row.iter_mut() {
+            *j = to_ctmc[*j as usize];
+        }
+        row.sort_unstable();
+        let ctmc_cols = space
+            .rates()
+            .row(r as usize)
+            .map(|(c, _)| c)
+            .inspect(|_| compared_entries += 1);
+        rows_match = row.last() != Some(&UNMAPPED) && row.iter().map(|&c| c as usize).eq(ctmc_cols);
+    }
     let ctmc_transition_pairs = space.rates().nnz();
-    let transitions_match = translated.is_some_and(|mut pairs| {
-        pairs.sort_unstable();
-        pairs.into_iter().eq(space.edges().map(|(r, c, _)| (r, c)))
-    });
+    let transitions_match = rows_match && compared_entries == ctmc_transition_pairs;
 
     Ok(CrossCheck {
         checker_stable_states,
         ctmc_states: space.len(),
         state_sets_match,
-        checker_transition_pairs: checker_pairs.len(),
+        checker_transition_pairs,
         ctmc_transition_pairs,
         transitions_match,
     })

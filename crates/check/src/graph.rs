@@ -42,23 +42,75 @@ pub fn can_take(model: &SanModel, a: ActivityId, case: usize, m: &Marking) -> bo
     model.activity(a).cases()[case].probability(m) != 0.0
 }
 
-/// One labelled transition of the marking graph.
+/// One labelled transition of the marking graph, packed into 8 bytes:
+/// a `u32` target and the firing's activity index and case as `u16`s
+/// ([`StateGraph::explore`] rejects models whose labels do not fit).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Edge {
-    /// Index of the successor state.
-    pub target: u32,
-    /// The activity whose firing produced it.
-    pub activity: ActivityId,
-    /// The case branch taken.
-    pub case: u16,
+    target: u32,
+    activity: u16,
+    case: u16,
 }
 
-/// BFS tree pointer: how a state was first discovered.
+impl Edge {
+    /// Index of the successor state.
+    pub fn target(self) -> usize {
+        self.target as usize
+    }
+
+    /// [`ActivityId::index`] of the activity whose firing produced it.
+    pub fn activity_index(self) -> usize {
+        usize::from(self.activity)
+    }
+
+    /// The case branch taken.
+    pub fn case(self) -> usize {
+        usize::from(self.case)
+    }
+}
+
+/// BFS tree pointer: how a state was first discovered. `state` is the
+/// parent's index, [`Parent::ROOT`] for the initial marking.
 #[derive(Debug, Clone, Copy)]
 struct Parent {
     state: u32,
-    activity: ActivityId,
+    activity: u16,
     case: u16,
+}
+
+impl Parent {
+    const ROOT: Parent = Parent {
+        state: u32::MAX,
+        activity: 0,
+        case: 0,
+    };
+}
+
+const _: () = assert!(std::mem::size_of::<Edge>() == 8);
+const _: () = assert!(std::mem::size_of::<Parent>() == 8);
+
+/// The most activities, and the most cases of one activity, an
+/// [`Edge`] label can index.
+const MAX_LABELS: usize = u16::MAX as usize + 1;
+
+/// Checks that every activity index and case number of a model with
+/// `activities` activities and the given `(name, case count)` list fits
+/// the `u16` fields of an [`Edge`], so exploration can narrow them
+/// without truncating.
+fn check_label_width<'a>(
+    activities: usize,
+    mut cases: impl Iterator<Item = (&'a str, usize)>,
+) -> Result<(), CheckError> {
+    if activities > MAX_LABELS {
+        return Err(CheckError::TooManyActivities { activities });
+    }
+    match cases.find(|&(_, n)| n > MAX_LABELS) {
+        Some((name, cases)) => Err(CheckError::TooManyCases {
+            activity: name.to_owned(),
+            cases,
+        }),
+        None => Ok(()),
+    }
 }
 
 /// One step of a firing trace (see [`StateGraph::trace_to`]).
@@ -81,7 +133,7 @@ pub struct StateGraph {
     /// `edges[edge_start[i]..edge_start[i + 1]]`.
     edge_start: Vec<u32>,
     edges: Vec<Edge>,
-    parent: Vec<Option<Parent>>,
+    parent: Vec<Parent>,
     complete: bool,
 }
 
@@ -104,12 +156,19 @@ impl StateGraph {
         max_states: usize,
         interrupt: Option<&AtomicBool>,
     ) -> Result<StateGraph, CheckError> {
+        check_label_width(
+            model.num_activities(),
+            model
+                .activities()
+                .iter()
+                .map(|a| (a.name(), a.cases().len())),
+        )?;
         let max_states = max_states.clamp(1, u32::MAX as usize - 1);
         let mut states: Interner<Marking> = Interner::new();
         let mut stable: Vec<bool> = Vec::new();
         let mut edge_start: Vec<u32> = Vec::new();
         let mut edges: Vec<Edge> = Vec::new();
-        let mut parent: Vec<Option<Parent>> = Vec::new();
+        let mut parent: Vec<Parent> = Vec::new();
         let mut complete = true;
 
         let full = |e| match e {
@@ -119,7 +178,7 @@ impl StateGraph {
         states
             .intern(model.initial_marking(), max_states)
             .map_err(full)?;
-        parent.push(None);
+        parent.push(Parent::ROOT);
 
         let mut cache = model.new_cache();
         let mut enabled: Vec<ActivityId> = Vec::new();
@@ -196,18 +255,20 @@ impl StateGraph {
                         complete = false;
                         continue;
                     };
-                    if j == before {
-                        parent.push(Some(Parent {
-                            state: frontier as u32,
-                            activity: a,
-                            case: case as u16,
-                        }));
-                    }
-                    edges.push(Edge {
+                    // `check_label_width` proved both labels fit.
+                    let edge = Edge {
                         target: j as u32,
-                        activity: a,
+                        activity: a.index() as u16,
                         case: case as u16,
-                    });
+                    };
+                    if j == before {
+                        parent.push(Parent {
+                            state: frontier as u32,
+                            activity: edge.activity,
+                            case: edge.case,
+                        });
+                    }
+                    edges.push(edge);
                 }
             }
             frontier += 1;
@@ -296,15 +357,26 @@ impl StateGraph {
     /// The shortest firing trace from the initial marking to state `i`,
     /// read off the BFS tree. Empty for the initial state itself.
     pub fn trace_to(&self, model: &SanModel, i: usize) -> Vec<TraceStep> {
+        // Edges keep only the activity index; map it back to the id.
+        let mut ids: Vec<Option<ActivityId>> = vec![None; model.num_activities()];
+        for &a in model
+            .timed_activities()
+            .iter()
+            .chain(model.instantaneous_activities())
+        {
+            ids[a.index()] = Some(a);
+        }
         let mut rev = Vec::new();
-        let mut cur = i as u32;
-        while let Some(p) = self.parent[cur as usize] {
+        let mut p = self.parent[i];
+        while p.state != Parent::ROOT.state {
+            let activity =
+                ids[usize::from(p.activity)].expect("edge labels index model activities");
             rev.push(TraceStep {
-                activity: p.activity,
-                activity_name: model.activity(p.activity).name().to_owned(),
-                case: p.case as usize,
+                activity,
+                activity_name: model.activity(activity).name().to_owned(),
+                case: usize::from(p.case),
             });
-            cur = p.state;
+            p = self.parent[p.state as usize];
         }
         rev.reverse();
         rev
@@ -406,5 +478,56 @@ mod tests {
         assert!(graph.complete());
         assert!(graph.markings().all(|m| !m.is_marked(ghost)));
         assert!(graph.markings().any(|m| m.is_marked(live)));
+    }
+
+    /// One timed activity with `cases` equally likely cases; only the
+    /// last one marks `last`.
+    fn wide(cases: usize) -> SanModel {
+        let mut b = SanBuilder::new("wide");
+        let src = b.place_with_tokens("src", 1).unwrap();
+        let last = b.place("last").unwrap();
+        let mut t = b
+            .timed_activity("t", Delay::exponential(1.0))
+            .unwrap()
+            .input_place(src);
+        for _ in 0..cases {
+            t = t.case(1.0 / cases as f64);
+        }
+        t.output_place(last).build().unwrap();
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn edge_labels_narrow_without_truncating() {
+        let model = wide(MAX_LABELS);
+        let graph = explore(&model, 8);
+        let edges = graph.successors(0);
+        assert_eq!(edges.len(), MAX_LABELS);
+        let top = edges[MAX_LABELS - 1];
+        assert_eq!((top.target(), top.case()), (2, MAX_LABELS - 1));
+        assert_eq!(graph.trace_to(&model, 2)[0].case, MAX_LABELS - 1);
+
+        match StateGraph::explore(&wide(MAX_LABELS + 1), 8, None) {
+            Err(CheckError::TooManyCases { activity, cases }) => {
+                assert_eq!((activity.as_str(), cases), ("t", MAX_LABELS + 1));
+            }
+            other => panic!("a 65 537th case must not be truncated: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn label_counts_past_u16_are_rejected() {
+        let ok = [("t", MAX_LABELS)];
+        assert!(check_label_width(MAX_LABELS, ok.into_iter()).is_ok());
+        assert!(matches!(
+            check_label_width(MAX_LABELS + 1, ok.into_iter()),
+            Err(CheckError::TooManyActivities { activities }) if activities == MAX_LABELS + 1
+        ));
+        let wide = [("t", 2), ("u", MAX_LABELS + 1)];
+        assert!(matches!(
+            check_label_width(2, wide.into_iter()),
+            Err(CheckError::TooManyCases { activity, cases })
+                if activity == "u" && cases == MAX_LABELS + 1
+        ));
     }
 }

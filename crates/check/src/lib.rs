@@ -83,6 +83,20 @@ pub enum CheckError {
         /// States stored when the store filled up.
         states: usize,
     },
+    /// The model has more activities than a graph edge's `u16`
+    /// activity label can index (65 536).
+    TooManyActivities {
+        /// Activities in the model.
+        activities: usize,
+    },
+    /// An activity has more cases than a graph edge's `u16` case label
+    /// can index (65 536).
+    TooManyCases {
+        /// Name of the activity.
+        activity: String,
+        /// Its case count.
+        cases: usize,
+    },
 }
 
 impl std::fmt::Display for CheckError {
@@ -100,6 +114,14 @@ impl std::fmt::Display for CheckError {
             CheckError::StateStoreFull { states } => write!(
                 f,
                 "state store is full at {states} states (u32 indices or arena offsets exhausted)"
+            ),
+            CheckError::TooManyActivities { activities } => write!(
+                f,
+                "model has {activities} activities; the state graph labels at most 65536"
+            ),
+            CheckError::TooManyCases { activity, cases } => write!(
+                f,
+                "activity `{activity}` has {cases} cases; the state graph labels at most 65536"
             ),
         }
     }

@@ -274,7 +274,7 @@ fn escalation(model: &SanModel, graph: &StateGraph, mut queue: Vec<u32>) -> Vec<
     let mut start = vec![0u32; n + 1];
     for i in 0..n {
         for e in graph.successors(i) {
-            start[e.target as usize + 1] += 1;
+            start[e.target() + 1] += 1;
         }
     }
     for j in 0..n {
@@ -284,7 +284,7 @@ fn escalation(model: &SanModel, graph: &StateGraph, mut queue: Vec<u32>) -> Vec<
     let mut preds = vec![0u32; start[n] as usize];
     for i in 0..n {
         for e in graph.successors(i) {
-            let slot = &mut next[e.target as usize];
+            let slot = &mut next[e.target()];
             preds[*slot as usize] = i as u32;
             *slot += 1;
         }
@@ -328,7 +328,7 @@ pub fn exact_dead_set(model: &SanModel, graph: &StateGraph) -> Vec<String> {
     let mut fired = vec![false; model.num_activities()];
     for i in 0..graph.len() {
         for e in graph.successors(i) {
-            fired[e.activity.index()] = true;
+            fired[e.activity_index()] = true;
         }
     }
     model

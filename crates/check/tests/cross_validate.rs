@@ -7,7 +7,7 @@
 //! any accidental semantic change (a case branch skipped, a marking
 //! canonicalisation bug) into a loud test failure.
 
-use ahs_check::{cross_validate, CheckConfig, Checker, StateGraph};
+use ahs_check::{cross_validate, CheckConfig, Checker, CrossCheck, StateGraph};
 use ahs_core::{AhsModel, Params, Strategy};
 use ahs_san::{Delay, SanBuilder, SanModel};
 
@@ -44,13 +44,17 @@ fn fixture_chain_cross_validates_against_ctmc() {
 /// One token walking places `a, b, c, d` (indices 0–3) along `moves`,
 /// one unit-rate timed activity per `(from, to)` move.
 fn token_walk(moves: &[(usize, usize)]) -> SanModel {
+    token_walk_from(0, moves)
+}
+
+/// [`token_walk`] with the token starting on place index `start`.
+fn token_walk_from(start: usize, moves: &[(usize, usize)]) -> SanModel {
     let mut b = SanBuilder::new("token_walk");
-    let places = [
-        b.place_with_tokens("a", 1).unwrap(),
-        b.place("b").unwrap(),
-        b.place("c").unwrap(),
-        b.place("d").unwrap(),
-    ];
+    let places: Vec<_> = ["a", "b", "c", "d"]
+        .into_iter()
+        .enumerate()
+        .map(|(k, name)| b.place_with_tokens(name, u64::from(k == start)).unwrap())
+        .collect();
     for (k, &(from, to)) in moves.iter().enumerate() {
         b.timed_activity(&format!("move{k}"), Delay::exponential(1.0))
             .unwrap()
@@ -60,6 +64,13 @@ fn token_walk(moves: &[(usize, usize)]) -> SanModel {
             .unwrap();
     }
     b.build().unwrap()
+}
+
+/// Cross-validates the graph of `checker_model` against the CTMC of
+/// `ctmc_model`.
+fn cross(checker_model: &SanModel, ctmc_model: &SanModel) -> CrossCheck {
+    let graph = StateGraph::explore(checker_model, 1 << 10, None).unwrap();
+    cross_validate(ctmc_model, &graph, 1 << 10).unwrap()
 }
 
 /// The ring `a → b → c → a` and its graph.
@@ -99,6 +110,81 @@ fn cross_validation_catches_a_missing_state() {
     assert_eq!(cross.checker_stable_states, cross.ctmc_states);
     assert!(!cross.state_sets_match, "{cross:?}");
     assert!(!cross.transitions_match, "{cross:?}");
+}
+
+#[test]
+fn cross_validation_compares_row_columns_not_counts() {
+    // Row `a` is {b, c} on the checker side and {b, d} on the CTMC side;
+    // every row length, the pair total and the state set agree.
+    let cross = cross(
+        &token_walk(&[(0, 1), (0, 2), (1, 2), (2, 3), (3, 0)]),
+        &token_walk(&[(0, 1), (0, 3), (1, 2), (2, 3), (3, 0)]),
+    );
+    assert_eq!(
+        cross,
+        CrossCheck {
+            checker_stable_states: 4,
+            ctmc_states: 4,
+            state_sets_match: true,
+            checker_transition_pairs: 5,
+            ctmc_transition_pairs: 5,
+            transitions_match: false,
+        }
+    );
+}
+
+/// Every field on state-set mismatches, pinned to what the global
+/// pair-list comparison this row-by-row one replaced reported.
+#[test]
+fn state_set_mismatches_report_every_field() {
+    let ring = [(0, 1), (1, 2), (2, 0)];
+    let pinned =
+        |checker_stable_states, ctmc_states, pairs: (usize, usize), transitions_match| CrossCheck {
+            checker_stable_states,
+            ctmc_states,
+            state_sets_match: false,
+            checker_transition_pairs: pairs.0,
+            ctmc_transition_pairs: pairs.1,
+            transitions_match,
+        };
+    let cases = [
+        // A checker state the CTMC lacks.
+        (
+            cross(
+                &ahs_check::fixtures::escalation_chain(),
+                &ahs_check::fixtures::broken_livelock(),
+            ),
+            pinned(3, 2, (3, 2), false),
+        ),
+        (
+            cross(&token_walk(&ring), &token_walk(&[(0, 1), (1, 0)])),
+            pinned(3, 2, (3, 2), false),
+        ),
+        // Equal counts, different sets.
+        (
+            cross(&token_walk(&ring), &token_walk(&[(0, 1), (1, 3), (3, 0)])),
+            pinned(3, 3, (3, 3), false),
+        ),
+        // A CTMC state the checker lacks, whose row no checker row
+        // covers.
+        (
+            cross(&token_walk(&[(0, 1), (1, 0)]), &token_walk(&ring)),
+            pinned(2, 3, (2, 3), false),
+        ),
+        (
+            cross(&token_walk_from(1, &[(0, 1)]), &token_walk(&[(0, 1)])),
+            pinned(1, 2, (0, 1), false),
+        ),
+        // Disjoint single-state sets with no transitions: the (empty)
+        // pair sets still agree.
+        (
+            cross(&token_walk_from(1, &[(2, 3)]), &token_walk(&[(2, 3)])),
+            pinned(1, 1, (0, 0), true),
+        ),
+    ];
+    for (k, (got, want)) in cases.into_iter().enumerate() {
+        assert_eq!(got, want, "case {k}");
+    }
 }
 
 #[test]

@@ -234,6 +234,7 @@ pub fn write_with_retry(path: &Path, contents: &[u8]) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serial;
 
     fn scratch(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!(
@@ -245,6 +246,7 @@ mod tests {
 
     #[test]
     fn writes_and_replaces() {
+        let _g = serial();
         let dir = scratch("replace");
         let path = dir.join("nested/out.json");
         atomic_write(&path, b"{\"v\":1}\n").expect("first write");
@@ -256,6 +258,7 @@ mod tests {
 
     #[test]
     fn leaves_no_temporary_behind() {
+        let _g = serial();
         let dir = scratch("tmpfile");
         let path = dir.join("out.json");
         atomic_write(&path, b"x").expect("write");
@@ -269,6 +272,7 @@ mod tests {
 
     #[test]
     fn concurrent_writers_to_one_path_never_fail() {
+        let _g = serial();
         let dir = scratch("race");
         let path = dir.join("contended.json");
         std::thread::scope(|s| {
@@ -356,14 +360,7 @@ mod tests {
 #[cfg(all(test, feature = "inject"))]
 mod inject_tests {
     use super::*;
-    use std::sync::{Mutex, MutexGuard};
-
-    /// The failpoint registry is process-global; serialize these tests
-    /// (cargo runs `#[test]`s of one binary concurrently).
-    pub(crate) fn serial() -> MutexGuard<'static, ()> {
-        static GUARD: Mutex<()> = Mutex::new(());
-        GUARD.lock().unwrap_or_else(|e| e.into_inner())
-    }
+    use crate::serial;
 
     fn scratch(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("ahs-obs-fsio-inject-{}-{name}", std::process::id()))

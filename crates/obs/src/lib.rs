@@ -80,3 +80,13 @@ pub use manifest::{git_revision, EstimatePoint, RunManifest, StoppingSpec, MANIF
 pub use metrics::{Metrics, MetricsSnapshot, WorkerStats};
 pub use process::{limit_cpu_seconds, limit_memory_bytes, rlimit_supported, send_sigterm};
 pub use progress::ProgressSink;
+
+/// Serializes the unit tests that share the process-global failpoint
+/// registry: those that arm `obs::*` failpoints and those that write
+/// through [`atomic_write`], which would otherwise meet a fault another
+/// test armed (cargo runs the tests of one binary concurrently).
+#[cfg(test)]
+pub(crate) fn serial() -> std::sync::MutexGuard<'static, ()> {
+    static GUARD: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    GUARD.lock().unwrap_or_else(|e| e.into_inner())
+}

@@ -310,6 +310,7 @@ mod tests {
 
     #[test]
     fn write_creates_parent_directories() {
+        let _g = crate::serial();
         let dir = std::env::temp_dir().join(format!(
             "ahs-obs-manifest-{}-{:?}",
             std::process::id(),
